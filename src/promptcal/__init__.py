@@ -12,7 +12,6 @@ from .calibration import (
     alignment_loss,
     decode_soft_prompt,
     encode_soft,
-    prompted_embedding,
     summarize,
     train_calibrator,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "alignment_loss",
     "decode_soft_prompt",
     "encode_soft",
-    "prompted_embedding",
     "summarize",
     "train_calibrator",
     "CorpusRecord",

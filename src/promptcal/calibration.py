@@ -28,9 +28,10 @@ OOD_SOFT_TOKEN_TEXT = "##1 ##2"
 # Decoded-prefix length cap; see decode_soft_prompt.
 DEFAULT_SOFT_PREFIX_LEN = 2
 
+# Row-wise distances over B x d batches of (target, fused) embedding pairs.
 DISTANCES: dict[str, Callable[[DiffValue, DiffValue], DiffValue]] = {
-    "mse": ad.mse_distance,
-    "cross_entropy": ad.cross_entropy_distance,
+    "mse": ad.rowwise_mse,
+    "cross_entropy": ad.rowwise_cross_entropy,
 }
 
 SEPARATOR_POLICIES = ("prompt_first", "notes_first")
@@ -75,11 +76,6 @@ class CalibrationConfig:
     stall_window: int = 10
     seed: int = 7
     separator_policy: str = "prompt_first"
-    # Pairs folded into one optimizer step. None accumulates the loss over
-    # every (input, prompt) pair and takes a single step per epoch, matching
-    # the one-update-per-iteration training loop; an integer gives
-    # shuffled mini-batch steps instead.
-    batch_size: int | None = None
 
     def __post_init__(self):
         if self.distance not in DISTANCES:
@@ -88,18 +84,14 @@ class CalibrationConfig:
             raise ContractError(f"unknown separator policy {self.separator_policy!r}")
         if self.learning_rate <= 0 or self.max_epochs <= 0 or self.convergence_tol <= 0:
             raise ContractError("learning_rate, max_epochs, convergence_tol must be positive")
-        if self.batch_size is not None and self.batch_size <= 0:
-            raise ContractError("batch_size must be positive when given")
 
 
 class SoftPromptEncoder:
     """Trainable encoder initialized as a bit-exact copy of the frozen one."""
 
-    def __init__(self, params: dict[str, DiffValue], cfg, embed_dim: int):
+    def __init__(self, params: dict[str, DiffValue], cfg):
         self.params = params
         self.cfg = cfg
-        self.input_dim = embed_dim
-        self.output_dim = embed_dim
         self.trained = False
 
     @classmethod
@@ -112,7 +104,7 @@ class SoftPromptEncoder:
                 continue
             clone = ad.value(p.data.copy()) if name == "enc.pos" else ad.param(p.data.copy())
             params[name] = clone
-        return cls(params, lm.cfg, lm.cfg.embed_dim)
+        return cls(params, lm.cfg)
 
     def trainable(self) -> list[DiffValue]:
         return [p for p in self.params.values() if p.requires_grad]
@@ -145,27 +137,17 @@ def join_prompted(t_llm: TokenSequence, t_org: TokenSequence, policy: str = "pro
     raise ContractError(f"unknown separator policy {policy!r}")
 
 
-def embedding_mean(a: DiffValue, b: DiffValue) -> DiffValue:
-    """Element-wise average of two equal-dimension embeddings."""
-    return ad.scale(ad.add(a, b), 0.5)
-
-
-def prompted_embedding(
-    t_org: TokenSequence,
-    t_llm: TokenSequence,
-    tok: SoftPromptToken,
-    lm: EncoderDecoderLM,
-    enc: SoftPromptEncoder,
-    policy: str = "prompt_first",
+def calibration_loss(
+    bare: np.ndarray, prompted: np.ndarray, soft: DiffValue, distance: str
 ) -> DiffValue:
-    """Mean of the frozen pooled embedding of the prompted input and the soft vector.
+    """The calibration objective over B (input, prompt) pairs.
 
-    Gradient reaches only the soft encoder; the frozen path contributes constants.
+    Mean over rows of the distance between the frozen bare-notes embedding
+    and the element-wise mean of the frozen prompted embedding and the soft
+    vector. bare and prompted are B x d constants; gradient reaches only soft.
     """
-    joined = join_prompted(t_llm, t_org, policy)
-    frozen_pooled = lm.encode(joined).pooled
-    soft_vec = encode_soft(tok, enc)
-    return embedding_mean(frozen_pooled, soft_vec)
+    fused = ad.scale(ad.add_row_vector(ad.value(prompted), soft), 0.5)
+    return DISTANCES[distance](ad.value(bare), fused)
 
 
 def alignment_loss(
@@ -177,11 +159,10 @@ def alignment_loss(
     distance: str = "mse",
     policy: str = "prompt_first",
 ) -> DiffValue:
-    """Distance between the bare-notes embedding and the prompted embedding."""
-    distance_fn = DISTANCES[distance]
-    bare = lm.encode(t_org).pooled
-    prompted = prompted_embedding(t_org, t_llm, tok, lm, enc, policy)
-    return distance_fn(bare, prompted)
+    """The calibration objective for one (notes, prompt) pair: its B = 1 case."""
+    prompted = lm.encode(join_prompted(t_llm, t_org, policy)).pooled.data
+    bare = lm.encode(t_org).pooled.data
+    return calibration_loss(bare[None, :], prompted[None, :], encode_soft(tok, enc), distance)
 
 
 def train_calibrator(
@@ -196,7 +177,8 @@ def train_calibrator(
 
     Zero-shot by construction: only input token sequences are accepted, never
     gold summaries. The frozen pooled embeddings are constants of the
-    optimization, so they are computed once up front.
+    optimization, so they are computed once up front; each epoch takes one
+    full-batch step on calibration_loss over all pairs.
     """
     if not corpus_inputs:
         raise ContractError("train_calibrator requires at least one input")
@@ -205,43 +187,33 @@ def train_calibrator(
     if not lm.frozen:
         raise ContractError("train_calibrator requires a frozen model")
     enc = SoftPromptEncoder.from_frozen(lm)
-    batch_distance = ad.rowwise_mse if config.distance == "mse" else ad.rowwise_cross_entropy
 
-    bare_pooled = np.stack([lm.encode(t).pooled.data for t in corpus_inputs])
-    prompted_pooled = np.stack([
-        [lm.encode(join_prompted(p, t, config.separator_policy)).pooled.data for p in prompts]
-        for t in corpus_inputs
+    bare = np.stack([lm.encode(t).pooled.data for t in corpus_inputs])
+    # Row k is the pair (input k // n_prompts, prompt k % n_prompts).
+    prompted = np.stack([
+        lm.encode(join_prompted(p, t, config.separator_policy)).pooled.data
+        for t in corpus_inputs for p in prompts
     ])
-    n_inputs, n_prompts = len(corpus_inputs), len(prompts)
-    pairs = [(i, j) for i in range(n_inputs) for j in range(n_prompts)]
-    n_pairs = len(pairs)
 
     opt = Adam(enc.trainable(), learning_rate=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     rule = ConvergenceRule(config.convergence_tol, config.stall_window)
-    step_size = config.batch_size or n_pairs
     for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(n_pairs)
-        total = 0.0
-        for start in range(0, n_pairs, step_size):
-            batch = [pairs[k] for k in order[start : start + step_size]]
-            targets = np.stack([bare_pooled[i] for i, _ in batch])
-            frozen_side = np.stack([prompted_pooled[i][j] for i, j in batch])
-            soft_vec = encode_soft(tok, enc)
-            fused = ad.scale(ad.add_row_vector(ad.value(frozen_side), soft_vec), 0.5)
-            loss = batch_distance(ad.value(targets), fused)
-            if not np.isfinite(loss.data):
-                raise TrainingError(
-                    f"non-finite calibration loss at epoch {epoch}, pair {start}"
-                )
-            total += float(loss.data) * len(batch)
-            ad.backward(loss)
-            opt.step()
-        mean_loss = total / n_pairs
+        # The shuffle only sets the summation order; kept so trained vectors match earlier runs bit for bit.
+        order = rng.permutation(len(prompted))
+        loss = calibration_loss(
+            bare[order // len(prompts)], prompted[order], encode_soft(tok, enc), config.distance
+        )
+        mean_loss = float(loss.data)
+        if not np.isfinite(mean_loss):
+            raise TrainingError(f"non-finite calibration loss at epoch {epoch}")
         if log_fn is not None:
             log_fn(epoch, mean_loss)
-        if rule.update(mean_loss):
+        # Stop before stepping, so the last logged loss is the returned calibrator's.
+        if rule.update(mean_loss) or epoch == config.max_epochs:
             break
+        ad.backward(loss)
+        opt.step()
     enc.trained = True
     return enc
 

@@ -8,7 +8,6 @@ against and refuses to load next to a different model.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import struct
 from pathlib import Path
@@ -16,7 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import DiffValue
-from .calibration import CalibrationConfig, SoftPromptEncoder, SoftPromptToken
+from .calibration import (
+    DISTANCES,
+    SEPARATOR_POLICIES,
+    CalibrationConfig,
+    SoftPromptEncoder,
+    SoftPromptToken,
+)
 from .errors import CheckpointError, CheckpointMismatchError
 from .model import EncoderDecoderLM, ModelConfig, params_digest
 from .vocab import Vocabulary
@@ -24,10 +29,8 @@ from .vocab import Vocabulary
 MODEL_VERSION = 1
 CALIBRATOR_VERSION = 1
 
-_DISTANCE_CODES = {"mse": 0, "cross_entropy": 1}
-_DISTANCE_NAMES = {v: k for k, v in _DISTANCE_CODES.items()}
-_POLICY_CODES = {"prompt_first": 0, "notes_first": 1}
-_POLICY_NAMES = {v: k for k, v in _POLICY_CODES.items()}
+# A calibrator stores its distance and separator policy as indices into these.
+_DISTANCE_NAMES = tuple(DISTANCES)
 
 
 def _write_str(buf: io.BytesIO, s: str) -> None:
@@ -136,13 +139,13 @@ def save_calibrator(
     buf.write(struct.pack("<B", CALIBRATOR_VERSION))
     buf.write(bytes.fromhex(lm_digest))
     _write_str(buf, tok.text)
-    buf.write(struct.pack("<B", _DISTANCE_CODES[config.distance]))
+    buf.write(struct.pack("<B", _DISTANCE_NAMES.index(config.distance)))
     buf.write(struct.pack("<d", config.learning_rate))
     buf.write(struct.pack("<I", config.max_epochs))
     buf.write(struct.pack("<d", config.convergence_tol))
     buf.write(struct.pack("<I", config.stall_window))
     buf.write(struct.pack("<q", config.seed))
-    buf.write(struct.pack("<B", _POLICY_CODES[config.separator_policy]))
+    buf.write(struct.pack("<B", SEPARATOR_POLICIES.index(config.separator_policy)))
     buf.write(struct.pack("<B", 1 if enc.trained else 0))
     _write_params(buf, enc.params, trainable_flags=True)
     buf.write(bytes.fromhex(params_digest(enc.params)))
@@ -171,6 +174,8 @@ def load_calibrator(
     stored_digest = _read_exact(buf, 32).hex()
     if params_digest(params) != stored_digest:
         raise CheckpointError(f"calibrator checkpoint {path} failed its integrity hash")
+    if distance_code >= len(_DISTANCE_NAMES) or policy_code >= len(SEPARATOR_POLICIES):
+        raise CheckpointError(f"calibrator checkpoint {path} has an unknown distance or policy code")
     actual = lm.weight_digest()
     if lm_digest != actual:
         raise CheckpointMismatchError(
@@ -184,13 +189,10 @@ def load_calibrator(
         convergence_tol=tol,
         stall_window=window,
         seed=seed,
-        separator_policy=_POLICY_NAMES[policy_code],
+        separator_policy=SEPARATOR_POLICIES[policy_code],
     )
-    enc = SoftPromptEncoder(params, lm.cfg, lm.cfg.embed_dim)
+    enc = SoftPromptEncoder(params, lm.cfg)
     enc.trained = bool(trained)
     tok = SoftPromptToken.from_text(token_text, lm.vocab)
     return enc, tok, config
 
-
-def file_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -47,35 +47,35 @@ EXIT_DIGEST = 4
 
 @dataclass
 class PipelineConfig:
-    seed: int = 7
+    seed: int = PretrainConfig.seed
     corpus: str = "corpus/train.jsonl"
     test_corpus: str = "corpus/test.jsonl"
     prompts: str = "bundled"
     model_checkpoint: str = "out/model.bin"
     calibrator_checkpoint: str = "out/calibrator.bin"
     report_dir: str = "out/reports"
-    embed_dim: int = 64
-    blocks: int = 2
-    heads: int = 2
-    ffn_dim: int = 64
-    max_sequence_length: int = 96
-    decode_max_len: int = 24
-    embed_bias_std: float = 2.5
-    embed_noise_std: float = 3.3
-    pos_scale: float = 0.5
-    pretrain_learning_rate: float = 2e-3
-    pretrain_max_epochs: int = 500
-    pretrain_tol: float = 1e-4
-    pretrain_grad_clip: float = 1.0
-    encoder_train_epochs: int = 3
-    prefix_noise_prob: float = 0.5
-    prefix_noise_max: int = 14
-    distance: str = "mse"
-    learning_rate: float = 1e-3
-    max_epochs: int = 200
-    convergence_tol: float = 1e-4
+    embed_dim: int = ModelConfig.embed_dim
+    blocks: int = ModelConfig.n_blocks
+    heads: int = ModelConfig.n_heads
+    ffn_dim: int = ModelConfig.ffn_dim
+    max_sequence_length: int = ModelConfig.max_seq_len
+    decode_max_len: int = ModelConfig.decode_max_len
+    embed_bias_std: float = ModelConfig.embed_bias_std
+    embed_noise_std: float = ModelConfig.embed_noise_std
+    pos_scale: float = ModelConfig.pos_scale
+    pretrain_learning_rate: float = PretrainConfig.learning_rate
+    pretrain_max_epochs: int = PretrainConfig.max_epochs
+    pretrain_tol: float = PretrainConfig.convergence_tol
+    pretrain_grad_clip: float = PretrainConfig.max_grad_norm
+    encoder_train_epochs: int = PretrainConfig.encoder_train_epochs
+    prefix_noise_prob: float = PretrainConfig.prefix_noise_prob
+    prefix_noise_max: int = PretrainConfig.prefix_noise_max
+    distance: str = CalibrationConfig.distance
+    learning_rate: float = CalibrationConfig.learning_rate
+    max_epochs: int = CalibrationConfig.max_epochs
+    convergence_tol: float = CalibrationConfig.convergence_tol
     soft_token: str = DEFAULT_SOFT_TOKEN_TEXT
-    separator_policy: str = "prompt_first"
+    separator_policy: str = CalibrationConfig.separator_policy
     report_format: str = "both"
 
     def model_config(self) -> ModelConfig:
@@ -120,10 +120,13 @@ _FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
 
 def _coerce(key: str, raw: str):
     kind = _FIELD_TYPES[key]
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
+    try:
+        if kind == "int":
+            return int(raw)
+        if kind == "float":
+            return float(raw)
+    except ValueError:
+        raise ContractError(f"config key {key!r} expects {kind}, got {raw!r}") from None
     return raw
 
 

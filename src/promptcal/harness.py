@@ -19,7 +19,7 @@ from .calibration import (
     train_calibrator,
     _summarize_with_prefix,
 )
-from .corpus import CorpusRecord, corpus_digest
+from .corpus import CorpusRecord, corpus_digest, require_impressions
 from .errors import ContractError
 from .model import EncoderDecoderLM
 from .rouge import VARIANTS, rouge_suite
@@ -112,9 +112,7 @@ def evaluate_prompt(
     """
     if not corpus:
         raise ContractError("evaluation corpus must be non-empty")
-    for r in corpus:
-        if not r.impression.strip():
-            raise ContractError(f"record {r.id!r} has no impression")
+    require_impressions(corpus)
     if summarize_fn is None:
         prefix = None
         if calibration is not None:

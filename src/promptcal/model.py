@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffValue
+from .corpus import require_impressions
 from .errors import ContractError, ShapeError, TrainingError
 from .optim import Adam
 from .vocab import BOS_ID, EOS_ID, SPECIAL_TOKENS, TokenSequence, Vocabulary, tokenize
@@ -290,9 +291,7 @@ def pretrain(
     records = list(corpus)
     if not records:
         raise ContractError("pretrain requires a non-empty corpus")
-    for r in records:
-        if not r.impression.strip():
-            raise ContractError(f"record {r.id!r} has no impression")
+    require_impressions(records)
     texts = [r.findings for r in records] + [r.impression for r in records] + list(extra_texts)
     vocab = Vocabulary.from_texts(texts)
     lm = EncoderDecoderLM.initialize(vocab, config.model, config.seed)

@@ -13,10 +13,8 @@ from promptcal.calibration import (
     SoftPromptToken,
     alignment_loss,
     decode_soft_prompt,
-    embedding_mean,
     encode_soft,
     join_prompted,
-    prompted_embedding,
     summarize,
     train_calibrator,
 )
@@ -104,44 +102,35 @@ class TestEncodeSoft:
 
 
 class TestPromptedEmbedding:
-    def test_mean_of_identical_vectors_is_identity(self):
-        v = ad.value(np.array([1.0, -2.0, 3.0]))
-        np.testing.assert_array_equal(embedding_mean(v, v).data, v.data)
-
-    def test_mean_is_homogeneous(self):
-        rng = np.random.default_rng(77)
-        for _ in range(25):
-            a, b = rng.normal(size=6), rng.normal(size=6)
-            alpha = rng.uniform(-3, 3)
-            scaled = embedding_mean(ad.value(alpha * a), ad.value(alpha * b)).data
-            base = embedding_mean(ad.value(a), ad.value(b)).data
-            np.testing.assert_allclose(scaled, alpha * base, atol=1e-12)
+    """alignment_loss's prompted side: the mean of the frozen prompted embedding and the soft vector."""
 
     def test_matches_element_loop(self, lm, fresh_encoder, tok):
         t_org, t_llm = notes(lm), prompt(lm)
-        fused = prompted_embedding(t_org, t_llm, tok, lm, fresh_encoder).data
+        bare = lm.encode(t_org).pooled.data
         e1 = lm.encode(join_prompted(t_llm, t_org)).pooled.data
         h = encode_soft(tok, fresh_encoder).data
-        expected = np.array([(e1[i] + h[i]) / 2 for i in range(len(h))])
-        np.testing.assert_allclose(fused, expected, atol=1e-12)
+        for distance in ("mse", "cross_entropy"):
+            loss = alignment_loss(t_org, t_llm, tok, lm, fresh_encoder, distance)
+            expected, _ = calibration_objective(bare[None], e1[None, None], h, distance)
+            assert float(loss.data) == pytest.approx(expected, rel=1e-12)
 
     def test_no_gradient_into_frozen_params(self, lm, fresh_encoder, tok):
-        loss = ad.sum_all(prompted_embedding(notes(lm), prompt(lm), tok, lm, fresh_encoder))
-        ad.backward(loss)
+        ad.backward(alignment_loss(notes(lm), prompt(lm), tok, lm, fresh_encoder))
         for p in lm.params.values():
             assert p.grad is None
         assert any(p.grad is not None and p.grad.any() for p in fresh_encoder.trainable())
 
     def test_empty_notes_rejected(self, lm, fresh_encoder, tok):
         with pytest.raises(ContractError):
-            prompted_embedding(TokenSequence(()), prompt(lm), tok, lm, fresh_encoder)
+            alignment_loss(TokenSequence(()), prompt(lm), tok, lm, fresh_encoder)
 
     def test_empty_prompt_is_promptfree(self, lm, fresh_encoder, tok):
         t_org = notes(lm)
-        fused = prompted_embedding(t_org, TokenSequence(()), tok, lm, fresh_encoder).data
+        loss = alignment_loss(t_org, TokenSequence(()), tok, lm, fresh_encoder)
         e1 = lm.encode(t_org).pooled.data
         h = encode_soft(tok, fresh_encoder).data
-        np.testing.assert_allclose(fused, (e1 + h) / 2, atol=1e-12)
+        expected, _ = calibration_objective(e1[None], e1[None, None], h, "mse")
+        assert float(loss.data) == pytest.approx(expected, rel=1e-12)
 
 
 class TestJoinPrompted:
@@ -168,10 +157,11 @@ class TestAlignmentLoss:
     def test_mse_equals_distance_of_recomputed_embeddings(self, lm, fresh_encoder, tok):
         t_org, t_llm = notes(lm), prompt(lm)
         loss = alignment_loss(t_org, t_llm, tok, lm, fresh_encoder, "mse")
-        bare = lm.encode(t_org).pooled
-        fused = prompted_embedding(t_org, t_llm, tok, lm, fresh_encoder)
-        expected = ad.mse_distance(bare, fused)
-        assert float(loss.data) == pytest.approx(float(expected.data), abs=1e-15)
+        bare = lm.encode(t_org).pooled.data
+        fused = (lm.encode(join_prompted(t_llm, t_org)).pooled.data
+                 + encode_soft(tok, fresh_encoder).data) / 2
+        expected = float(((bare - fused) ** 2).mean())
+        assert float(loss.data) == pytest.approx(expected, abs=1e-15)
 
     def test_cross_entropy_at_equal_embeddings_is_entropy(self):
         v = np.array([0.3, -1.2, 0.8, 0.1])
@@ -198,12 +188,24 @@ class TestTrainCalibrator:
         inputs, prompts = train_inputs_prompts
         before = lm.weight_digest()
         losses = []
-        cfg = CalibrationConfig(max_epochs=3, seed=1, batch_size=20)
+        cfg = CalibrationConfig(max_epochs=3, seed=1)
         enc = train_calibrator(inputs, prompts, tok, lm, cfg, log_fn=lambda e, l: losses.append(l))
         assert enc.trained
         assert lm.weight_digest() == before
         assert len(losses) == 3
         assert losses[-1] <= losses[0]
+
+    @pytest.mark.parametrize("distance", ["mse", "cross_entropy"])
+    def test_first_logged_loss_is_alignment_loss(self, lm, tok, train_inputs_prompts, distance):
+        # one input and one prompt: the training objective is alignment_loss itself
+        inputs, prompts = train_inputs_prompts
+        losses = []
+        train_calibrator(inputs[:1], prompts[:1], tok, lm,
+                         CalibrationConfig(distance=distance, max_epochs=1),
+                         log_fn=lambda e, l: losses.append(l))
+        start = SoftPromptEncoder.from_frozen(lm)
+        expected = float(alignment_loss(inputs[0], prompts[0], tok, lm, start, distance).data)
+        assert losses[0] == expected
 
     def test_seeded_determinism(self, lm, tok, train_inputs_prompts):
         inputs, prompts = train_inputs_prompts
@@ -257,6 +259,16 @@ class TestCalibrationOptimum:
             assert best >= cross_entropy_floor(bare)
         # three Adam steps leave much of the gap open: the 99% check can fail
         assert gap_closure(losses[0], losses[-1], best) < 0.99
+
+    @pytest.mark.parametrize("distance", ["mse", "cross_entropy"])
+    def test_last_logged_loss_is_returned_calibrators(self, lm, tok, train_inputs_prompts, distance):
+        inputs, prompts = train_inputs_prompts
+        bare, prompted = calibration_problem(lm, inputs, prompts)
+        losses = []
+        enc = train_calibrator(inputs, prompts, tok, lm, CalibrationConfig(distance=distance),
+                               log_fn=lambda e, l: losses.append(l))
+        trained, _ = calibration_objective(bare, prompted, encode_soft(tok, enc).data, distance)
+        assert trained == pytest.approx(losses[-1], rel=1e-12)
 
 
 @pytest.fixture(scope="module")

@@ -104,3 +104,19 @@ class TestCalibratorCheckpoint:
         loaded_enc, _, _ = load_calibrator(path, tiny_lm)
         assert not loaded_enc.params["enc.pos"].requires_grad
         assert loaded_enc.params["enc.embed"].requires_grad
+
+    def test_unknown_distance_code_rejected(self, tiny_lm, calibrator, tmp_path):
+        # the header is outside the params hash, so a bad code must be caught on its own
+        enc, tok = calibrator
+        path = tmp_path / "calib.bin"
+        save_calibrator(enc, tok, CalibrationConfig(), tiny_lm.weight_digest(), path)
+        set_distance_code(path, tok.text, 9)
+        with pytest.raises(CheckpointError, match="unknown distance or policy code"):
+            load_calibrator(path, tiny_lm)
+
+
+def set_distance_code(path, token_text, code):
+    """Overwrite the distance byte: after the version, model digest and token string."""
+    raw = bytearray(path.read_bytes())
+    raw[1 + 32 + 2 + len(token_text.encode("utf-8"))] = code
+    path.write_bytes(bytes(raw))

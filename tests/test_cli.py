@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT, CalibrationConfig
 from promptcal.checkpoint import load_calibrator, load_model
-from promptcal.cli import main
+from promptcal.cli import PipelineConfig, main
+from promptcal.model import PretrainConfig
+from tests.test_checkpoint import set_distance_code
 
 SMALL_SETTINGS = {
     "embed_dim": 16,
@@ -260,6 +263,14 @@ class TestSummarizeCommand:
         tmp_path, cfg = pipeline
         assert main(["summarize", "--config", str(cfg), "--input", "   ", "--prompt", "x"]) == 2
 
+    def test_unknown_distance_code_exits_4(self, pipeline, tmp_path):
+        src_tmp, cfg = pipeline
+        calib = tmp_path / "calibrator.bin"
+        calib.write_bytes((src_tmp / "out" / "calibrator.bin").read_bytes())
+        set_distance_code(calib, DEFAULT_SOFT_TOKEN_TEXT, 9)
+        assert main(["summarize", "--config", str(cfg), "--set", f"calibrator_checkpoint={calib}",
+                     "--input", "no pneumothorax is identified.", "--calibrated"]) == 4
+
 
 class TestConfigParsing:
     def test_set_overrides_file(self, tmp_path, capsys):
@@ -277,3 +288,10 @@ class TestConfigParsing:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just some words\n")
         assert main(["pretrain", "--config", str(cfg)]) == 2
+
+    def test_non_numeric_value_exits_2(self):
+        assert main(["calibrate", "--set", "max_epochs=abc"]) == 2
+
+    def test_defaults_are_the_library_defaults(self):
+        assert PipelineConfig().pretrain_config() == PretrainConfig()
+        assert PipelineConfig().calibration_config() == CalibrationConfig()
