@@ -3,9 +3,10 @@
 A trainable copy of the frozen encoder maps a fixed soft prompt token string
 to a d-vector. Training pulls the element-wise mean of (frozen embedding of
 the prompted input, soft vector) toward the frozen embedding of the bare
-input, touching no frozen weight. At inference the soft vector is projected
-back to nearby vocabulary tokens and that invariant prefix is prepended to
-every prompted input before encoding and greedy decoding.
+input, touching no frozen weight. The trained soft vector is the calibrator:
+at inference it is projected back to nearby vocabulary tokens and that
+invariant prefix is prepended to every prompted input before encoding and
+greedy decoding. The encoder copy is needed only during training.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DiffValue
 from .errors import ContractError, TrainingError
-from .model import ConvergenceRule, EncoderDecoderLM, params_digest, sequence_forward
+from .model import ConvergenceRule, EncoderDecoderLM, sequence_forward
 from .optim import Adam
 from .vocab import UNK_ID, TokenSequence, Vocabulary, concat, sep_sequence, tokenize
 
@@ -87,12 +88,11 @@ class CalibrationConfig:
 
 
 class SoftPromptEncoder:
-    """Trainable encoder initialized as a bit-exact copy of the frozen one."""
+    """Trainable encoder initialized as a bit-exact copy of the frozen one; training only."""
 
     def __init__(self, params: dict[str, DiffValue], cfg):
         self.params = params
         self.cfg = cfg
-        self.trained = False
 
     @classmethod
     def from_frozen(cls, lm: EncoderDecoderLM) -> "SoftPromptEncoder":
@@ -109,19 +109,14 @@ class SoftPromptEncoder:
     def trainable(self) -> list[DiffValue]:
         return [p for p in self.params.values() if p.requires_grad]
 
-    def digest(self) -> str:
-        return params_digest(self.params)
-
     def encode_pooled(self, ids: Sequence[int]) -> DiffValue:
         per_token = sequence_forward(self.params, "enc", ids, self.cfg)
         return ad.mean_rows(per_token)
 
 
-def encode_soft(tok: SoftPromptToken, enc: SoftPromptEncoder) -> DiffValue:
-    """The soft prompt vector: pooled soft-encoder output for the token string."""
-    if tok.length < 1:
-        raise ContractError("soft prompt token is empty")
-    return enc.encode_pooled(tok.ids.ids)
+def encode_soft(tok: SoftPromptToken, soft: np.ndarray) -> DiffValue:
+    """The trained soft vector of the calibration (soft, tok) as a constant."""
+    return ad.value(soft)
 
 
 def join_prompted(t_llm: TokenSequence, t_org: TokenSequence, policy: str = "prompt_first") -> TokenSequence:
@@ -162,7 +157,7 @@ def alignment_loss(
     """The calibration objective for one (notes, prompt) pair: its B = 1 case."""
     prompted = lm.encode(join_prompted(t_llm, t_org, policy)).pooled.data
     bare = lm.encode(t_org).pooled.data
-    return calibration_loss(bare[None, :], prompted[None, :], encode_soft(tok, enc), distance)
+    return calibration_loss(bare[None, :], prompted[None, :], enc.encode_pooled(tok.ids.ids), distance)
 
 
 def train_calibrator(
@@ -172,13 +167,15 @@ def train_calibrator(
     lm: EncoderDecoderLM,
     config: CalibrationConfig = CalibrationConfig(),
     log_fn: Callable[[int, float], None] | None = None,
-) -> SoftPromptEncoder:
-    """Fit the soft encoder over every (input, prompt) pair; frozen weights untouched.
+) -> np.ndarray:
+    """Fit the soft encoder over every (input, prompt) pair and return its soft vector.
 
     Zero-shot by construction: only input token sequences are accepted, never
     gold summaries. The frozen pooled embeddings are constants of the
     optimization, so they are computed once up front; each epoch takes one
-    full-batch step on calibration_loss over all pairs.
+    full-batch step on calibration_loss over all pairs. The result is the
+    read-only d-vector the encoder copy maps tok to after the last epoch;
+    frozen weights are untouched.
     """
     if not corpus_inputs:
         raise ContractError("train_calibrator requires at least one input")
@@ -201,9 +198,8 @@ def train_calibrator(
     for epoch in range(1, config.max_epochs + 1):
         # The shuffle only sets the summation order; kept so trained vectors match earlier runs bit for bit.
         order = rng.permutation(len(prompted))
-        loss = calibration_loss(
-            bare[order // len(prompts)], prompted[order], encode_soft(tok, enc), config.distance
-        )
+        soft = enc.encode_pooled(tok.ids.ids)
+        loss = calibration_loss(bare[order // len(prompts)], prompted[order], soft, config.distance)
         mean_loss = float(loss.data)
         if not np.isfinite(mean_loss):
             raise TrainingError(f"non-finite calibration loss at epoch {epoch}")
@@ -214,12 +210,12 @@ def train_calibrator(
             break
         ad.backward(loss)
         opt.step()
-    enc.trained = True
-    return enc
+    soft.data.flags.writeable = False
+    return soft.data
 
 
 def decode_soft_prompt(
-    enc: SoftPromptEncoder,
+    soft: np.ndarray,
     tok: SoftPromptToken,
     lm: EncoderDecoderLM,
     k: int | None = None,
@@ -238,7 +234,6 @@ def decode_soft_prompt(
         k = min(DEFAULT_SOFT_PREFIX_LEN, tok.length)
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    soft = encode_soft(tok, enc).data
     table = lm.params["enc.embed"].data
     chosen: list[int] = []
     for _ in range(k):
@@ -252,32 +247,21 @@ def summarize(
     t_org: TokenSequence,
     t_llm: TokenSequence,
     lm: EncoderDecoderLM,
-    calibration: tuple[SoftPromptEncoder, SoftPromptToken] | None = None,
+    calibration: tuple[np.ndarray, SoftPromptToken] | None = None,
     max_len: int | None = None,
     policy: str = "prompt_first",
 ) -> TokenSequence:
-    """Greedy summary of prompted notes, optionally with the invariant soft prefix."""
+    """Greedy summary of prompted notes, optionally with the invariant soft prefix.
+
+    calibration is (soft vector, soft token) as train_calibrator and
+    load_calibrator give them; its decoded prefix goes before the prompted notes.
+    """
     if not t_org.ids:
         raise ContractError("input notes must be non-empty")
     if not lm.frozen:
         raise ContractError("summarize requires a frozen model")
-    prefix: TokenSequence | None = None
-    if calibration is not None:
-        enc, tok = calibration
-        prefix = decode_soft_prompt(enc, tok, lm)
-    return _summarize_with_prefix(t_org, t_llm, lm, prefix, max_len, policy)
-
-
-def _summarize_with_prefix(
-    t_org: TokenSequence,
-    t_llm: TokenSequence,
-    lm: EncoderDecoderLM,
-    prefix: TokenSequence | None,
-    max_len: int | None,
-    policy: str,
-) -> TokenSequence:
     joined = join_prompted(t_llm, t_org, policy)
-    if prefix is not None and prefix.ids:
-        joined = concat(prefix, joined)
+    if calibration is not None:
+        joined = concat(decode_soft_prompt(*calibration, lm), joined)
     pooled = lm.encode(joined).pooled
     return lm.decode_greedy(pooled, max_len=max_len)

@@ -1,13 +1,15 @@
 """Binary checkpoints for the frozen model and the trained calibrator.
 
-Both files start with a version byte and end with a sha256 of the parameter
-block; loading re-hashes and refuses corrupted files. The calibrator
-checkpoint additionally stores the digest of the frozen model it was trained
-against and refuses to load next to a different model.
+Both files start with a version byte and end with a sha256 of every byte
+before it; loading re-hashes and refuses corrupted files. A calibrator is its
+trained soft vector plus provenance: the digest of the frozen model it was
+trained against (it refuses to load next to a different model), the soft
+token text and the calibration config.
 """
 
 from __future__ import annotations
 
+import hashlib
 import io
 import struct
 from pathlib import Path
@@ -15,22 +17,37 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import DiffValue
-from .calibration import (
-    DISTANCES,
-    SEPARATOR_POLICIES,
-    CalibrationConfig,
-    SoftPromptEncoder,
-    SoftPromptToken,
-)
+from .calibration import DISTANCES, SEPARATOR_POLICIES, CalibrationConfig, SoftPromptToken
+from .corpus import atomic_write
 from .errors import CheckpointError, CheckpointMismatchError
-from .model import EncoderDecoderLM, ModelConfig, params_digest
+from .model import EncoderDecoderLM, ModelConfig
 from .vocab import Vocabulary
 
-MODEL_VERSION = 1
-CALIBRATOR_VERSION = 1
+MODEL_VERSION = 2
+CALIBRATOR_VERSION = 2
 
 # A calibrator stores its distance and separator policy as indices into these.
 _DISTANCE_NAMES = tuple(DISTANCES)
+
+
+def _write_sealed(buf: io.BytesIO, path: str | Path) -> None:
+    body = buf.getvalue()
+    atomic_write(path, body + hashlib.sha256(body).digest())
+
+
+def _open_sealed(path: str | Path, version: int, kind: str) -> io.BytesIO:
+    """The file, positioned after its version byte, once the version and trailing sha256 check out."""
+    raw = Path(path).read_bytes()
+    if not raw:
+        raise CheckpointError("truncated checkpoint file")
+    if raw[0] != version:
+        raise CheckpointError(f"unsupported {kind} checkpoint version {raw[0]}")
+    # A memoryview hashes in place; slicing would copy the whole file.
+    if hashlib.sha256(memoryview(raw)[:-32]).digest() != raw[-32:]:
+        raise CheckpointError(f"{kind} checkpoint {path} failed its integrity hash")
+    buf = io.BytesIO(raw)
+    buf.seek(1)
+    return buf
 
 
 def _write_str(buf: io.BytesIO, s: str) -> None:
@@ -41,7 +58,10 @@ def _write_str(buf: io.BytesIO, s: str) -> None:
 
 def _read_str(buf: io.BytesIO) -> str:
     (n,) = struct.unpack("<H", _read_exact(buf, 2))
-    return _read_exact(buf, n).decode("utf-8")
+    try:
+        return _read_exact(buf, n).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"checkpoint string is not UTF-8: {exc}") from None
 
 
 def _read_exact(buf: io.BytesIO, n: int) -> bytes:
@@ -51,12 +71,12 @@ def _read_exact(buf: io.BytesIO, n: int) -> bytes:
     return raw
 
 
-def _write_params(buf: io.BytesIO, params: dict[str, DiffValue], trainable_flags: bool) -> None:
+def _write_params(buf: io.BytesIO, params: dict[str, DiffValue]) -> None:
     buf.write(struct.pack("<I", len(params)))
     for name in sorted(params):
         p = params[name]
         _write_str(buf, name)
-        buf.write(struct.pack("<B", 1 if (trainable_flags and p.requires_grad) else 0))
+        buf.write(struct.pack("<B", 0))  # trainable flag: a frozen model has none
         buf.write(struct.pack("<B", p.data.ndim))
         for dim in p.data.shape:
             buf.write(struct.pack("<I", dim))
@@ -68,12 +88,12 @@ def _read_params(buf: io.BytesIO) -> dict[str, DiffValue]:
     params: dict[str, DiffValue] = {}
     for _ in range(count):
         name = _read_str(buf)
-        (trainable,) = struct.unpack("<B", _read_exact(buf, 1))
+        _read_exact(buf, 1)  # trainable flag
         (ndim,) = struct.unpack("<B", _read_exact(buf, 1))
         shape = tuple(struct.unpack("<I", _read_exact(buf, 4))[0] for _ in range(ndim))
         n_bytes = 8 * int(np.prod(shape)) if shape else 8
         data = np.frombuffer(_read_exact(buf, n_bytes), dtype="<f8").reshape(shape).copy()
-        params[name] = DiffValue(data, requires_grad=bool(trainable))
+        params[name] = DiffValue(data)
     return params
 
 
@@ -102,26 +122,17 @@ def save_model(lm: EncoderDecoderLM, path: str | Path) -> None:
         _write_str(buf, w)
     _write_model_config(buf, lm.cfg)
     buf.write(struct.pack("<B", 1))  # frozen flag
-    _write_params(buf, lm.params, trainable_flags=False)
-    digest = params_digest(lm.params)
-    buf.write(bytes.fromhex(digest))
-    Path(path).write_bytes(buf.getvalue())
+    _write_params(buf, lm.params)
+    _write_sealed(buf, path)
 
 
 def load_model(path: str | Path) -> EncoderDecoderLM:
-    raw = Path(path).read_bytes()
-    buf = io.BytesIO(raw)
-    (version,) = struct.unpack("<B", _read_exact(buf, 1))
-    if version != MODEL_VERSION:
-        raise CheckpointError(f"unsupported model checkpoint version {version}")
+    buf = _open_sealed(path, MODEL_VERSION, "model")
     (n_words,) = struct.unpack("<I", _read_exact(buf, 4))
     words = [_read_str(buf) for _ in range(n_words)]
     cfg = _read_model_config(buf)
     (frozen_flag,) = struct.unpack("<B", _read_exact(buf, 1))
     params = _read_params(buf)
-    stored_digest = _read_exact(buf, 32).hex()
-    if params_digest(params) != stored_digest:
-        raise CheckpointError(f"model checkpoint {path} failed its integrity hash")
     lm = EncoderDecoderLM(Vocabulary(words), cfg, params)
     if frozen_flag:
         lm.freeze()
@@ -129,7 +140,7 @@ def load_model(path: str | Path) -> EncoderDecoderLM:
 
 
 def save_calibrator(
-    enc: SoftPromptEncoder,
+    soft: np.ndarray,
     tok: SoftPromptToken,
     config: CalibrationConfig,
     lm_digest: str,
@@ -146,20 +157,16 @@ def save_calibrator(
     buf.write(struct.pack("<I", config.stall_window))
     buf.write(struct.pack("<q", config.seed))
     buf.write(struct.pack("<B", SEPARATOR_POLICIES.index(config.separator_policy)))
-    buf.write(struct.pack("<B", 1 if enc.trained else 0))
-    _write_params(buf, enc.params, trainable_flags=True)
-    buf.write(bytes.fromhex(params_digest(enc.params)))
-    Path(path).write_bytes(buf.getvalue())
+    buf.write(struct.pack("<I", len(soft)))
+    buf.write(np.ascontiguousarray(soft, dtype="<f8").tobytes())
+    _write_sealed(buf, path)
 
 
 def load_calibrator(
     path: str | Path, lm: EncoderDecoderLM
-) -> tuple[SoftPromptEncoder, SoftPromptToken, CalibrationConfig]:
-    raw = Path(path).read_bytes()
-    buf = io.BytesIO(raw)
-    (version,) = struct.unpack("<B", _read_exact(buf, 1))
-    if version != CALIBRATOR_VERSION:
-        raise CheckpointError(f"unsupported calibrator checkpoint version {version}")
+) -> tuple[np.ndarray, SoftPromptToken, CalibrationConfig]:
+    """The soft vector (read-only), its token and its config, checked against lm."""
+    buf = _open_sealed(path, CALIBRATOR_VERSION, "calibrator")
     lm_digest = _read_exact(buf, 32).hex()
     token_text = _read_str(buf)
     (distance_code,) = struct.unpack("<B", _read_exact(buf, 1))
@@ -169,11 +176,8 @@ def load_calibrator(
     (window,) = struct.unpack("<I", _read_exact(buf, 4))
     (seed,) = struct.unpack("<q", _read_exact(buf, 8))
     (policy_code,) = struct.unpack("<B", _read_exact(buf, 1))
-    (trained,) = struct.unpack("<B", _read_exact(buf, 1))
-    params = _read_params(buf)
-    stored_digest = _read_exact(buf, 32).hex()
-    if params_digest(params) != stored_digest:
-        raise CheckpointError(f"calibrator checkpoint {path} failed its integrity hash")
+    (dim,) = struct.unpack("<I", _read_exact(buf, 4))
+    soft = np.frombuffer(_read_exact(buf, 8 * dim), dtype="<f8")
     if distance_code >= len(_DISTANCE_NAMES) or policy_code >= len(SEPARATOR_POLICIES):
         raise CheckpointError(f"calibrator checkpoint {path} has an unknown distance or policy code")
     actual = lm.weight_digest()
@@ -182,6 +186,8 @@ def load_calibrator(
             f"calibrator was trained against model digest {lm_digest[:12]}..., "
             f"loaded model has {actual[:12]}..."
         )
+    if dim != lm.cfg.embed_dim:
+        raise CheckpointError(f"calibrator {path} holds a {dim}-vector for a {lm.cfg.embed_dim}-dim model")
     config = CalibrationConfig(
         distance=_DISTANCE_NAMES[distance_code],
         learning_rate=learning_rate,
@@ -191,8 +197,5 @@ def load_calibrator(
         seed=seed,
         separator_policy=SEPARATOR_POLICIES[policy_code],
     )
-    enc = SoftPromptEncoder(params, lm.cfg)
-    enc.trained = bool(trained)
     tok = SoftPromptToken.from_text(token_text, lm.vocab)
-    return enc, tok, config
-
+    return soft, tok, config

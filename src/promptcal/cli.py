@@ -4,14 +4,14 @@ Configuration is a flat key=value file; repeated --set key=value flags win
 over the file. All artifacts are written atomically (temp file + rename) and
 every subcommand is byte-reproducible for a fixed config and seed.
 
-Exit codes: 0 success, 2 input/usage error, 3 numeric failure,
-4 checkpoint-digest mismatch or corruption.
+Exit codes: 0 success, 2 input/usage error (a prompted note longer than
+max_sequence_length included), 3 numeric failure, 4 checkpoint-digest
+mismatch, corruption or unsupported version.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -25,8 +25,8 @@ from .calibration import (
     train_calibrator,
 )
 from .checkpoint import load_calibrator, load_model, save_calibrator, save_model
-from .corpus import generate_corpus, load_corpus, save_corpus
-from .errors import CheckpointError, ContractError, TrainingError
+from .corpus import atomic_write, generate_corpus, load_corpus, save_corpus
+from .errors import CheckpointError, ContractError, ShapeError, TrainingError
 from .harness import (
     PromptEnsemble,
     compare_runs,
@@ -155,13 +155,6 @@ def load_pipeline_config(path: str | None, overrides: list[str]) -> PipelineConf
     return cfg
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
-
-
 def _require_file(path: str, what: str) -> Path:
     p = Path(path)
     if not p.is_file():
@@ -213,10 +206,10 @@ def cmd_calibrate(args, cfg: PipelineConfig) -> int:
     prompt_seqs = [tokenize(p, lm.vocab) for p in ensemble.prompts]
     tok = SoftPromptToken.from_text(cfg.soft_token, lm.vocab)
     calib_cfg = cfg.calibration_config()
-    enc = train_calibrator(inputs, prompt_seqs, tok, lm, calib_cfg, log_fn=_log_epoch)
+    soft = train_calibrator(inputs, prompt_seqs, tok, lm, calib_cfg, log_fn=_log_epoch)
     out = Path(cfg.calibrator_checkpoint)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_calibrator(enc, tok, calib_cfg, lm.weight_digest(), out)
+    save_calibrator(soft, tok, calib_cfg, lm.weight_digest(), out)
     print(f"wrote calibrator checkpoint to {out}")
     return EXIT_OK
 
@@ -227,7 +220,7 @@ def _write_reports(cfg: PipelineConfig, stem: str, reports) -> list[Path]:
     for fmt in formats:
         suffix = ".csv" if fmt == "csv" else ".md"
         path = Path(cfg.report_dir) / f"{stem}{suffix}"
-        _atomic_write(path, emit_report(reports, fmt))
+        atomic_write(path, emit_report(reports, fmt))
         written.append(path)
     return written
 
@@ -247,18 +240,18 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
         baseline_run = evaluate_ensemble(
             lm, None, ensemble, eval_corpus, label="baseline", seed=cfg.seed, policy=policy
         )
-        _atomic_write(report_dir / "run_baseline.csv", emit_run(baseline_run, ensemble))
+        atomic_write(report_dir / "run_baseline.csv", emit_run(baseline_run, ensemble))
 
     calibration = None
     if need_calibrated:
-        enc, tok, _saved_cfg = load_calibrator(
+        soft, tok, _saved_cfg = load_calibrator(
             _require_file(cfg.calibrator_checkpoint, "calibrator checkpoint"), lm
         )
-        calibration = (enc, tok)
+        calibration = (soft, tok)
         calibrated_run = evaluate_ensemble(
             lm, calibration, ensemble, eval_corpus, label="calibrated", seed=cfg.seed, policy=policy
         )
-        _atomic_write(report_dir / "run_calibrated.csv", emit_run(calibrated_run, ensemble))
+        atomic_write(report_dir / "run_calibrated.csv", emit_run(calibrated_run, ensemble))
 
     if args.arm == "both":
         report = compare_runs(baseline_run, calibrated_run, label="default")
@@ -284,19 +277,19 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
         calib_cfg = cfg.calibration_config()
         cases = []
         in_tok_text = args.soft_token or cfg.soft_token
-        enc_in, tok_in = calibration
+        soft_in, tok_in = calibration
         if tok_in.text != in_tok_text:
             tok_in = SoftPromptToken.from_text(in_tok_text, lm.vocab)
-            enc_in = train_calibrator(inputs, prompt_seqs, tok_in, lm, calib_cfg)
+            soft_in = train_calibrator(inputs, prompt_seqs, tok_in, lm, calib_cfg)
         run_in = evaluate_ensemble(
-            lm, (enc_in, tok_in), ensemble, eval_corpus,
+            lm, (soft_in, tok_in), ensemble, eval_corpus,
             label="in_distribution", seed=cfg.seed, policy=policy,
         )
         cases.append(compare_runs(baseline_run, run_in, label="in_distribution"))
         tok_out = SoftPromptToken.from_text(args.ood_token, lm.vocab)
-        enc_out = train_calibrator(inputs, prompt_seqs, tok_out, lm, calib_cfg)
+        soft_out = train_calibrator(inputs, prompt_seqs, tok_out, lm, calib_cfg)
         run_out = evaluate_ensemble(
-            lm, (enc_out, tok_out), ensemble, eval_corpus,
+            lm, (soft_out, tok_out), ensemble, eval_corpus,
             label="out_of_distribution", seed=cfg.seed, policy=policy,
         )
         cases.append(compare_runs(baseline_run, run_out, label="out_of_distribution"))
@@ -310,7 +303,11 @@ def cmd_summarize(args, cfg: PipelineConfig) -> int:
     lm = load_model(_require_file(cfg.model_checkpoint, "model checkpoint"))
     text = args.input
     maybe_file = Path(text)
-    if maybe_file.is_file():
+    try:
+        is_file = maybe_file.is_file()
+    except OSError:  # e.g. a literal longer than a file name may be
+        is_file = False
+    if is_file:
         text = maybe_file.read_text(encoding="utf-8")
     if not text.strip():
         print("error: empty input", file=sys.stderr)
@@ -319,11 +316,11 @@ def cmd_summarize(args, cfg: PipelineConfig) -> int:
     prompt = tokenize(args.prompt, lm.vocab)
     calibration = None
     if args.calibrated:
-        enc, tok, _saved_cfg = load_calibrator(
+        soft, tok, _saved_cfg = load_calibrator(
             _require_file(cfg.calibrator_checkpoint, "calibrator checkpoint"), lm
         )
-        calibration = (enc, tok)
-        soft_text = detokenize(decode_soft_prompt(enc, tok, lm), lm.vocab)
+        calibration = (soft, tok)
+        soft_text = detokenize(decode_soft_prompt(soft, tok, lm), lm.vocab)
         print(f"soft-prompt: {soft_text}")
     result = summarize(notes, prompt, lm, calibration, policy=cfg.separator_policy)
     print(detokenize(result, lm.vocab))
@@ -378,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "summarize":
             return cmd_summarize(args, cfg)
         parser.error(f"unknown command {args.command!r}")
-    except (FileNotFoundError, ContractError) as exc:
+    except (FileNotFoundError, ContractError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TrainingError as exc:

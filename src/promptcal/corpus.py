@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import secrets
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -166,7 +168,7 @@ def save_corpus(records: Sequence[CorpusRecord], path: str | Path) -> None:
         json.dumps({"id": r.id, "findings": r.findings, "impression": r.impression})
         for r in records
     ]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    atomic_write(path, "".join(line + "\n" for line in lines).encode("utf-8"))
 
 
 def load_corpus(path: str | Path) -> list[CorpusRecord]:
@@ -199,3 +201,21 @@ def require_impressions(records: Sequence[CorpusRecord]) -> None:
     for r in records:
         if not r.impression.strip():
             raise ContractError(f"record {r.id!r} has no impression")
+
+
+def atomic_write(path: str | Path, data: bytes) -> None:
+    """Write path whole or not at all: a uniquely named temp file beside it, then a rename.
+
+    Readers never see a partial file, and concurrent writers of one path do
+    not share a temp file; a failed write removes its temp file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

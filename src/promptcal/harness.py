@@ -11,14 +11,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .calibration import (
-    CalibrationConfig,
-    SoftPromptEncoder,
-    SoftPromptToken,
-    decode_soft_prompt,
-    train_calibrator,
-    _summarize_with_prefix,
-)
+import numpy as np
+
+from .calibration import CalibrationConfig, SoftPromptToken, summarize, train_calibrator
 from .corpus import CorpusRecord, corpus_digest, require_impressions
 from .errors import ContractError
 from .model import EncoderDecoderLM
@@ -97,7 +92,7 @@ class VarianceReport:
 
 def evaluate_prompt(
     lm: EncoderDecoderLM,
-    calibration: tuple[SoftPromptEncoder, SoftPromptToken] | None,
+    calibration: tuple[np.ndarray, SoftPromptToken] | None,
     prompt: str,
     corpus: Sequence[CorpusRecord],
     policy: str = "prompt_first",
@@ -107,20 +102,14 @@ def evaluate_prompt(
     """Corpus-mean F1 of each ROUGE variant for one prompt string.
 
     summarize_fn overrides the model pipeline (used by tests to substitute a
-    stub); by default the soft prefix is decoded once and reused per record,
-    which is equivalent to calling summarize per record.
+    stub); by default each record goes through summarize.
     """
     if not corpus:
         raise ContractError("evaluation corpus must be non-empty")
     require_impressions(corpus)
     if summarize_fn is None:
-        prefix = None
-        if calibration is not None:
-            enc, tok = calibration
-            prefix = decode_soft_prompt(enc, tok, lm)
-
         def summarize_fn(t_org: TokenSequence, t_llm: TokenSequence) -> TokenSequence:
-            return _summarize_with_prefix(t_org, t_llm, lm, prefix, max_len, policy)
+            return summarize(t_org, t_llm, lm, calibration, max_len=max_len, policy=policy)
 
     prompt_seq = tokenize(prompt, lm.vocab)
     totals = [0.0, 0.0, 0.0]
@@ -137,7 +126,7 @@ def evaluate_prompt(
 
 def evaluate_ensemble(
     lm: EncoderDecoderLM,
-    calibration: tuple[SoftPromptEncoder, SoftPromptToken] | None,
+    calibration: tuple[np.ndarray, SoftPromptToken] | None,
     ensemble: PromptEnsemble,
     corpus: Sequence[CorpusRecord],
     label: str,
@@ -232,9 +221,9 @@ def soft_length_ablation(
     out: list[tuple[int, VarianceReport]] = []
     for length in lengths:
         tok = base_token.truncated(length, lm.vocab)
-        enc = train_calibrator(corpus_inputs, prompt_seqs, tok, lm, config, log_fn=log_fn)
+        soft = train_calibrator(corpus_inputs, prompt_seqs, tok, lm, config, log_fn=log_fn)
         run = evaluate_ensemble(
-            lm, (enc, tok), ensemble, eval_corpus,
+            lm, (soft, tok), ensemble, eval_corpus,
             label=f"soft_len_{length}", seed=config.seed,
             policy=config.separator_policy, max_len=max_len,
         )

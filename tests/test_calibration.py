@@ -84,9 +84,18 @@ class TestEncodeSoft:
             assert frozen.tobytes() == soft.tobytes()
 
     def test_deterministic(self, fresh_encoder, tok):
-        a = encode_soft(tok, fresh_encoder).data
-        b = encode_soft(tok, fresh_encoder).data
+        a = fresh_encoder.encode_pooled(tok.ids.ids).data
+        b = fresh_encoder.encode_pooled(tok.ids.ids).data
         assert a.tobytes() == b.tobytes()
+
+    def test_from_frozen_trains_all_but_positions(self, fresh_encoder):
+        assert not fresh_encoder.params["enc.pos"].requires_grad
+        assert fresh_encoder.params["enc.embed"].requires_grad
+
+    def test_encode_soft_wraps_the_trained_vector(self, trained_soft, tok):
+        v = encode_soft(tok, trained_soft)
+        assert v.data.tobytes() == trained_soft.tobytes()
+        assert not v.requires_grad
 
     def test_gradient_reaches_soft_params(self, lm, tok):
         enc = SoftPromptEncoder.from_frozen(lm)
@@ -94,7 +103,7 @@ class TestEncodeSoft:
         weights = rng.normal(size=lm.cfg.embed_dim)
 
         def build():
-            return ad.dot(encode_soft(tok, enc), ad.value(weights))
+            return ad.dot(enc.encode_pooled(tok.ids.ids), ad.value(weights))
 
         # FD over a sampled subset: the encoder has thousands of components
         probe = [enc.params["enc.b0.h0.wq"], enc.params["enc.b0.ffn.w1"]]
@@ -108,7 +117,7 @@ class TestPromptedEmbedding:
         t_org, t_llm = notes(lm), prompt(lm)
         bare = lm.encode(t_org).pooled.data
         e1 = lm.encode(join_prompted(t_llm, t_org)).pooled.data
-        h = encode_soft(tok, fresh_encoder).data
+        h = fresh_encoder.encode_pooled(tok.ids.ids).data
         for distance in ("mse", "cross_entropy"):
             loss = alignment_loss(t_org, t_llm, tok, lm, fresh_encoder, distance)
             expected, _ = calibration_objective(bare[None], e1[None, None], h, distance)
@@ -128,7 +137,7 @@ class TestPromptedEmbedding:
         t_org = notes(lm)
         loss = alignment_loss(t_org, TokenSequence(()), tok, lm, fresh_encoder)
         e1 = lm.encode(t_org).pooled.data
-        h = encode_soft(tok, fresh_encoder).data
+        h = fresh_encoder.encode_pooled(tok.ids.ids).data
         expected, _ = calibration_objective(e1[None], e1[None, None], h, "mse")
         assert float(loss.data) == pytest.approx(expected, rel=1e-12)
 
@@ -159,7 +168,7 @@ class TestAlignmentLoss:
         loss = alignment_loss(t_org, t_llm, tok, lm, fresh_encoder, "mse")
         bare = lm.encode(t_org).pooled.data
         fused = (lm.encode(join_prompted(t_llm, t_org)).pooled.data
-                 + encode_soft(tok, fresh_encoder).data) / 2
+                 + fresh_encoder.encode_pooled(tok.ids.ids).data) / 2
         expected = float(((bare - fused) ** 2).mean())
         assert float(loss.data) == pytest.approx(expected, abs=1e-15)
 
@@ -184,13 +193,26 @@ class TestAlignmentLoss:
 
 
 class TestTrainCalibrator:
-    def test_short_run_trains_and_preserves_frozen_digest(self, lm, tok, train_inputs_prompts):
+    def test_short_run_trains_and_preserves_frozen_digest(self, lm, tok, train_inputs_prompts,
+                                                          monkeypatch):
         inputs, prompts = train_inputs_prompts
         before = lm.weight_digest()
         losses = []
+        encoders = []
+        copy = SoftPromptEncoder.from_frozen
+
+        def keep_copy(lm):
+            encoders.append(copy(lm))
+            return encoders[-1]
+
+        monkeypatch.setattr(SoftPromptEncoder, "from_frozen", keep_copy)
         cfg = CalibrationConfig(max_epochs=3, seed=1)
-        enc = train_calibrator(inputs, prompts, tok, lm, cfg, log_fn=lambda e, l: losses.append(l))
-        assert enc.trained
+        soft = train_calibrator(inputs, prompts, tok, lm, cfg, log_fn=lambda e, l: losses.append(l))
+        # the result is the trained encoder's output for the token, and only that
+        assert soft.dtype == np.float64 and soft.shape == (lm.cfg.embed_dim,)
+        assert not soft.flags.writeable
+        assert soft.tobytes() == encoders[0].encode_pooled(tok.ids.ids).data.tobytes()
+        assert soft.tobytes() != copy(lm).encode_pooled(tok.ids.ids).data.tobytes()
         assert lm.weight_digest() == before
         assert len(losses) == 3
         assert losses[-1] <= losses[0]
@@ -212,7 +234,7 @@ class TestTrainCalibrator:
         cfg = CalibrationConfig(max_epochs=2, seed=5)
         a = train_calibrator(inputs, prompts, tok, lm, cfg)
         b = train_calibrator(inputs, prompts, tok, lm, cfg)
-        assert a.digest() == b.digest()
+        assert a.tobytes() == b.tobytes()
 
     def test_empty_inputs_rejected(self, lm, tok, train_inputs_prompts):
         _, prompts = train_inputs_prompts
@@ -240,16 +262,16 @@ class TestCalibrationOptimum:
     def test_oracle_optimum_and_truncated_run(self, lm, tok, train_inputs_prompts, distance):
         inputs, prompts = train_inputs_prompts
         bare, prompted = calibration_problem(lm, inputs, prompts)
-        start = encode_soft(tok, SoftPromptEncoder.from_frozen(lm)).data
+        start = SoftPromptEncoder.from_frozen(lm).encode_pooled(tok.ids.ids).data
         losses = []
-        enc = train_calibrator(inputs, prompts, tok, lm,
+        soft = train_calibrator(inputs, prompts, tok, lm,
                                CalibrationConfig(distance=distance, max_epochs=3),
                                log_fn=lambda e, l: losses.append(l))
         optimum = optimal_soft_vector(bare, prompted, distance, start)
 
         best, grad = calibration_objective(bare, prompted, optimum, distance)
         at_start, _ = calibration_objective(bare, prompted, start, distance)
-        at_trained, _ = calibration_objective(bare, prompted, encode_soft(tok, enc).data, distance)
+        at_trained, _ = calibration_objective(bare, prompted, soft, distance)
         assert np.linalg.norm(grad) <= 1e-9
         # the oracle restates the trainer's objective: one full-batch step per
         # epoch, so the first logged loss is the loss at the start vector
@@ -265,9 +287,9 @@ class TestCalibrationOptimum:
         inputs, prompts = train_inputs_prompts
         bare, prompted = calibration_problem(lm, inputs, prompts)
         losses = []
-        enc = train_calibrator(inputs, prompts, tok, lm, CalibrationConfig(distance=distance),
-                               log_fn=lambda e, l: losses.append(l))
-        trained, _ = calibration_objective(bare, prompted, encode_soft(tok, enc).data, distance)
+        soft = train_calibrator(inputs, prompts, tok, lm, CalibrationConfig(distance=distance),
+                                log_fn=lambda e, l: losses.append(l))
+        trained, _ = calibration_objective(bare, prompted, soft, distance)
         assert trained == pytest.approx(losses[-1], rel=1e-12)
 
 
@@ -279,58 +301,55 @@ def train_inputs_prompts(lm, tiny_corpus, ensemble):
 
 
 @pytest.fixture(scope="module")
-def trained_encoder(lm, tok, train_inputs_prompts):
+def trained_soft(lm, tok, train_inputs_prompts):
     inputs, prompts = train_inputs_prompts
     return train_calibrator(inputs, prompts, tok, lm, CalibrationConfig(max_epochs=4, seed=2))
 
 
 class TestDecodeSoftPrompt:
-    def test_k1_is_plain_nearest_token(self, lm, trained_encoder, tok):
-        out = decode_soft_prompt(trained_encoder, tok, lm, k=1)
-        h = encode_soft(tok, trained_encoder).data
-        assert out.ids == (lm.nearest_token(h),)
+    def test_k1_is_plain_nearest_token(self, lm, trained_soft, tok):
+        out = decode_soft_prompt(trained_soft, tok, lm, k=1)
+        assert out.ids == (lm.nearest_token(trained_soft),)
 
-    def test_k1_matches_full_scan(self, lm, trained_encoder, tok):
-        h = encode_soft(tok, trained_encoder).data
+    def test_k1_matches_full_scan(self, lm, trained_soft, tok):
         table = lm.params["enc.embed"].data
-        dists = ((table - h[None, :]) ** 2).sum(axis=1)
-        assert decode_soft_prompt(trained_encoder, tok, lm, k=1).ids[0] == int(np.argmin(dists))
+        dists = ((table - trained_soft[None, :]) ** 2).sum(axis=1)
+        assert decode_soft_prompt(trained_soft, tok, lm, k=1).ids[0] == int(np.argmin(dists))
 
-    def test_deterministic(self, lm, trained_encoder, tok):
-        a = decode_soft_prompt(trained_encoder, tok, lm)
-        b = decode_soft_prompt(trained_encoder, tok, lm)
+    def test_deterministic(self, lm, trained_soft, tok):
+        a = decode_soft_prompt(trained_soft, tok, lm)
+        b = decode_soft_prompt(trained_soft, tok, lm)
         assert a.ids == b.ids
 
-    def test_default_prefix_is_capped(self, lm, trained_encoder, tok):
+    def test_default_prefix_is_capped(self, lm, trained_soft, tok):
         from promptcal.calibration import DEFAULT_SOFT_PREFIX_LEN
 
-        got = len(decode_soft_prompt(trained_encoder, tok, lm).ids)
+        got = len(decode_soft_prompt(trained_soft, tok, lm).ids)
         assert got == min(DEFAULT_SOFT_PREFIX_LEN, tok.length)
 
     def test_short_token_prefix_not_padded(self, lm, train_inputs_prompts):
         inputs, prompts = train_inputs_prompts
         short = SoftPromptToken.from_text("stable exam", lm.vocab)
-        enc = train_calibrator(inputs[:2], prompts[:2], short, lm,
-                               CalibrationConfig(max_epochs=1, seed=3))
-        assert len(decode_soft_prompt(enc, short, lm).ids) == 2
+        soft = train_calibrator(inputs[:2], prompts[:2], short, lm,
+                                CalibrationConfig(max_epochs=1, seed=3))
+        assert len(decode_soft_prompt(soft, short, lm).ids) == 2
 
-    def test_residual_projection_rule(self, lm, trained_encoder, tok):
-        out = decode_soft_prompt(trained_encoder, tok, lm, k=3)
-        h = encode_soft(tok, trained_encoder).data
+    def test_residual_projection_rule(self, lm, trained_soft, tok):
+        out = decode_soft_prompt(trained_soft, tok, lm, k=3)
         table = lm.params["enc.embed"].data
         chosen = []
         for _ in range(3):
-            target = h if not chosen else h - table[chosen].mean(axis=0)
+            target = trained_soft if not chosen else trained_soft - table[chosen].mean(axis=0)
             dists = ((table - target[None, :]) ** 2).sum(axis=1)
             chosen.append(int(np.argmin(dists)))
         assert out.ids == tuple(chosen)
 
 
 class TestSummarize:
-    def test_deterministic(self, lm, trained_encoder, tok):
+    def test_deterministic(self, lm, trained_soft, tok):
         t_org, t_llm = notes(lm), prompt(lm)
-        a = summarize(t_org, t_llm, lm, (trained_encoder, tok))
-        b = summarize(t_org, t_llm, lm, (trained_encoder, tok))
+        a = summarize(t_org, t_llm, lm, (trained_soft, tok))
+        b = summarize(t_org, t_llm, lm, (trained_soft, tok))
         assert a.ids == b.ids
 
     def test_baseline_path_matches_decode_of_prompted_pooled(self, lm):
@@ -339,10 +358,10 @@ class TestSummarize:
         pooled = lm.encode(join_prompted(t_llm, t_org)).pooled
         assert out.ids == lm.decode_greedy(pooled).ids
 
-    def test_calibrated_path_prepends_soft_prefix(self, lm, trained_encoder, tok):
+    def test_calibrated_path_prepends_soft_prefix(self, lm, trained_soft, tok):
         t_org, t_llm = notes(lm), prompt(lm)
-        out = summarize(t_org, t_llm, lm, (trained_encoder, tok))
-        prefix = decode_soft_prompt(trained_encoder, tok, lm)
+        out = summarize(t_org, t_llm, lm, (trained_soft, tok))
+        prefix = decode_soft_prompt(trained_soft, tok, lm)
         joined = TokenSequence(prefix.ids + t_llm.ids + (SEP_ID,) + t_org.ids)
         expected = lm.decode_greedy(lm.encode(joined).pooled)
         assert out.ids == expected.ids

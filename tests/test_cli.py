@@ -8,8 +8,16 @@ import pytest
 from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT, CalibrationConfig
 from promptcal.checkpoint import load_calibrator, load_model
 from promptcal.cli import PipelineConfig, main
+from promptcal.corpus import CorpusRecord, save_corpus
 from promptcal.model import PretrainConfig
-from tests.test_checkpoint import set_distance_code
+from tests.test_checkpoint import (
+    CALIBRATOR_SECTIONS,
+    MODEL_SECTIONS,
+    calibrator_layout,
+    damaged,
+    model_layout,
+    set_distance_code,
+)
 
 SMALL_SETTINGS = {
     "embed_dim": 16,
@@ -120,8 +128,10 @@ class TestCalibrateCommand:
     def test_checkpoint_trained_and_bound(self, pipeline):
         tmp_path, _ = pipeline
         lm = load_model(tmp_path / "out" / "model.bin")
-        enc, tok, config = load_calibrator(tmp_path / "out" / "calibrator.bin", lm)
-        assert enc.trained
+        soft, tok, config = load_calibrator(tmp_path / "out" / "calibrator.bin", lm)
+        assert soft.shape == (SMALL_SETTINGS["embed_dim"],)
+        # trained: moved away from the copy-initialised encoder's output
+        assert soft.tobytes() != lm.encode(tok.ids).pooled.data.tobytes()
         assert tok.text.startswith("radiologist")
 
     def test_missing_model_exits_2(self, tmp_path):
@@ -270,6 +280,76 @@ class TestSummarizeCommand:
         set_distance_code(calib, DEFAULT_SOFT_TOKEN_TEXT, 9)
         assert main(["summarize", "--config", str(cfg), "--set", f"calibrator_checkpoint={calib}",
                      "--input", "no pneumothorax is identified.", "--calibrated"]) == 4
+
+
+# More words than max_sequence_length (96 here) allows: "no", "edema", "." 40 times.
+OVERLONG_NOTE = "no edema. " * 40
+
+
+def summarize_argv(cfg, text="no edema.", *extra):
+    return ["summarize", "--config", str(cfg), "--input", text, *extra]
+
+
+def long_literal(src_tmp, cfg, tmp_path):
+    # over 255 bytes, too long for a file name, but only 20 tokens
+    return summarize_argv(cfg, "pneumothorax " * 20)
+
+
+def overlong_note(src_tmp, cfg, tmp_path):
+    return summarize_argv(cfg, OVERLONG_NOTE)
+
+
+def overlong_evaluation_record(src_tmp, cfg, tmp_path):
+    test = tmp_path / "test.jsonl"
+    save_corpus([CorpusRecord("long", OVERLONG_NOTE, "no edema.")], test)
+    return ["evaluate", "--config", str(cfg), "--arm", "baseline",
+            "--set", f"test_corpus={test}", "--set", f"report_dir={tmp_path / 'reports'}"]
+
+
+def calibrator_version_1(src_tmp, cfg, tmp_path):
+    calib = tmp_path / "calibrator.bin"
+    calib.write_bytes(b"\x01" + (src_tmp / "out" / "calibrator.bin").read_bytes()[1:])
+    return summarize_argv(cfg, "no edema.", "--calibrated", "--set", f"calibrator_checkpoint={calib}")
+
+
+def damaged_checkpoint(kind, section, how):
+    def build(src_tmp, cfg, tmp_path):
+        source = src_tmp / "out" / f"{kind}.bin"
+        if kind == "model":
+            layout = model_layout(load_model(source))
+        else:
+            layout = calibrator_layout(DEFAULT_SOFT_TOKEN_TEXT, SMALL_SETTINGS["embed_dim"])
+        target = tmp_path / f"{kind}.bin"
+        target.write_bytes(damaged(source.read_bytes(), layout, section, how))
+        return summarize_argv(cfg, "no edema.", "--calibrated", "--set", f"{kind}_checkpoint={target}")
+
+    return build
+
+
+EXIT_CODE_CASES = [
+    pytest.param(long_literal, 0, "", id="summarize-literal-over-255-bytes"),
+    pytest.param(overlong_note, 2, "exceeds max_sequence_length",
+                 id="summarize-note-over-max-sequence-length"),
+    pytest.param(overlong_evaluation_record, 2, "exceeds max_sequence_length",
+                 id="evaluate-record-over-max-sequence-length"),
+    pytest.param(calibrator_version_1, 4, "unsupported calibrator checkpoint version 1",
+                 id="calibrator-version-1"),
+    *(pytest.param(damaged_checkpoint(kind, section, how), 4, "checkpoint error",
+                   id=f"{kind}-{section}-{how}")
+      for kind, sections in (("model", MODEL_SECTIONS), ("calibrator", CALIBRATOR_SECTIONS))
+      for section in sections
+      for how in ("flip", "truncate")),
+]
+
+
+class TestExitCodes:
+    """One row per failure the CLI must map to its documented exit code, never a traceback."""
+
+    @pytest.mark.parametrize("build, code, message", EXIT_CODE_CASES)
+    def test_exit_code(self, pipeline, tmp_path, capsys, build, code, message):
+        src_tmp, cfg = pipeline
+        assert main(build(src_tmp, cfg, tmp_path)) == code
+        assert message in capsys.readouterr().err
 
 
 class TestConfigParsing:
