@@ -226,9 +226,9 @@ def add_row_vector(m: DiffValue, v: DiffValue) -> DiffValue:
     return _record(m.data + v.data[None, :], (m, v), _bw)
 
 
-def rows(table: DiffValue, ids: Sequence[int]) -> DiffValue:
-    """Gather rows of a table by index; gradient scatter-adds back."""
-    if table.data.ndim != 2:
+def row_index(table: Array, ids: Sequence[int]) -> Array:
+    """ids as an index array into the rows of a matrix, checked to be in range."""
+    if table.ndim != 2:
         raise ShapeError(f"rows requires a matrix table, got shape {table.shape}")
     idx = np.asarray(ids, dtype=np.intp)
     if idx.ndim != 1 or idx.size == 0:
@@ -238,6 +238,12 @@ def rows(table: DiffValue, ids: Sequence[int]) -> DiffValue:
             f"row index out of range: table has {table.shape[0]} rows, got ids "
             f"[{idx.min()}, {idx.max()}]"
         )
+    return idx
+
+
+def rows(table: DiffValue, ids: Sequence[int]) -> DiffValue:
+    """Gather rows of a table by index; gradient scatter-adds back."""
+    idx = row_index(table.data, ids)
 
     def _bw(g, acc):
         out = np.zeros_like(table.data)

@@ -87,6 +87,20 @@ def init_side_params(
     return params
 
 
+class KVCache:
+    """Keys and values of every position a frozen causal decode has consumed.
+
+    One (max_seq_len x head_dim) key array and one value array per (block,
+    head); rows [0, length) are filled.
+    """
+
+    def __init__(self, cfg: ModelConfig):
+        shape = (cfg.n_blocks, cfg.n_heads, cfg.max_seq_len, cfg.head_dim)
+        self.keys = np.empty(shape)
+        self.values = np.empty(shape)
+        self.length = 0
+
+
 def sequence_forward(
     params: Mapping[str, DiffValue],
     prefix: str,
@@ -94,13 +108,30 @@ def sequence_forward(
     cfg: ModelConfig,
     context: DiffValue | None = None,
     causal: bool = False,
+    cache: KVCache | None = None,
 ) -> DiffValue:
-    """Run ids through one side of the model, returning per-token rows [n x d]."""
-    n = len(ids)
-    if n == 0:
+    """Run ids through one side of the model, returning per-token rows [n x d].
+
+    When neither a parameter of this side nor context requires a gradient, the
+    rows come from plain numpy and no graph is built; they are bit-identical to
+    the graph's. With a cache, ids is the one next position of a frozen causal
+    decode: its keys and values join the cache, and its row attends over every
+    cached position.
+    """
+    start = 0 if cache is None else cache.length
+    n = start + len(ids)
+    if len(ids) == 0:
         raise ContractError("cannot embed empty input")
     if n > cfg.max_seq_len:
         raise ShapeError(f"sequence length {n} exceeds max_sequence_length {cfg.max_seq_len}")
+    side = prefix + "."
+    needs_graph = (context is not None and context.requires_grad) or any(
+        p.requires_grad for name, p in params.items() if name.startswith(side)
+    )
+    if cache is not None and (needs_graph or not causal or len(ids) != 1):
+        raise ContractError("a key/value cache extends a frozen causal decode by one id per call")
+    if not needs_graph:
+        return ad.value(_plain_forward(params, prefix, ids, cfg, context, causal, cache))
     x = ad.rows(params[f"{prefix}.embed"], ids)
     x = ad.add(x, ad.value(params[f"{prefix}.pos"].data[:n]))
     if context is not None:
@@ -121,6 +152,52 @@ def sequence_forward(
         x = ad.add(x, attn_sum)
         hidden = ad.tanh(ad.matmul(x, params[f"{prefix}.b{b}.ffn.w1"]))
         x = ad.add(x, ad.matmul(hidden, params[f"{prefix}.b{b}.ffn.w2"]))
+    return x
+
+
+def _plain_forward(
+    params: Mapping[str, DiffValue],
+    prefix: str,
+    ids: Sequence[int],
+    cfg: ModelConfig,
+    context: DiffValue | None,
+    causal: bool,
+    cache: KVCache | None,
+) -> np.ndarray:
+    """sequence_forward's graph ops as plain numpy, in the same order."""
+    start = 0 if cache is None else cache.length
+    n = start + len(ids)
+    table = params[f"{prefix}.embed"].data
+    x = table[ad.row_index(table, ids)]
+    x = x + params[f"{prefix}.pos"].data[start:n]
+    if context is not None:
+        x = x + context.data[None, :]
+    inv_sqrt_dh = 1.0 / math.sqrt(cfg.head_dim)
+    # One new query row needs no causal mask: every cached position precedes it.
+    row_softmax = ad.causal_softmax_rows if causal and cache is None else ad.softmax_rows
+    for b in range(cfg.n_blocks):
+        attn_sum = None
+        for h in range(cfg.n_heads):
+            base = f"{prefix}.b{b}.h{h}"
+            q = x @ params[f"{base}.wq"].data
+            k = x @ params[f"{base}.wk"].data
+            v = x @ params[f"{base}.wv"].data
+            if cache is not None:
+                cache.keys[b, h, start:n] = k
+                cache.values[b, h, start:n] = v
+                k = cache.keys[b, h, :n]
+                v = cache.values[b, h, :n]
+            # ad.transpose copies, and BLAS can round q @ k.T differently from
+            # q @ k.T.copy(), so the copy keeps the two paths bit-identical.
+            scores = (q @ k.T.copy()) * inv_sqrt_dh
+            attended = row_softmax(ad.value(scores)).data @ v
+            head_out = attended @ params[f"{base}.wo"].data
+            attn_sum = head_out if attn_sum is None else attn_sum + head_out
+        x = x + attn_sum
+        hidden = np.tanh(x @ params[f"{prefix}.b{b}.ffn.w1"].data)
+        x = x + hidden @ params[f"{prefix}.b{b}.ffn.w2"].data
+    if cache is not None:
+        cache.length = n
     return x
 
 
@@ -189,31 +266,31 @@ class EncoderDecoderLM:
         per_token = sequence_forward(self.params, "enc", seq.ids, self.cfg)
         return Encoding(per_token, ad.mean_rows(per_token))
 
-    def step_logits(self, prefix_ids: Sequence[int], context: DiffValue) -> np.ndarray:
-        """Next-token logits after consuming prefix_ids under the given context."""
-        x = sequence_forward(self.params, "dec", prefix_ids, self.cfg, context=context, causal=True)
-        return x.data[-1] @ self.params["dec.out"].data
-
     def decode_greedy(self, context: DiffValue | np.ndarray, max_len: int | None = None) -> TokenSequence:
-        """Greedy autoregressive decode conditioned on a pooled d-vector."""
+        """Greedy autoregressive decode conditioned on a pooled d-vector.
+
+        Each step runs only the newest token through the decoder, over a
+        KVCache of the earlier ones. Decoding stops after EOS, after max_len
+        tokens, or when the prefix to feed next would reach max_seq_len.
+        """
         self._require_frozen("decode_greedy")
         if max_len is None:
             max_len = self.cfg.decode_max_len
         if max_len < 1:
             raise ContractError(f"max_len must be >= 1, got {max_len}")
-        ctx = context if isinstance(context, DiffValue) else ad.value(context)
+        # argmax has no gradient, so the decode runs on a constant context.
+        ctx = ad.value(context.data if isinstance(context, DiffValue) else context)
         if ctx.shape != (self.cfg.embed_dim,):
             raise ShapeError(f"context must be a length-{self.cfg.embed_dim} vector, got {ctx.shape}")
-        prefix = [BOS_ID]
+        cache = KVCache(self.cfg)
+        out_proj = self.params["dec.out"].data
+        token = BOS_ID
         out: list[int] = []
         while len(out) < max_len:
-            logits = self.step_logits(prefix, ctx)
-            next_id = int(np.argmax(logits))  # ties resolve to the lowest id
-            out.append(next_id)
-            if next_id == EOS_ID:
-                break
-            prefix.append(next_id)
-            if len(prefix) >= self.cfg.max_seq_len:
+            x = sequence_forward(self.params, "dec", [token], self.cfg, context=ctx, causal=True, cache=cache)
+            token = int(np.argmax(x.data[-1] @ out_proj))  # ties resolve to the lowest id
+            out.append(token)
+            if token == EOS_ID or cache.length + 1 >= self.cfg.max_seq_len:
                 break
         return TokenSequence(tuple(out))
 

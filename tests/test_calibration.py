@@ -8,6 +8,7 @@ from promptcal import autodiff as ad
 from promptcal.calibration import (
     DEFAULT_SOFT_TOKEN_TEXT,
     OOD_SOFT_TOKEN_TEXT,
+    SEPARATOR_POLICIES,
     CalibrationConfig,
     SoftPromptEncoder,
     SoftPromptToken,
@@ -28,6 +29,7 @@ from tests.test_autodiff import (
     gap_closure,
     optimal_soft_vector,
 )
+from tests.test_model import oracle_forward, recompute_greedy
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +367,18 @@ class TestSummarize:
         joined = TokenSequence(prefix.ids + t_llm.ids + (SEP_ID,) + t_org.ids)
         expected = lm.decode_greedy(lm.encode(joined).pooled)
         assert out.ids == expected.ids
+
+    @pytest.mark.parametrize("policy", SEPARATOR_POLICIES)
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["baseline", "calibrated"])
+    def test_matches_recompute_oracle(self, lm, trained_soft, tok, calibrated, policy):
+        t_org, t_llm = notes(lm), prompt(lm)
+        calibration = (trained_soft, tok) if calibrated else None
+        out = summarize(t_org, t_llm, lm, calibration, policy=policy)
+        ids = join_prompted(t_llm, t_org, policy).ids
+        if calibrated:
+            ids = decode_soft_prompt(trained_soft, tok, lm).ids + ids
+        pooled = oracle_forward(lm, "enc", ids).mean(axis=0)
+        assert out.ids == recompute_greedy(lm, pooled, lm.cfg.decode_max_len)
 
     def test_length_bounded(self, lm):
         out = summarize(notes(lm), prompt(lm), lm, max_len=5)

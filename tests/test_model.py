@@ -9,9 +9,11 @@ from promptcal.corpus import generate_corpus
 from promptcal.errors import ContractError, ShapeError
 from promptcal.model import (
     EncoderDecoderLM,
+    KVCache,
     ModelConfig,
     PretrainConfig,
     pretrain,
+    sequence_forward,
     sinusoidal_positions,
 )
 from promptcal.vocab import BOS_ID, EOS_ID, TokenSequence, Vocabulary, tokenize
@@ -24,6 +26,48 @@ def lm(tiny_lm):
 
 def seq(lm, text):
     return tokenize(text, lm.vocab)
+
+
+def oracle_forward(lm, side, ids, context=None, causal=False):
+    """One side of the model in plain numpy, with a per-row loop for the causal softmax."""
+    p = {name: v.data for name, v in lm.params.items()}
+    n = len(ids)
+    x = p[f"{side}.embed"][list(ids)] + p[f"{side}.pos"][:n]
+    if context is not None:
+        x = x + context[None, :]
+    for b in range(lm.cfg.n_blocks):
+        attn = np.zeros_like(x)
+        for h in range(lm.cfg.n_heads):
+            base = f"{side}.b{b}.h{h}"
+            q, k, v = (x @ p[f"{base}.{w}"] for w in ("wq", "wk", "wv"))
+            scores = q @ k.T / np.sqrt(lm.cfg.head_dim)
+            weights = np.zeros_like(scores)
+            for i in range(n):
+                row = scores[i, : i + 1] if causal else scores[i]
+                e = np.exp(row - row.max())
+                weights[i, : len(row)] = e / e.sum()
+            attn += (weights @ v) @ p[f"{base}.wo"]
+        x = x + attn
+        x = x + np.tanh(x @ p[f"{side}.b{b}.ffn.w1"]) @ p[f"{side}.b{b}.ffn.w2"]
+    return x
+
+
+def recompute_greedy(lm, context, max_len):
+    """Greedy decode that reruns the whole prefix at every step.
+
+    Stops after EOS, after max_len tokens, or once the prefix reaches
+    max_seq_len, so at most max_seq_len - 1 tokens.
+    """
+    prefix, out = [BOS_ID], []
+    while len(out) < max_len:
+        x = oracle_forward(lm, "dec", prefix, context, causal=True)
+        out.append(int(np.argmax(x[-1] @ lm.params["dec.out"].data)))
+        if out[-1] == EOS_ID:
+            break
+        prefix.append(out[-1])
+        if len(prefix) >= lm.cfg.max_seq_len:
+            break
+    return tuple(out)
 
 
 class TestEncode:
@@ -92,37 +136,155 @@ class TestDecodeGreedy:
 
     def test_argmax_matches_step_logit_oracle(self, lm):
         ctx = lm.encode(seq(lm, "mild congestion.")).pooled
-        out = lm.decode_greedy(ctx, max_len=8)
-        # replay: recompute logits independently with plain numpy at each step
-        prefix = [BOS_ID]
-        for got in out.ids:
-            x = lm.params["dec.embed"].data[prefix] + lm.params["dec.pos"].data[: len(prefix)]
-            x = x + ctx.data[None, :]
-            for b in range(lm.cfg.n_blocks):
-                attn = np.zeros_like(x)
-                for h in range(lm.cfg.n_heads):
-                    base = f"dec.b{b}.h{h}"
-                    q = x @ lm.params[f"{base}.wq"].data
-                    k = x @ lm.params[f"{base}.wk"].data
-                    v = x @ lm.params[f"{base}.wv"].data
-                    scores = q @ k.T / np.sqrt(lm.cfg.head_dim)
-                    weights = np.zeros_like(scores)
-                    for i in range(scores.shape[0]):
-                        row = scores[i, : i + 1]
-                        e = np.exp(row - row.max())
-                        weights[i, : i + 1] = e / e.sum()
-                    attn += (weights @ v) @ lm.params[f"{base}.wo"].data
-                x = x + attn
-                x = x + np.tanh(x @ lm.params[f"dec.b{b}.ffn.w1"].data) @ lm.params[f"dec.b{b}.ffn.w2"].data
-            logits = x[-1] @ lm.params["dec.out"].data
-            assert int(np.argmax(logits)) == got
-            prefix.append(got)
+        assert lm.decode_greedy(ctx, max_len=8).ids == recompute_greedy(lm, ctx.data, max_len=8)
+
+    def test_stop_length_matches_recompute_oracle(self):
+        # max_len beyond max_seq_len: the decode stops once the prefix it
+        # would feed next reaches max_seq_len, after max_seq_len - 1 tokens
+        cfg = ModelConfig(embed_dim=16, n_blocks=1, n_heads=2, ffn_dim=16, max_seq_len=8)
+        lm = EncoderDecoderLM.initialize(Vocabulary([f"w{i}" for i in range(40)]), cfg, seed=3)
+        lm.freeze()
+        rng = np.random.default_rng(5)
+        lengths = []
+        for _ in range(5):
+            ctx = rng.normal(size=cfg.embed_dim)
+            expected = recompute_greedy(lm, ctx, max_len=20)
+            assert lm.decode_greedy(ctx, max_len=20).ids == expected
+            lengths.append(len(expected))
+        assert cfg.max_seq_len - 1 in lengths
+
+    def test_gradient_context_decodes_as_constant(self, lm):
+        ctx = lm.encode(seq(lm, "stable effusion.")).pooled.data
+        assert lm.decode_greedy(ad.param(ctx)).ids == lm.decode_greedy(ctx).ids
 
     def test_requires_frozen(self):
         cfg = ModelConfig(embed_dim=8, n_blocks=1, n_heads=1, ffn_dim=8)
         lm = EncoderDecoderLM.initialize(Vocabulary(["a"]), cfg, seed=1)
         with pytest.raises(ContractError):
             lm.decode_greedy(ad.value(np.zeros(8)))
+
+
+def small_lm(n_blocks):
+    # head_dim 32, as in the default config: at that width BLAS rounds q @ k.T
+    # differently from q @ k.T.copy(), which the graph path multiplies by
+    cfg = ModelConfig(embed_dim=64, n_blocks=n_blocks, n_heads=2, ffn_dim=16, max_seq_len=12)
+    lm = EncoderDecoderLM.initialize(Vocabulary([f"w{i}" for i in range(20)]), cfg, seed=0)
+    lm.freeze()
+    return lm
+
+
+def trainable_copy(params, names=None):
+    """The same values, with the named parameters (default: all but positions) trainable."""
+    out = {}
+    for name, p in params.items():
+        train = name in names if names is not None else not name.endswith(".pos")
+        out[name] = ad.param(p.data.copy()) if train else ad.value(p.data)
+    return out
+
+
+class TestInferencePath:
+    """The plain-numpy path against the graph path it replaces when nothing needs a gradient."""
+
+    @pytest.mark.parametrize("with_context", [False, True], ids=["bare", "context"])
+    @pytest.mark.parametrize("n_blocks", [0, 1, 2])
+    @pytest.mark.parametrize("side", ["enc", "dec"])
+    def test_plain_path_is_bit_identical_to_graph(self, side, n_blocks, with_context):
+        lm = small_lm(n_blocks)
+        graph_params = trainable_copy(lm.params)
+        rng = np.random.default_rng(n_blocks)
+        ctx = ad.value(rng.normal(size=lm.cfg.embed_dim)) if with_context else None
+        for n in range(1, lm.cfg.max_seq_len + 1):
+            ids = [int(i) for i in rng.integers(0, lm.vocab.size, size=n)]
+            args = (side, ids, lm.cfg)
+            plain = sequence_forward(lm.params, *args, context=ctx, causal=side == "dec")
+            graph = sequence_forward(graph_params, *args, context=ctx, causal=side == "dec")
+            assert graph.requires_grad
+            assert not plain.requires_grad and plain._parents == ()
+            np.testing.assert_array_equal(plain.data, graph.data)
+
+    @pytest.mark.parametrize("n_blocks", [0, 1, 2])
+    def test_cached_first_step_is_bit_identical_to_graph(self, n_blocks):
+        lm = small_lm(n_blocks)
+        ctx = ad.value(np.random.default_rng(1).normal(size=lm.cfg.embed_dim))
+        graph = sequence_forward(trainable_copy(lm.params), "dec", [BOS_ID], lm.cfg,
+                                 context=ctx, causal=True)
+        cached = sequence_forward(lm.params, "dec", [BOS_ID], lm.cfg,
+                                  context=ctx, causal=True, cache=KVCache(lm.cfg))
+        np.testing.assert_array_equal(cached.data, graph.data)
+
+    @pytest.mark.parametrize("n_blocks", [0, 1, 2])
+    def test_cached_steps_match_full_forward_rows(self, n_blocks):
+        # later rows may differ in the last bits: BLAS rounds a row of X @ W
+        # differently depending on how many rows X has
+        lm = small_lm(n_blocks)
+        ctx = ad.value(np.random.default_rng(2).normal(size=lm.cfg.embed_dim))
+        ids = [BOS_ID] + [int(i) for i in np.random.default_rng(3).integers(4, lm.vocab.size, 11)]
+        full = sequence_forward(lm.params, "dec", ids, lm.cfg, context=ctx, causal=True).data
+        cache = KVCache(lm.cfg)
+        for i, token in enumerate(ids):
+            row = sequence_forward(lm.params, "dec", [token], lm.cfg, context=ctx, causal=True, cache=cache)
+            np.testing.assert_allclose(row.data[0], full[i], rtol=1e-12, atol=1e-12)
+        assert cache.length == len(ids)
+
+    @pytest.mark.parametrize("name", [
+        "enc.embed", "enc.b0.h0.wq", "enc.b0.h1.wk", "enc.b1.h0.wv", "enc.b1.h1.wo",
+        "enc.b0.ffn.w1", "enc.b1.ffn.w2",
+    ])
+    def test_one_trainable_parameter_keeps_the_graph(self, name):
+        lm = small_lm(2)
+        params = trainable_copy(lm.params, {name})
+        out = sequence_forward(params, "enc", [4, 5, 6], lm.cfg)
+        assert out.requires_grad
+        ad.backward(ad.sum_all(out))
+        assert np.any(params[name].grad != 0)
+
+    def test_trainable_context_keeps_the_graph(self):
+        lm = small_lm(1)
+        ctx = ad.param(np.random.default_rng(4).normal(size=lm.cfg.embed_dim))
+        out = sequence_forward(lm.params, "dec", [BOS_ID, 5], lm.cfg, context=ctx, causal=True)
+        assert out.requires_grad
+        ad.backward(ad.sum_all(out))
+        assert np.any(ctx.grad != 0)
+
+    def test_other_side_trainable_builds_no_graph(self):
+        # pretrain's decoder-only epochs: the frozen encoder runs graph-free
+        lm = small_lm(1)
+        params = trainable_copy(lm.params, {n for n in lm.params if n.startswith("dec.")})
+        out = sequence_forward(params, "enc", [4, 5, 6], lm.cfg)
+        assert not out.requires_grad and out._parents == ()
+
+    @pytest.mark.parametrize("case", ["trainable", "two ids", "not causal"])
+    def test_cache_only_extends_a_frozen_causal_decode(self, case):
+        lm = small_lm(1)
+        params = trainable_copy(lm.params) if case == "trainable" else lm.params
+        ids = [BOS_ID, 5] if case == "two ids" else [BOS_ID]
+        with pytest.raises(ContractError, match="cache"):
+            sequence_forward(params, "dec", ids, lm.cfg, causal=case != "not causal",
+                             cache=KVCache(lm.cfg))
+
+    @pytest.mark.parametrize("path", ["graph", "plain", "cached"])
+    @pytest.mark.parametrize("case, error, match", [
+        ("empty", ContractError, "empty"),
+        ("overlong", ShapeError, "exceeds max_sequence_length"),
+        ("id too large", ContractError, "out of range"),
+        ("negative id", ContractError, "out of range"),
+    ])
+    def test_errors_match_across_paths(self, path, case, error, match):
+        lm = small_lm(1)
+        params = trainable_copy(lm.params) if path == "graph" else lm.params
+        cache = KVCache(lm.cfg) if path == "cached" else None
+        bad = {"empty": [], "id too large": [lm.vocab.size], "negative id": [-1]}
+        if case == "overlong":
+            if cache is None:
+                ids = [5] * (lm.cfg.max_seq_len + 1)
+            else:
+                for token in [BOS_ID] + [5] * (lm.cfg.max_seq_len - 1):
+                    sequence_forward(params, "dec", [token], lm.cfg, causal=True, cache=cache)
+                ids = [5]
+        else:
+            ids = bad[case]
+        with pytest.raises(error, match=match):
+            sequence_forward(params, "dec", ids, lm.cfg, causal=True, cache=cache)
 
 
 class TestNearestToken:
