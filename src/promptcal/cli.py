@@ -1,8 +1,10 @@
 """Command-line pipeline: gen-corpus, pretrain, calibrate, evaluate, summarize.
 
 Configuration is a flat key=value file; repeated --set key=value flags win
-over the file. All artifacts are written atomically (temp file + rename) and
-every subcommand is byte-reproducible for a fixed config and seed.
+over the file. Each key is a PipelineConfig field or, through LIBRARY_KEYS, a
+library config field; every config is built, and so checked, before any other
+file is read or written. Artifacts are written atomically (temp file + rename)
+and every subcommand is byte-reproducible for a fixed config and seed.
 
 Exit codes: 0 success, 2 input/usage error (a prompted note longer than
 max_sequence_length included), 3 numeric failure, 4 checkpoint-digest
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import Field, dataclass, fields
 from pathlib import Path
 
 from .calibration import (
@@ -45,8 +47,13 @@ EXIT_NUMERIC = 3
 EXIT_DIGEST = 4
 
 
-@dataclass
+REPORT_FORMATS = ("csv", "markdown", "both")
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
+    """The keys only the CLI has; `seed` also sets both training seeds."""
+
     seed: int = PretrainConfig.seed
     corpus: str = "corpus/train.jsonl"
     test_corpus: str = "corpus/test.jsonl"
@@ -54,105 +61,85 @@ class PipelineConfig:
     model_checkpoint: str = "out/model.bin"
     calibrator_checkpoint: str = "out/calibrator.bin"
     report_dir: str = "out/reports"
-    embed_dim: int = ModelConfig.embed_dim
-    blocks: int = ModelConfig.n_blocks
-    heads: int = ModelConfig.n_heads
-    ffn_dim: int = ModelConfig.ffn_dim
-    max_sequence_length: int = ModelConfig.max_seq_len
-    decode_max_len: int = ModelConfig.decode_max_len
-    embed_bias_std: float = ModelConfig.embed_bias_std
-    embed_noise_std: float = ModelConfig.embed_noise_std
-    pos_scale: float = ModelConfig.pos_scale
-    pretrain_learning_rate: float = PretrainConfig.learning_rate
-    pretrain_max_epochs: int = PretrainConfig.max_epochs
-    pretrain_tol: float = PretrainConfig.convergence_tol
-    pretrain_grad_clip: float = PretrainConfig.max_grad_norm
-    encoder_train_epochs: int = PretrainConfig.encoder_train_epochs
-    prefix_noise_prob: float = PretrainConfig.prefix_noise_prob
-    prefix_noise_max: int = PretrainConfig.prefix_noise_max
-    distance: str = CalibrationConfig.distance
-    learning_rate: float = CalibrationConfig.learning_rate
-    max_epochs: int = CalibrationConfig.max_epochs
-    convergence_tol: float = CalibrationConfig.convergence_tol
     soft_token: str = DEFAULT_SOFT_TOKEN_TEXT
-    separator_policy: str = CalibrationConfig.separator_policy
     report_format: str = "both"
 
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            embed_dim=self.embed_dim,
-            n_blocks=self.blocks,
-            n_heads=self.heads,
-            ffn_dim=self.ffn_dim,
-            max_seq_len=self.max_sequence_length,
-            decode_max_len=self.decode_max_len,
-            embed_bias_std=self.embed_bias_std,
-            embed_noise_std=self.embed_noise_std,
-            pos_scale=self.pos_scale,
-        )
-
-    def pretrain_config(self) -> PretrainConfig:
-        return PretrainConfig(
-            learning_rate=self.pretrain_learning_rate,
-            max_epochs=self.pretrain_max_epochs,
-            convergence_tol=self.pretrain_tol,
-            max_grad_norm=self.pretrain_grad_clip,
-            encoder_train_epochs=self.encoder_train_epochs,
-            prefix_noise_prob=self.prefix_noise_prob,
-            prefix_noise_max=self.prefix_noise_max,
-            seed=self.seed,
-            model=self.model_config(),
-        )
-
-    def calibration_config(self) -> CalibrationConfig:
-        return CalibrationConfig(
-            distance=self.distance,
-            learning_rate=self.learning_rate,
-            max_epochs=self.max_epochs,
-            convergence_tol=self.convergence_tol,
-            seed=self.seed,
-            separator_policy=self.separator_policy,
-        )
+    def __post_init__(self):
+        if self.report_format not in REPORT_FORMATS:
+            raise ContractError(f"unknown report format {self.report_format!r} "
+                                f"(expected one of {', '.join(REPORT_FORMATS)})")
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+# Every other config key is a library config field, which gives its type and default.
+LIBRARY_KEYS: dict[str, tuple[type, str]] = {
+    "embed_dim": (ModelConfig, "embed_dim"),
+    "blocks": (ModelConfig, "n_blocks"),
+    "heads": (ModelConfig, "n_heads"),
+    "ffn_dim": (ModelConfig, "ffn_dim"),
+    "max_sequence_length": (ModelConfig, "max_seq_len"),
+    "decode_max_len": (ModelConfig, "decode_max_len"),
+    "embed_bias_std": (ModelConfig, "embed_bias_std"),
+    "embed_noise_std": (ModelConfig, "embed_noise_std"),
+    "pos_scale": (ModelConfig, "pos_scale"),
+    "pretrain_learning_rate": (PretrainConfig, "learning_rate"),
+    "pretrain_max_epochs": (PretrainConfig, "max_epochs"),
+    "pretrain_tol": (PretrainConfig, "convergence_tol"),
+    "pretrain_grad_clip": (PretrainConfig, "max_grad_norm"),
+    "encoder_train_epochs": (PretrainConfig, "encoder_train_epochs"),
+    "prefix_noise_prob": (PretrainConfig, "prefix_noise_prob"),
+    "prefix_noise_max": (PretrainConfig, "prefix_noise_max"),
+    "distance": (CalibrationConfig, "distance"),
+    "learning_rate": (CalibrationConfig, "learning_rate"),
+    "max_epochs": (CalibrationConfig, "max_epochs"),
+    "convergence_tol": (CalibrationConfig, "convergence_tol"),
+    "separator_policy": (CalibrationConfig, "separator_policy"),
+}
+
+CONFIG_KEYS: dict[str, Field] = {
+    **{f.name: f for f in fields(PipelineConfig)},
+    **{key: next(f for f in fields(cls) if f.name == name)
+       for key, (cls, name) in LIBRARY_KEYS.items()},
+}
+
+
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def _coerce(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
+    kind = CONFIG_KEYS[key].type
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
+        return _PARSERS[kind](raw)
     except ValueError:
         raise ContractError(f"config key {key!r} expects {kind}, got {raw!r}") from None
-    return raw
 
 
-def load_pipeline_config(path: str | None, overrides: list[str]) -> PipelineConfig:
-    cfg = PipelineConfig()
-    entries: list[tuple[str, str]] = []
+def load_pipeline_config(
+    path: str | None, overrides: list[str]
+) -> tuple[PipelineConfig, PretrainConfig, CalibrationConfig]:
+    """Parse the file, then the --set flags, and build every config so bad values fail here."""
+    entries: list[tuple[str, str]] = []  # (where it came from, "key=value")
     if path is not None:
-        text = Path(path).read_text(encoding="utf-8")
-        for line_no, line in enumerate(text.splitlines(), 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ContractError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
-            key, _, raw = stripped.partition("=")
-            entries.append((key.strip(), raw.strip()))
-    for item in overrides:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        entries = [(f"{path}:{n}", line.strip()) for n, line in enumerate(lines, 1)
+                   if line.strip() and not line.strip().startswith("#")]
+    entries += [("--set", item) for item in overrides]
+    values: dict[type, dict] = {cls: {} for cls in (PipelineConfig, ModelConfig, PretrainConfig,
+                                                    CalibrationConfig)}
+    for where, item in entries:
         if "=" not in item:
-            raise ContractError(f"--set expects key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        entries.append((key.strip(), raw.strip()))
-    for key, raw in entries:
-        if key not in _FIELD_TYPES:
+            raise ContractError(f"{where}: expected key=value, got {item!r}")
+        key, _, raw = (part.strip() for part in item.partition("="))
+        if key not in CONFIG_KEYS:
             raise ContractError(f"unknown config key {key!r}")
-        setattr(cfg, key, _coerce(key, raw))
-    return cfg
+        cls, name = LIBRARY_KEYS.get(key, (PipelineConfig, key))
+        values[cls][name] = _coerce(key, raw)
+    cfg = PipelineConfig(**values[PipelineConfig])
+    model = ModelConfig(**values[ModelConfig])
+    return (
+        cfg,
+        PretrainConfig(**values[PretrainConfig], seed=cfg.seed, model=model),
+        CalibrationConfig(**values[CalibrationConfig], seed=cfg.seed),
+    )
 
 
 def _require_file(path: str, what: str) -> Path:
@@ -185,10 +172,10 @@ def cmd_gen_corpus(args) -> int:
     return EXIT_OK
 
 
-def cmd_pretrain(args, cfg: PipelineConfig) -> int:
+def cmd_pretrain(args, cfg: PipelineConfig, pretrain_cfg: PretrainConfig) -> int:
     corpus = load_corpus(_require_file(cfg.corpus, "corpus"))
     prompt_texts = list(PromptEnsemble.from_file(_prompt_path(cfg)).prompts)
-    lm = pretrain(corpus, cfg.pretrain_config(), extra_texts=prompt_texts + [cfg.soft_token],
+    lm = pretrain(corpus, pretrain_cfg, extra_texts=prompt_texts + [cfg.soft_token],
                   log_fn=_log_epoch)
     out = Path(cfg.model_checkpoint)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -198,14 +185,13 @@ def cmd_pretrain(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def cmd_calibrate(args, cfg: PipelineConfig) -> int:
+def cmd_calibrate(args, cfg: PipelineConfig, calib_cfg: CalibrationConfig) -> int:
     lm = load_model(_require_file(cfg.model_checkpoint, "model checkpoint"))
     corpus = load_corpus(_require_file(cfg.corpus, "corpus"))
     ensemble = PromptEnsemble.from_file(_prompt_path(cfg))
     inputs = [tokenize(r.findings, lm.vocab) for r in corpus]
     prompt_seqs = [tokenize(p, lm.vocab) for p in ensemble.prompts]
     tok = SoftPromptToken.from_text(cfg.soft_token, lm.vocab)
-    calib_cfg = cfg.calibration_config()
     soft = train_calibrator(inputs, prompt_seqs, tok, lm, calib_cfg, log_fn=_log_epoch)
     out = Path(cfg.calibrator_checkpoint)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -225,15 +211,30 @@ def _write_reports(cfg: PipelineConfig, stem: str, reports) -> list[Path]:
     return written
 
 
-def cmd_evaluate(args, cfg: PipelineConfig) -> int:
+def _parse_lengths(text: str) -> list[int]:
+    try:
+        lengths = [int(x) for x in text.split(",")]
+        if min(lengths) < 1:
+            raise ValueError
+    except ValueError:
+        raise ContractError(f"--soft-lengths expects comma-separated positive integers, "
+                            f"got {text!r}") from None
+    return lengths
+
+
+def cmd_evaluate(args, cfg: PipelineConfig, calib_cfg: CalibrationConfig) -> int:
+    lengths = _parse_lengths(args.soft_lengths) if args.soft_lengths else []
     lm = load_model(_require_file(cfg.model_checkpoint, "model checkpoint"))
     eval_corpus = load_corpus(_require_file(cfg.test_corpus, "test corpus"))
     ensemble = PromptEnsemble.from_file(_prompt_path(cfg))
-    policy = cfg.separator_policy
+    if lengths or args.ood_token:
+        train_records = load_corpus(_require_file(cfg.corpus, "corpus"))
+        inputs = [tokenize(r.findings, lm.vocab) for r in train_records]
+    policy = calib_cfg.separator_policy
     report_dir = Path(cfg.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
 
-    need_baseline = args.arm in ("baseline", "both") or args.soft_lengths or args.ood_token
+    need_baseline = args.arm in ("baseline", "both") or lengths or args.ood_token
     need_calibrated = args.arm in ("calibrated", "both") or args.ood_token
     baseline_run = None
     if need_baseline:
@@ -258,28 +259,21 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
         for path in _write_reports(cfg, "variance_report", report):
             print(f"wrote {path}")
 
-    if args.soft_lengths:
-        lengths = [int(x) for x in args.soft_lengths.split(",") if x.strip()]
-        train_records = load_corpus(_require_file(cfg.corpus, "corpus"))
-        inputs = [tokenize(r.findings, lm.vocab) for r in train_records]
-        base_tok = SoftPromptToken.from_text(args.soft_token or cfg.soft_token, lm.vocab)
+    soft_token_text = args.soft_token or cfg.soft_token
+    if lengths:
+        base_tok = SoftPromptToken.from_text(soft_token_text, lm.vocab)
         rows = soft_length_ablation(
-            lengths, base_tok, inputs, ensemble, lm, cfg.calibration_config(),
-            eval_corpus, baseline_run,
+            lengths, base_tok, inputs, ensemble, lm, calib_cfg, eval_corpus, baseline_run,
         )
         for path in _write_reports(cfg, "ablation_lengths", [r for _, r in rows]):
             print(f"wrote {path}")
 
     if args.ood_token:
-        train_records = load_corpus(_require_file(cfg.corpus, "corpus"))
-        inputs = [tokenize(r.findings, lm.vocab) for r in train_records]
         prompt_seqs = [tokenize(p, lm.vocab) for p in ensemble.prompts]
-        calib_cfg = cfg.calibration_config()
         cases = []
-        in_tok_text = args.soft_token or cfg.soft_token
         soft_in, tok_in = calibration
-        if tok_in.text != in_tok_text:
-            tok_in = SoftPromptToken.from_text(in_tok_text, lm.vocab)
+        if tok_in.text != soft_token_text:
+            tok_in = SoftPromptToken.from_text(soft_token_text, lm.vocab)
             soft_in = train_calibrator(inputs, prompt_seqs, tok_in, lm, calib_cfg)
         run_in = evaluate_ensemble(
             lm, (soft_in, tok_in), ensemble, eval_corpus,
@@ -299,7 +293,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def cmd_summarize(args, cfg: PipelineConfig) -> int:
+def cmd_summarize(args, cfg: PipelineConfig, calib_cfg: CalibrationConfig) -> int:
     lm = load_model(_require_file(cfg.model_checkpoint, "model checkpoint"))
     text = args.input
     maybe_file = Path(text)
@@ -322,7 +316,7 @@ def cmd_summarize(args, cfg: PipelineConfig) -> int:
         calibration = (soft, tok)
         soft_text = detokenize(decode_soft_prompt(soft, tok, lm), lm.vocab)
         print(f"soft-prompt: {soft_text}")
-    result = summarize(notes, prompt, lm, calibration, policy=cfg.separator_policy)
+    result = summarize(notes, prompt, lm, calibration, policy=calib_cfg.separator_policy)
     print(detokenize(result, lm.vocab))
     return EXIT_OK
 
@@ -365,15 +359,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "gen-corpus":
             return cmd_gen_corpus(args)
-        cfg = load_pipeline_config(args.config, args.set)
+        cfg, pretrain_cfg, calib_cfg = load_pipeline_config(args.config, args.set)
         if args.command == "pretrain":
-            return cmd_pretrain(args, cfg)
+            return cmd_pretrain(args, cfg, pretrain_cfg)
         if args.command == "calibrate":
-            return cmd_calibrate(args, cfg)
+            return cmd_calibrate(args, cfg, calib_cfg)
         if args.command == "evaluate":
-            return cmd_evaluate(args, cfg)
+            return cmd_evaluate(args, cfg, calib_cfg)
         if args.command == "summarize":
-            return cmd_summarize(args, cfg)
+            return cmd_summarize(args, cfg, calib_cfg)
         parser.error(f"unknown command {args.command!r}")
     except (FileNotFoundError, ContractError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -326,6 +326,17 @@ class PretrainConfig:
     seed: int = 7
     model: ModelConfig = field(default_factory=ModelConfig)
 
+    def __post_init__(self):
+        if self.learning_rate <= 0 or self.max_grad_norm <= 0:
+            raise ContractError(f"pretrain learning_rate {self.learning_rate} and "
+                                f"max_grad_norm {self.max_grad_norm} must be positive")
+        if self.max_epochs < 1 or self.prefix_noise_max < 1:
+            raise ContractError(f"pretrain max_epochs {self.max_epochs} and "
+                                f"prefix_noise_max {self.prefix_noise_max} must be >= 1")
+        if self.encoder_train_epochs < 0 or self.seed < 0:
+            raise ContractError(f"pretrain encoder_train_epochs {self.encoder_train_epochs} "
+                                f"and seed {self.seed} must be >= 0")
+
 
 class ConvergenceRule:
     """Stops after `window` consecutive epochs of sub-tolerance relative improvement."""

@@ -77,6 +77,20 @@ class TestSoftPromptToken:
             tok.truncated(8, lm.vocab)
 
 
+class TestCalibrationConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("distance", "bogus"),
+        ("separator_policy", "bogus"),
+        ("learning_rate", 0.0),
+        ("max_epochs", 0),
+        ("convergence_tol", 0.0),
+        ("seed", -1),
+    ])
+    def test_invalid_value_rejected(self, field, value):
+        with pytest.raises(ContractError):
+            CalibrationConfig(**{field: value})
+
+
 class TestEncodeSoft:
     def test_copy_init_matches_frozen_encoder_bit_exact(self, lm, fresh_encoder):
         for text in (DEFAULT_SOFT_TOKEN_TEXT, "no pneumothorax.", "mild edema is seen."):

@@ -1,15 +1,15 @@
 """CLI pipeline tests: each subcommand end to end on a small configuration."""
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT, CalibrationConfig
+from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT
 from promptcal.checkpoint import load_calibrator, load_model
-from promptcal.cli import PipelineConfig, main
+from promptcal.cli import CONFIG_KEYS, LIBRARY_KEYS, PipelineConfig, load_pipeline_config, main
 from promptcal.corpus import CorpusRecord, save_corpus
-from promptcal.model import PretrainConfig
 from tests.test_checkpoint import (
     CALIBRATOR_SECTIONS,
     MODEL_SECTIONS,
@@ -326,6 +326,38 @@ def damaged_checkpoint(kind, section, how):
     return build
 
 
+def bad_value(command, output_key, *extra):
+    """`command` on the pipeline's inputs, with its output redirected under tmp_path/out."""
+    def build(src_tmp, cfg, tmp_path):
+        return [command, "--config", str(cfg), "--set", f"{output_key}={tmp_path / 'out' / 'x'}",
+                *extra]
+
+    return build
+
+
+BAD_VALUE_CASES = [
+    pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "seed=-1"), 2, "seed -1",
+                 id="pretrain-negative-seed"),
+    pytest.param(bad_value("calibrate", "calibrator_checkpoint", "--set", "seed=-1"), 2, "seed -1",
+                 id="calibrate-negative-seed"),
+    pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "prefix_noise_max=0"), 2,
+                 "prefix_noise_max 0", id="pretrain-prefix-noise-max-0"),
+    pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "pretrain_max_epochs=0"), 2,
+                 "max_epochs 0", id="pretrain-max-epochs-0"),
+    pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "encoder_train_epochs=-1"), 2,
+                 "encoder_train_epochs -1", id="pretrain-negative-encoder-epochs"),
+    pytest.param(bad_value("evaluate", "report_dir", "--set", "report_format=xml"), 2,
+                 "unknown report format 'xml'", id="evaluate-report-format-xml"),
+    pytest.param(bad_value("evaluate", "report_dir", "--soft-lengths", "2,x"), 2,
+                 "--soft-lengths", id="evaluate-soft-length-not-an-integer"),
+    pytest.param(bad_value("evaluate", "report_dir", "--soft-lengths", "2,,3"), 2,
+                 "--soft-lengths", id="evaluate-soft-length-empty-entry"),
+    pytest.param(lambda src_tmp, cfg, tmp_path: summarize_argv(cfg, "no edema.", "--set",
+                                                               "distance=bogus"),
+                 2, "unknown distance 'bogus'", id="summarize-unknown-distance"),
+]
+
+
 EXIT_CODE_CASES = [
     pytest.param(long_literal, 0, "", id="summarize-literal-over-255-bytes"),
     pytest.param(overlong_note, 2, "exceeds max_sequence_length",
@@ -345,11 +377,68 @@ EXIT_CODE_CASES = [
 class TestExitCodes:
     """One row per failure the CLI must map to its documented exit code, never a traceback."""
 
-    @pytest.mark.parametrize("build, code, message", EXIT_CODE_CASES)
+    @pytest.mark.parametrize("build, code, message", EXIT_CODE_CASES + BAD_VALUE_CASES)
     def test_exit_code(self, pipeline, tmp_path, capsys, build, code, message):
         src_tmp, cfg = pipeline
         assert main(build(src_tmp, cfg, tmp_path)) == code
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()  # a bad value is refused before any work
+
+
+# Today's keys: the CLI-only ones with their defaults, and a valid non-default
+# value for every key. Both tables pin the accepted key set.
+CLI_ONLY_DEFAULTS = {
+    "seed": 7,
+    "corpus": "corpus/train.jsonl",
+    "test_corpus": "corpus/test.jsonl",
+    "prompts": "bundled",
+    "model_checkpoint": "out/model.bin",
+    "calibrator_checkpoint": "out/calibrator.bin",
+    "report_dir": "out/reports",
+    "soft_token": DEFAULT_SOFT_TOKEN_TEXT,
+    "report_format": "both",
+}
+
+NON_DEFAULT_VALUES = {
+    "seed": "3",
+    "corpus": "c.jsonl",
+    "test_corpus": "t.jsonl",
+    "prompts": "p.txt",
+    "model_checkpoint": "m.bin",
+    "calibrator_checkpoint": "c.bin",
+    "report_dir": "r",
+    "soft_token": "##1",
+    "report_format": "csv",
+    "embed_dim": "32",
+    "blocks": "1",
+    "heads": "4",
+    "ffn_dim": "32",
+    "max_sequence_length": "48",
+    "decode_max_len": "12",
+    "embed_bias_std": "1.5",
+    "embed_noise_std": "2.25",
+    "pos_scale": "0.25",
+    "pretrain_learning_rate": "0.01",
+    "pretrain_max_epochs": "9",
+    "pretrain_tol": "0.001",
+    "pretrain_grad_clip": "2.5",
+    "encoder_train_epochs": "0",
+    "prefix_noise_prob": "0.25",
+    "prefix_noise_max": "4",
+    "distance": "cross_entropy",
+    "learning_rate": "0.01",
+    "max_epochs": "9",
+    "convergence_tol": "0.001",
+    "separator_policy": "notes_first",
+}
+
+
+def built_fields(built) -> dict[tuple[str, str], object]:
+    """Every field of the built configs, keyed by (config class name, field name)."""
+    cfg, pretrain_cfg, calib_cfg = built
+    return {(type(obj).__name__, f.name): getattr(obj, f.name)
+            for obj in (cfg, pretrain_cfg.model, pretrain_cfg, calib_cfg)
+            for f in fields(obj) if f.name != "model"}
 
 
 class TestConfigParsing:
@@ -372,6 +461,24 @@ class TestConfigParsing:
     def test_non_numeric_value_exits_2(self):
         assert main(["calibrate", "--set", "max_epochs=abc"]) == 2
 
-    def test_defaults_are_the_library_defaults(self):
-        assert PipelineConfig().pretrain_config() == PretrainConfig()
-        assert PipelineConfig().calibration_config() == CalibrationConfig()
+    def test_accepted_keys(self):
+        assert set(CONFIG_KEYS) == set(NON_DEFAULT_VALUES)
+        assert [f.name for f in fields(PipelineConfig)] == list(CLI_ONLY_DEFAULTS)
+
+    @pytest.mark.parametrize("key", sorted(NON_DEFAULT_VALUES))
+    def test_key_default_and_target(self, key):
+        default = built_fields(load_pipeline_config(None, []))
+        cls, name = LIBRARY_KEYS.get(key, (PipelineConfig, key))
+        if key in LIBRARY_KEYS:
+            assert default[cls.__name__, name] == getattr(cls(), name)
+        else:
+            assert default[cls.__name__, name] == CLI_ONLY_DEFAULTS[key]
+        raw = NON_DEFAULT_VALUES[key]
+        changed = built_fields(load_pipeline_config(None, [f"{key}={raw}"]))
+        targets = {(cls.__name__, name)}
+        if key == "seed":
+            targets |= {("PretrainConfig", "seed"), ("CalibrationConfig", "seed")}
+        assert {k for k in default if default[k] != changed[k]} == targets
+        for target in targets:
+            assert type(changed[target]) is type(default[target])
+            assert str(changed[target]) == raw

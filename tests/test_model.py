@@ -351,6 +351,22 @@ class TestPretrain:
         with pytest.raises(ContractError, match="'r1'"):
             pretrain([rec], PretrainConfig(max_epochs=1))
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1),
+        ("max_epochs", 0),
+        ("encoder_train_epochs", -1),
+        ("prefix_noise_max", 0),
+        ("max_grad_norm", 0.0),
+        ("learning_rate", 0.0),
+        ("learning_rate", -1e-3),
+    ])
+    def test_invalid_config_rejected(self, field, value):
+        with pytest.raises(ContractError, match=f"{field} {value}"):
+            PretrainConfig(**{field: value})
+
+    def test_config_bounds_are_inclusive(self):
+        PretrainConfig(seed=0, max_epochs=1, encoder_train_epochs=0, prefix_noise_max=1)
+
     def test_frozen_params_reject_gradient_machinery(self, lm):
         assert all(not p.requires_grad for p in lm.params.values())
         assert lm.trainable() == []
