@@ -83,8 +83,9 @@ class CalibrationConfig:
             raise ContractError(f"unknown distance {self.distance!r}")
         if self.separator_policy not in SEPARATOR_POLICIES:
             raise ContractError(f"unknown separator policy {self.separator_policy!r}")
-        if self.learning_rate <= 0 or self.max_epochs <= 0 or self.convergence_tol <= 0:
-            raise ContractError("learning_rate, max_epochs, convergence_tol must be positive")
+        if (self.learning_rate <= 0 or self.max_epochs <= 0 or self.convergence_tol <= 0
+                or self.stall_window <= 0):
+            raise ContractError("learning_rate, max_epochs, convergence_tol, stall_window must be positive")
         if self.seed < 0:
             raise ContractError(f"calibration seed {self.seed} must be >= 0")
 

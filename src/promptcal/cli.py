@@ -225,6 +225,11 @@ def _parse_lengths(text: str) -> list[int]:
 def cmd_evaluate(args, cfg: PipelineConfig, calib_cfg: CalibrationConfig) -> int:
     lengths = _parse_lengths(args.soft_lengths) if args.soft_lengths else []
     lm = load_model(_require_file(cfg.model_checkpoint, "model checkpoint"))
+    soft_token_text = args.soft_token or cfg.soft_token
+    if lengths:
+        base_tok = SoftPromptToken.from_text(soft_token_text, lm.vocab)
+        if max(lengths) > base_tok.length:
+            raise ContractError(f"soft token length {max(lengths)} out of range 1..{base_tok.length}")
     eval_corpus = load_corpus(_require_file(cfg.test_corpus, "test corpus"))
     ensemble = PromptEnsemble.from_file(_prompt_path(cfg))
     if lengths or args.ood_token:
@@ -259,9 +264,7 @@ def cmd_evaluate(args, cfg: PipelineConfig, calib_cfg: CalibrationConfig) -> int
         for path in _write_reports(cfg, "variance_report", report):
             print(f"wrote {path}")
 
-    soft_token_text = args.soft_token or cfg.soft_token
     if lengths:
-        base_tok = SoftPromptToken.from_text(soft_token_text, lm.vocab)
         rows = soft_length_ablation(
             lengths, base_tok, inputs, ensemble, lm, calib_cfg, eval_corpus, baseline_run,
         )

@@ -47,6 +47,12 @@ class ModelConfig:
             )
         if self.n_blocks < 0:
             raise ContractError("n_blocks must be >= 0")
+        if self.ffn_dim < 1 or self.decode_max_len < 1:
+            raise ContractError(f"ffn_dim {self.ffn_dim} and decode_max_len "
+                                f"{self.decode_max_len} must be >= 1")
+        if self.embed_bias_std < 0 or self.embed_noise_std < 0:
+            raise ContractError(f"embed_bias_std {self.embed_bias_std} and embed_noise_std "
+                                f"{self.embed_noise_std} must be >= 0")
 
     @property
     def head_dim(self) -> int:
@@ -113,10 +119,10 @@ def sequence_forward(
     """Run ids through one side of the model, returning per-token rows [n x d].
 
     When neither a parameter of this side nor context requires a gradient, the
-    rows come from plain numpy and no graph is built; they are bit-identical to
-    the graph's. With a cache, ids is the one next position of a frozen causal
-    decode: its keys and values join the cache, and its row attends over every
-    cached position.
+    same body runs on plain numpy arrays and builds no graph; its rows are
+    bit-identical to the graph's. With a cache, ids is the one next position of
+    a frozen causal decode: its keys and values join the cache, and its row
+    attends over every cached position.
     """
     start = 0 if cache is None else cache.length
     n = start + len(ids)
@@ -130,75 +136,50 @@ def sequence_forward(
     )
     if cache is not None and (needs_graph or not causal or len(ids) != 1):
         raise ContractError("a key/value cache extends a frozen causal decode by one id per call")
-    if not needs_graph:
-        return ad.value(_plain_forward(params, prefix, ids, cfg, context, causal, cache))
-    x = ad.rows(params[f"{prefix}.embed"], ids)
-    x = ad.add(x, ad.value(params[f"{prefix}.pos"].data[:n]))
-    if context is not None:
-        x = ad.add_row_vector(x, context)
-    inv_sqrt_dh = 1.0 / math.sqrt(cfg.head_dim)
-    row_softmax = ad.causal_softmax_rows if causal else ad.softmax_rows
-    for b in range(cfg.n_blocks):
-        attn_sum = None
-        for h in range(cfg.n_heads):
-            base = f"{prefix}.b{b}.h{h}"
-            q = ad.matmul(x, params[f"{base}.wq"])
-            k = ad.matmul(x, params[f"{base}.wk"])
-            v = ad.matmul(x, params[f"{base}.wv"])
-            scores = ad.scale(ad.matmul(q, ad.transpose(k)), inv_sqrt_dh)
-            attended = ad.matmul(row_softmax(scores), v)
-            head_out = ad.matmul(attended, params[f"{base}.wo"])
-            attn_sum = head_out if attn_sum is None else ad.add(attn_sum, head_out)
-        x = ad.add(x, attn_sum)
-        hidden = ad.tanh(ad.matmul(x, params[f"{prefix}.b{b}.ffn.w1"]))
-        x = ad.add(x, ad.matmul(hidden, params[f"{prefix}.b{b}.ffn.w2"]))
-    return x
 
+    def weight(name: str) -> DiffValue | np.ndarray:
+        p = params[name]
+        return p if needs_graph else p.data
 
-def _plain_forward(
-    params: Mapping[str, DiffValue],
-    prefix: str,
-    ids: Sequence[int],
-    cfg: ModelConfig,
-    context: DiffValue | None,
-    causal: bool,
-    cache: KVCache | None,
-) -> np.ndarray:
-    """sequence_forward's graph ops as plain numpy, in the same order."""
-    start = 0 if cache is None else cache.length
-    n = start + len(ids)
-    table = params[f"{prefix}.embed"].data
-    x = table[ad.row_index(table, ids)]
-    x = x + params[f"{prefix}.pos"].data[start:n]
+    # Without a graph every op below runs on plain arrays; `@` and `+` work on
+    # both, and the ops spelled twice compute the same numbers in the same order.
+    pos = params[side + "pos"].data[start:n]
+    if needs_graph:
+        x = ad.add(ad.rows(params[side + "embed"], ids), ad.value(pos))
+    else:
+        table = params[side + "embed"].data
+        x = table[ad.row_index(table, ids)] + pos
     if context is not None:
-        x = x + context.data[None, :]
+        x = ad.add_row_vector(x, context) if needs_graph else x + context.data[None, :]
     inv_sqrt_dh = 1.0 / math.sqrt(cfg.head_dim)
     # One new query row needs no causal mask: every cached position precedes it.
     row_softmax = ad.causal_softmax_rows if causal and cache is None else ad.softmax_rows
     for b in range(cfg.n_blocks):
         attn_sum = None
         for h in range(cfg.n_heads):
-            base = f"{prefix}.b{b}.h{h}"
-            q = x @ params[f"{base}.wq"].data
-            k = x @ params[f"{base}.wk"].data
-            v = x @ params[f"{base}.wv"].data
+            base = f"{side}b{b}.h{h}."
+            q = x @ weight(base + "wq")
+            k = x @ weight(base + "wk")
+            v = x @ weight(base + "wv")
             if cache is not None:
                 cache.keys[b, h, start:n] = k
                 cache.values[b, h, start:n] = v
-                k = cache.keys[b, h, :n]
-                v = cache.values[b, h, :n]
-            # ad.transpose copies, and BLAS can round q @ k.T differently from
-            # q @ k.T.copy(), so the copy keeps the two paths bit-identical.
-            scores = (q @ k.T.copy()) * inv_sqrt_dh
-            attended = row_softmax(ad.value(scores)).data @ v
-            head_out = attended @ params[f"{base}.wo"].data
+                k, v = cache.keys[b, h, :n], cache.values[b, h, :n]
+            if needs_graph:
+                probs = row_softmax(ad.scale(q @ ad.transpose(k), inv_sqrt_dh))
+            else:
+                # ad.transpose copies, and BLAS can round q @ k.T differently
+                # from q @ k.T.copy(), so the copy keeps the two modes bit-identical.
+                probs = row_softmax(ad.value((q @ k.T.copy()) * inv_sqrt_dh)).data
+            head_out = (probs @ v) @ weight(base + "wo")
             attn_sum = head_out if attn_sum is None else attn_sum + head_out
         x = x + attn_sum
-        hidden = np.tanh(x @ params[f"{prefix}.b{b}.ffn.w1"].data)
-        x = x + hidden @ params[f"{prefix}.b{b}.ffn.w2"].data
+        hidden = x @ weight(f"{side}b{b}.ffn.w1")
+        hidden = ad.tanh(hidden) if needs_graph else np.tanh(hidden)
+        x = x + hidden @ weight(f"{side}b{b}.ffn.w2")
     if cache is not None:
         cache.length = n
-    return x
+    return x if needs_graph else ad.value(x)
 
 
 class Encoding(NamedTuple):
@@ -233,10 +214,6 @@ class EncoderDecoderLM:
         params = init_side_params("enc", cfg, vocab.size, rng)
         params.update(init_side_params("dec", cfg, vocab.size, rng))
         return cls(vocab, cfg, params)
-
-    @property
-    def embed_dim(self) -> int:
-        return self.cfg.embed_dim
 
     def trainable(self) -> list[DiffValue]:
         return [p for p in self.params.values() if p.requires_grad]
@@ -327,12 +304,16 @@ class PretrainConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.max_grad_norm <= 0:
-            raise ContractError(f"pretrain learning_rate {self.learning_rate} and "
-                                f"max_grad_norm {self.max_grad_norm} must be positive")
-        if self.max_epochs < 1 or self.prefix_noise_max < 1:
-            raise ContractError(f"pretrain max_epochs {self.max_epochs} and "
-                                f"prefix_noise_max {self.prefix_noise_max} must be >= 1")
+        if self.learning_rate <= 0 or self.max_grad_norm <= 0 or self.convergence_tol <= 0:
+            raise ContractError(f"pretrain learning_rate {self.learning_rate}, max_grad_norm "
+                                f"{self.max_grad_norm} and convergence_tol "
+                                f"{self.convergence_tol} must be positive")
+        if self.max_epochs < 1 or self.prefix_noise_max < 1 or self.stall_window < 1:
+            raise ContractError(f"pretrain max_epochs {self.max_epochs}, prefix_noise_max "
+                                f"{self.prefix_noise_max} and stall_window {self.stall_window} "
+                                f"must be >= 1")
+        if not 0 <= self.prefix_noise_prob <= 1:
+            raise ContractError(f"pretrain prefix_noise_prob {self.prefix_noise_prob} must be in [0, 1]")
         if self.encoder_train_epochs < 0 or self.seed < 0:
             raise ContractError(f"pretrain encoder_train_epochs {self.encoder_train_epochs} "
                                 f"and seed {self.seed} must be >= 0")

@@ -28,8 +28,6 @@ def _check_params(params: Sequence[DiffValue]) -> tuple[DiffValue, ...]:
 class GradientDescent:
     """theta <- theta - lr * grad."""
 
-    rule = "sgd"
-
     def __init__(self, params: Sequence[DiffValue], learning_rate: float = 1e-3):
         if learning_rate <= 0:
             raise ContractError(f"learning_rate must be positive, got {learning_rate}")
@@ -48,8 +46,6 @@ class GradientDescent:
 
 class Adam:
     """Adaptive-moment rule with bias-corrected first and second moments."""
-
-    rule = "adam"
 
     def __init__(
         self,
@@ -85,11 +81,3 @@ class Adam:
             p.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
             if g is not None:
                 p.grad[...] = 0.0
-
-
-def make_optimizer(rule: str, params: Sequence[DiffValue], learning_rate: float):
-    if rule == "sgd":
-        return GradientDescent(params, learning_rate)
-    if rule == "adam":
-        return Adam(params, learning_rate)
-    raise ContractError(f"unknown optimizer rule {rule!r} (expected 'sgd' or 'adam')")

@@ -7,7 +7,7 @@ import pytest
 
 from promptcal import autodiff as ad
 from promptcal.errors import ContractError, ShapeError
-from promptcal.optim import Adam, GradientDescent, make_optimizer
+from promptcal.optim import Adam, GradientDescent
 
 
 def finite_difference_check(build_loss, params, rng, h=1e-5, rel_tol=1e-4, abs_tol=1e-8,
@@ -498,8 +498,8 @@ class TestOptimizers:
 
     def test_adam_moments_exist_only_for_adaptive_rule(self):
         theta = ad.param(np.float64(0.0))
-        sgd = make_optimizer("sgd", [theta], 0.1)
-        adam = make_optimizer("adam", [theta], 0.1)
+        sgd = GradientDescent([theta], 0.1)
+        adam = Adam([theta], 0.1)
         assert not hasattr(sgd, "_m")
         assert len(adam._m) == 1 and len(adam._v) == 1
 

@@ -85,6 +85,7 @@ class TestCalibrationConfig:
         ("max_epochs", 0),
         ("convergence_tol", 0.0),
         ("seed", -1),
+        ("stall_window", 0),
     ])
     def test_invalid_value_rejected(self, field, value):
         with pytest.raises(ContractError):

@@ -352,6 +352,22 @@ BAD_VALUE_CASES = [
                  "--soft-lengths", id="evaluate-soft-length-not-an-integer"),
     pytest.param(bad_value("evaluate", "report_dir", "--soft-lengths", "2,,3"), 2,
                  "--soft-lengths", id="evaluate-soft-length-empty-entry"),
+    pytest.param(bad_value("evaluate", "report_dir", "--soft-lengths", "99"), 2,
+                 "soft token length 99 out of range", id="evaluate-soft-length-over-token"),
+    pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "embed_noise_std=-1"), 2,
+                 "embed_noise_std -1", id="pretrain-negative-embed-noise-std"),
+    pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "embed_bias_std=-1"), 2,
+                 "embed_bias_std -1", id="pretrain-negative-embed-bias-std"),
+    pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "ffn_dim=0"), 2,
+                 "ffn_dim 0", id="pretrain-ffn-dim-0"),
+    pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "decode_max_len=0"), 2,
+                 "decode_max_len 0", id="pretrain-decode-max-len-0"),
+    pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "pretrain_tol=-1"), 2,
+                 "convergence_tol -1", id="pretrain-negative-tol"),
+    pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "prefix_noise_prob=-1"), 2,
+                 "prefix_noise_prob -1", id="pretrain-prefix-noise-prob-below-0"),
+    pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "prefix_noise_prob=2"), 2,
+                 "prefix_noise_prob 2", id="pretrain-prefix-noise-prob-above-1"),
     pytest.param(lambda src_tmp, cfg, tmp_path: summarize_argv(cfg, "no edema.", "--set",
                                                                "distance=bogus"),
                  2, "unknown distance 'bogus'", id="summarize-unknown-distance"),

@@ -359,13 +359,26 @@ class TestPretrain:
         ("max_grad_norm", 0.0),
         ("learning_rate", 0.0),
         ("learning_rate", -1e-3),
+        ("convergence_tol", 0.0),
+        ("convergence_tol", -1.0),
+        ("stall_window", 0),
+        ("prefix_noise_prob", -1.0),
+        ("prefix_noise_prob", 2.0),
+        ("ffn_dim", 0),
+        ("decode_max_len", 0),
+        ("embed_bias_std", -1.0),
+        ("embed_noise_std", -1.0),
     ])
     def test_invalid_config_rejected(self, field, value):
+        config = ModelConfig if field in ModelConfig.__dataclass_fields__ else PretrainConfig
         with pytest.raises(ContractError, match=f"{field} {value}"):
-            PretrainConfig(**{field: value})
+            config(**{field: value})
 
     def test_config_bounds_are_inclusive(self):
-        PretrainConfig(seed=0, max_epochs=1, encoder_train_epochs=0, prefix_noise_max=1)
+        PretrainConfig(seed=0, max_epochs=1, encoder_train_epochs=0, prefix_noise_max=1,
+                       stall_window=1, prefix_noise_prob=0.0)
+        PretrainConfig(prefix_noise_prob=1.0, model=ModelConfig(
+            ffn_dim=1, decode_max_len=1, embed_bias_std=0.0, embed_noise_std=0.0))
 
     def test_frozen_params_reject_gradient_machinery(self, lm):
         assert all(not p.requires_grad for p in lm.params.values())
