@@ -13,6 +13,7 @@ from .calibration import (
     decode_soft_prompt,
     encode_soft,
     summarize,
+    summarize_many,
     train_calibrator,
 )
 from .corpus import CorpusRecord, bundled_test_corpus, bundled_train_corpus, generate_corpus
@@ -44,6 +45,7 @@ __all__ = [
     "decode_soft_prompt",
     "encode_soft",
     "summarize",
+    "summarize_many",
     "train_calibrator",
     "CorpusRecord",
     "bundled_test_corpus",

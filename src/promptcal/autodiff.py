@@ -233,10 +233,11 @@ def row_index(table: Array, ids: Sequence[int]) -> Array:
     idx = np.asarray(ids, dtype=np.intp)
     if idx.ndim != 1 or idx.size == 0:
         raise ShapeError("rows requires a non-empty 1-D index list")
-    if idx.min() < 0 or idx.max() >= table.shape[0]:
+    # Python's min and max over the ids cost less than two numpy reductions.
+    lo, hi = min(ids), max(ids)
+    if lo < 0 or hi >= table.shape[0]:
         raise ContractError(
-            f"row index out of range: table has {table.shape[0]} rows, got ids "
-            f"[{idx.min()}, {idx.max()}]"
+            f"row index out of range: table has {table.shape[0]} rows, got ids [{lo}, {hi}]"
         )
     return idx
 
@@ -329,9 +330,10 @@ def softmax_rows(m: DiffValue) -> DiffValue:
     """Row-wise stabilized softmax of a matrix."""
     if m.data.ndim != 2 or 0 in m.shape:
         raise ShapeError(f"softmax_rows requires a non-empty matrix, got shape {m.shape}")
-    shifted = m.data - m.data.max(axis=1, keepdims=True)
+    # The ufunc reductions skip ndarray.max/sum's Python wrappers; same numbers.
+    shifted = m.data - np.maximum.reduce(m.data, axis=1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = e / np.add.reduce(e, axis=1, keepdims=True)
 
     def _bw(g, acc):
         acc(m, s * (g - (g * s).sum(axis=1, keepdims=True)))

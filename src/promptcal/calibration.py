@@ -19,7 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DiffValue
 from .errors import ContractError, TrainingError
-from .model import ConvergenceRule, EncoderDecoderLM, sequence_forward
+from .model import (ConvergenceRule, EncoderDecoderLM, at_least_one, check_fields, non_negative,
+                    positive, sequence_forward)
 from .optim import Adam
 from .vocab import UNK_ID, TokenSequence, Vocabulary, concat, sep_sequence, tokenize
 
@@ -83,11 +84,9 @@ class CalibrationConfig:
             raise ContractError(f"unknown distance {self.distance!r}")
         if self.separator_policy not in SEPARATOR_POLICIES:
             raise ContractError(f"unknown separator policy {self.separator_policy!r}")
-        if (self.learning_rate <= 0 or self.max_epochs <= 0 or self.convergence_tol <= 0
-                or self.stall_window <= 0):
-            raise ContractError("learning_rate, max_epochs, convergence_tol, stall_window must be positive")
-        if self.seed < 0:
-            raise ContractError(f"calibration seed {self.seed} must be >= 0")
+        check_fields(self, positive, "must be positive and finite", "learning_rate", "convergence_tol")
+        check_fields(self, at_least_one, "must be >= 1", "max_epochs", "stall_window")
+        check_fields(self, non_negative, "must be >= 0", "seed")
 
 
 class SoftPromptEncoder:
@@ -246,6 +245,36 @@ def decode_soft_prompt(
     return TokenSequence(tuple(chosen), surface=surface)
 
 
+def summarize_many(
+    notes: Sequence[TokenSequence],
+    t_llm: TokenSequence,
+    lm: EncoderDecoderLM,
+    calibration: tuple[np.ndarray, SoftPromptToken] | None = None,
+    max_len: int | None = None,
+    policy: str = "prompt_first",
+) -> tuple[TokenSequence, ...]:
+    """Greedy summaries of several prompted notes, optionally with the invariant soft prefix.
+
+    calibration is (soft vector, soft token) as train_calibrator and
+    load_calibrator give them; its prefix is decoded once and goes before each
+    prompted note. Notes are ragged, so each is encoded on its own; the pooled
+    contexts then go to one lockstep decode_greedy call. Each summary equals,
+    token for token, summarizing that note alone.
+    """
+    if not notes:
+        raise ContractError("summarize_many requires at least one note")
+    if not lm.frozen:
+        raise ContractError("summarize requires a frozen model")
+    prefix = decode_soft_prompt(*calibration, lm) if calibration is not None else None
+    pooled = []
+    for t_org in notes:
+        joined = join_prompted(t_llm, t_org, policy)
+        if prefix is not None:
+            joined = concat(prefix, joined)
+        pooled.append(lm.encode(joined).pooled.data)
+    return lm.decode_greedy(np.stack(pooled), max_len=max_len).rows
+
+
 def summarize(
     t_org: TokenSequence,
     t_llm: TokenSequence,
@@ -254,17 +283,5 @@ def summarize(
     max_len: int | None = None,
     policy: str = "prompt_first",
 ) -> TokenSequence:
-    """Greedy summary of prompted notes, optionally with the invariant soft prefix.
-
-    calibration is (soft vector, soft token) as train_calibrator and
-    load_calibrator give them; its decoded prefix goes before the prompted notes.
-    """
-    if not t_org.ids:
-        raise ContractError("input notes must be non-empty")
-    if not lm.frozen:
-        raise ContractError("summarize requires a frozen model")
-    joined = join_prompted(t_llm, t_org, policy)
-    if calibration is not None:
-        joined = concat(decode_soft_prompt(*calibration, lm), joined)
-    pooled = lm.encode(joined).pooled
-    return lm.decode_greedy(pooled, max_len=max_len)
+    """Greedy summary of prompted notes: summarize_many's one-note case."""
+    return summarize_many([t_org], t_llm, lm, calibration, max_len=max_len, policy=policy)[0]

@@ -28,7 +28,7 @@ from .calibration import (
 )
 from .checkpoint import load_calibrator, load_model, save_calibrator, save_model
 from .corpus import atomic_write, generate_corpus, load_corpus, save_corpus
-from .errors import CheckpointError, ContractError, ShapeError, TrainingError
+from .errors import CheckpointError, ConfigError, ContractError, ShapeError, TrainingError
 from .harness import (
     PromptEnsemble,
     compare_runs,
@@ -133,12 +133,21 @@ def load_pipeline_config(
             raise ContractError(f"unknown config key {key!r}")
         cls, name = LIBRARY_KEYS.get(key, (PipelineConfig, key))
         values[cls][name] = _coerce(key, raw)
-    cfg = PipelineConfig(**values[PipelineConfig])
-    model = ModelConfig(**values[ModelConfig])
+
+    def build(cls: type, **fixed):
+        try:
+            return cls(**values[cls], **fixed)
+        except ConfigError as exc:  # name the key that was set, not the field it maps to
+            key = next((k for k, target in LIBRARY_KEYS.items() if target == (cls, exc.field)), None)
+            if key is None:
+                raise
+            raise ConfigError(key, exc.value, exc.requirement) from None
+
+    cfg = build(PipelineConfig)
     return (
         cfg,
-        PretrainConfig(**values[PretrainConfig], seed=cfg.seed, model=model),
-        CalibrationConfig(**values[CalibrationConfig], seed=cfg.seed),
+        build(PretrainConfig, seed=cfg.seed, model=build(ModelConfig)),
+        build(CalibrationConfig, seed=cfg.seed),
     )
 
 

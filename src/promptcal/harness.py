@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calibration import CalibrationConfig, SoftPromptToken, summarize, train_calibrator
+from .calibration import CalibrationConfig, SoftPromptToken, summarize_many, train_calibrator
 from .corpus import CorpusRecord, corpus_digest, require_impressions
 from .errors import ContractError
 from .model import EncoderDecoderLM
@@ -101,21 +101,22 @@ def evaluate_prompt(
 ) -> tuple[float, float, float]:
     """Corpus-mean F1 of each ROUGE variant for one prompt string.
 
-    summarize_fn overrides the model pipeline (used by tests to substitute a
-    stub); by default each record goes through summarize.
+    By default the corpus goes through one summarize_many call, which decodes
+    the notes in lockstep. summarize_fn overrides the model pipeline with a
+    function called once per record, in corpus order (tests use it to
+    substitute a stub).
     """
     if not corpus:
         raise ContractError("evaluation corpus must be non-empty")
     require_impressions(corpus)
-    if summarize_fn is None:
-        def summarize_fn(t_org: TokenSequence, t_llm: TokenSequence) -> TokenSequence:
-            return summarize(t_org, t_llm, lm, calibration, max_len=max_len, policy=policy)
-
     prompt_seq = tokenize(prompt, lm.vocab)
+    notes = [tokenize(r.findings, lm.vocab) for r in corpus]
+    if summarize_fn is None:
+        summaries = summarize_many(notes, prompt_seq, lm, calibration, max_len=max_len, policy=policy)
+    else:
+        summaries = [summarize_fn(t_org, prompt_seq) for t_org in notes]
     totals = [0.0, 0.0, 0.0]
-    for r in corpus:
-        notes = tokenize(r.findings, lm.vocab)
-        summary_ids = summarize_fn(notes, prompt_seq)
+    for r, summary_ids in zip(corpus, summaries):
         summary_text = detokenize(summary_ids, lm.vocab)
         scores = rouge_suite(r.impression, summary_text)
         for i, variant in enumerate(VARIANTS):

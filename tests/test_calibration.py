@@ -17,6 +17,7 @@ from promptcal.calibration import (
     encode_soft,
     join_prompted,
     summarize,
+    summarize_many,
     train_calibrator,
 )
 from promptcal.errors import ContractError, TrainingError
@@ -86,6 +87,10 @@ class TestCalibrationConfig:
         ("convergence_tol", 0.0),
         ("seed", -1),
         ("stall_window", 0),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("convergence_tol", float("nan")),
+        ("convergence_tol", float("inf")),
     ])
     def test_invalid_value_rejected(self, field, value):
         with pytest.raises(ContractError):
@@ -398,6 +403,23 @@ class TestSummarize:
     def test_length_bounded(self, lm):
         out = summarize(notes(lm), prompt(lm), lm, max_len=5)
         assert len(out.ids) <= 5
+
+    @pytest.mark.parametrize("policy, max_len", [("prompt_first", None), ("notes_first", 5)])
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["baseline", "calibrated"])
+    def test_summarize_many_equals_summarize_per_note(self, lm, trained_soft, tok, tiny_corpus,
+                                                      calibrated, policy, max_len):
+        # 20 notes: one full lockstep group and a partial one
+        many_notes = [tokenize(r.findings, lm.vocab) for r in tiny_corpus[:20]]
+        t_llm = prompt(lm)
+        calibration = (trained_soft, tok) if calibrated else None
+        got = summarize_many(many_notes, t_llm, lm, calibration, max_len=max_len, policy=policy)
+        assert got == tuple(summarize(t, t_llm, lm, calibration, max_len=max_len, policy=policy)
+                            for t in many_notes)
+
+    @pytest.mark.parametrize("many_notes", [[], [TokenSequence(())]], ids=["no notes", "empty note"])
+    def test_summarize_many_rejects_missing_notes(self, lm, many_notes):
+        with pytest.raises(ContractError):
+            summarize_many(many_notes, prompt(lm), lm)
 
     def test_empty_notes_rejected(self, lm):
         with pytest.raises(ContractError):

@@ -343,7 +343,7 @@ BAD_VALUE_CASES = [
     pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "prefix_noise_max=0"), 2,
                  "prefix_noise_max 0", id="pretrain-prefix-noise-max-0"),
     pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "pretrain_max_epochs=0"), 2,
-                 "max_epochs 0", id="pretrain-max-epochs-0"),
+                 "pretrain_max_epochs 0", id="pretrain-max-epochs-0"),
     pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "encoder_train_epochs=-1"), 2,
                  "encoder_train_epochs -1", id="pretrain-negative-encoder-epochs"),
     pytest.param(bad_value("evaluate", "report_dir", "--set", "report_format=xml"), 2,
@@ -363,11 +363,17 @@ BAD_VALUE_CASES = [
     pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "decode_max_len=0"), 2,
                  "decode_max_len 0", id="pretrain-decode-max-len-0"),
     pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "pretrain_tol=-1"), 2,
-                 "convergence_tol -1", id="pretrain-negative-tol"),
+                 "pretrain_tol -1", id="pretrain-negative-tol"),
     pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "prefix_noise_prob=-1"), 2,
                  "prefix_noise_prob -1", id="pretrain-prefix-noise-prob-below-0"),
     pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "prefix_noise_prob=2"), 2,
                  "prefix_noise_prob 2", id="pretrain-prefix-noise-prob-above-1"),
+    pytest.param(bad_value("calibrate", "calibrator_checkpoint", "--set", "convergence_tol=nan"), 2,
+                 "convergence_tol nan", id="calibrate-nan-tol"),
+    pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "embed_noise_std=nan"), 2,
+                 "embed_noise_std nan", id="pretrain-nan-embed-noise-std"),
+    pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "pretrain_learning_rate=nan"), 2,
+                 "pretrain_learning_rate nan", id="pretrain-nan-learning-rate"),
     pytest.param(lambda src_tmp, cfg, tmp_path: summarize_argv(cfg, "no edema.", "--set",
                                                                "distance=bogus"),
                  2, "unknown distance 'bogus'", id="summarize-unknown-distance"),

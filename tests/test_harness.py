@@ -208,6 +208,26 @@ class TestEvaluatePrompt:
         expected = tuple(t / len(corpus) for t in totals)
         assert got == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["baseline", "calibrated"])
+    def test_default_path_equals_per_note_summarize_bit_for_bit(self, tiny_lm, calibrated):
+        from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT, SoftPromptToken, summarize
+
+        corpus = generate_corpus(20, seed=43)
+        calibration = None
+        if calibrated:
+            soft = np.random.default_rng(0).normal(size=tiny_lm.cfg.embed_dim)
+            calibration = (soft, SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, tiny_lm.vocab))
+        prompt = "summarize the following clinical notes."
+        calls = []
+
+        def per_note(t_org, t_llm):
+            calls.append(t_org)
+            return summarize(t_org, t_llm, tiny_lm, calibration)
+
+        expected = evaluate_prompt(tiny_lm, calibration, prompt, corpus, summarize_fn=per_note)
+        assert evaluate_prompt(tiny_lm, calibration, prompt, corpus) == expected
+        assert len(calls) == len(corpus)
+
     def test_missing_impression_names_record(self, tiny_lm):
         bad = [CorpusRecord(id="rec-9", findings="no edema.", impression="")]
         with pytest.raises(ContractError, match="rec-9"):

@@ -1,6 +1,11 @@
 """Surrogate model tests: encoding, greedy decoding, projection, pretraining,
 and the freeze contract."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +13,8 @@ from promptcal import autodiff as ad
 from promptcal.corpus import generate_corpus
 from promptcal.errors import ContractError, ShapeError
 from promptcal.model import (
+    LOCKSTEP_ROWS,
+    DecodedRows,
     EncoderDecoderLM,
     KVCache,
     ModelConfig,
@@ -287,6 +294,164 @@ class TestInferencePath:
             sequence_forward(params, "dec", ids, lm.cfg, causal=True, cache=cache)
 
 
+# (d, head_dim, ffn_dim, vocabulary size): the default config with the bundled
+# corpus's vocabulary, and the tiny test model.
+PRODUCT_DIMS = [(64, 32, 64, 175), (16, 8, 16, 120)]
+
+
+def weight_shapes(d, dh, ffn, vocab_size):
+    """Every weight shape the decoder multiplies a row by."""
+    return [(d, dh), (dh, d), (d, ffn), (ffn, d), (d, vocab_size)]
+
+
+class TestStackedProducts:
+    """Lockstep decoding's premise: the stacked products round each row as a 1-row product does."""
+
+    @pytest.mark.parametrize("shape", sorted({s for dims in PRODUCT_DIMS for s in weight_shapes(*dims)}))
+    def test_stacked_product_equals_one_row_products(self, shape):
+        rng = np.random.default_rng(shape)
+        w = rng.normal(size=shape)
+        for rows in range(1, 60):
+            x = rng.normal(size=(rows, shape[0]))
+            one_row = np.concatenate([x[i:i + 1] @ w for i in range(rows)])
+            np.testing.assert_array_equal((x[:, None, :] @ w)[:, 0], one_row)
+
+    @pytest.mark.parametrize("head_dim", sorted({dims[1] for dims in PRODUCT_DIMS}))
+    def test_batched_attention_equals_per_row(self, head_dim):
+        # keys and values laid out as in KVCache: position-major, read row-major
+        rng = np.random.default_rng(head_dim)
+        max_seq_len = 25
+        for rows in (1, 2, 7, LOCKSTEP_ROWS):
+            store = rng.normal(size=(2, max_seq_len, LOCKSTEP_ROWS, head_dim)).swapaxes(1, 2)
+            q = rng.normal(size=(rows, 1, head_dim))
+            for n in range(1, max_seq_len + 1):
+                keys, values = store[0, :rows, :n], store[1, :rows, :n]
+                scores = (q @ keys.swapaxes(-1, -2).copy())[:, 0]
+                probs = ad.softmax_rows(ad.value(scores)).data
+                mixed = (probs[:, None, :] @ values)[:, 0]
+                for i in range(rows):
+                    row_keys = np.ascontiguousarray(keys[i])
+                    row_scores = q[i] @ row_keys.T.copy()
+                    row_probs = ad.softmax_rows(ad.value(row_scores)).data
+                    np.testing.assert_array_equal(scores[i], row_scores[0])
+                    np.testing.assert_array_equal(probs[i], row_probs[0])
+                    np.testing.assert_array_equal(mixed[i], (row_probs @ np.ascontiguousarray(values[i]))[0])
+
+
+def numpy_blas_name() -> str:
+    try:
+        return str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"])
+    except (TypeError, KeyError):  # numpy < 1.26 has no dict form
+        return "unknown"
+
+
+@pytest.mark.skipif("openblas" not in numpy_blas_name().lower(), reason="numpy's BLAS is not OpenBLAS")
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge", "Nehalem"])
+def test_stacked_products_hold_under_other_blas_kernels(coretype):
+    """The premise above, rerun in a child process that forces another OpenBLAS kernel."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=coretype, OPENBLAS_NUM_THREADS="1")
+    root = Path(__file__).resolve().parent.parent
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::TestStackedProducts"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert child.returncode == 0, child.stdout[-3000:] + child.stderr[-3000:]
+
+
+@pytest.fixture(scope="module")
+def stopping_lm():
+    """A random model whose EOS column is scaled so that rows stop on many different steps."""
+    cfg = ModelConfig(embed_dim=16, n_blocks=2, n_heads=2, ffn_dim=16, max_seq_len=12)
+    lm = EncoderDecoderLM.initialize(Vocabulary([f"w{i}" for i in range(40)]), cfg, seed=3)
+    lm.params["dec.out"].data[:, EOS_ID] *= 1.5
+    lm.freeze()
+    contexts = np.random.default_rng(3).normal(size=(50, cfg.embed_dim)) * 2
+    return lm, contexts
+
+
+class TestLockstepDecode:
+    @pytest.mark.parametrize("max_len", [6, 20], ids=["max_len", "max_seq_len"])
+    def test_rows_stop_at_eos_max_len_and_max_seq_len_on_different_steps(self, stopping_lm, max_len):
+        lm, contexts = stopping_lm
+        rows = lm.decode_greedy(contexts, max_len=max_len).rows
+        eos_steps = {len(r.ids) for r in rows if r.ids[-1] == EOS_ID}
+        cut = [len(r.ids) for r in rows if r.ids[-1] != EOS_ID]
+        assert len(eos_steps) >= 4
+        assert cut and set(cut) == {min(max_len, lm.cfg.max_seq_len - 1)}
+
+    @pytest.mark.parametrize("max_len", [6, 20], ids=["max_len", "max_seq_len"])
+    @pytest.mark.parametrize("n_rows", [1, 2, 7, 16, 17, 50])
+    def test_matrix_decode_equals_per_row_decode_and_oracle(self, stopping_lm, n_rows, max_len):
+        lm, contexts = stopping_lm
+        decoded = lm.decode_greedy(contexts[:n_rows], max_len=max_len)
+        assert isinstance(decoded, DecodedRows) and len(decoded.rows) == n_rows
+        for ctx, row in zip(contexts, decoded.rows):
+            assert row.ids == lm.decode_greedy(ctx, max_len=max_len).ids
+            assert row.ids == recompute_greedy(lm, ctx, max_len)
+        assert decoded.lengths == tuple(len(row.ids) for row in decoded.rows)
+        assert decoded.ids == sum((row.ids for row in decoded.rows), ())
+
+    def test_vector_gives_a_token_sequence(self, stopping_lm):
+        lm, contexts = stopping_lm
+        out = lm.decode_greedy(contexts[0])
+        assert isinstance(out, TokenSequence)
+        assert (out,) == lm.decode_greedy(contexts[:1]).rows
+
+    @pytest.mark.parametrize("shape", [(0, 16), (2, 15), (2, 16, 1), (15,)])
+    def test_bad_context_shape_rejected(self, stopping_lm, shape):
+        lm, _ = stopping_lm
+        with pytest.raises(ShapeError, match="context"):
+            lm.decode_greedy(np.zeros(shape))
+
+    def test_cached_context_must_match_live_rows(self, stopping_lm):
+        lm, contexts = stopping_lm
+        with pytest.raises(ShapeError, match="context"):
+            sequence_forward(lm.params, "dec", [BOS_ID] * 2, lm.cfg, context=ad.value(contexts[:3]),
+                             causal=True, cache=KVCache(lm.cfg, rows=2))
+
+    @pytest.mark.parametrize("n_rows", [2, 7, LOCKSTEP_ROWS])
+    def test_lockstep_steps_are_bit_identical_to_one_row_steps(self, n_rows):
+        # default widths; halfway, every other row ends and the cache compacts
+        lm = small_lm(2)
+        rng = np.random.default_rng(n_rows)
+        contexts = rng.normal(size=(n_rows, lm.cfg.embed_dim))
+        steps = rng.integers(4, lm.vocab.size, size=(lm.cfg.max_seq_len, n_rows))
+        steps[0] = BOS_ID
+        live = list(range(n_rows))
+        lockstep, alone = KVCache(lm.cfg, rows=n_rows), [KVCache(lm.cfg) for _ in live]
+        for n, step in enumerate(steps):
+            if n == lm.cfg.max_seq_len // 2:
+                lockstep.keep(list(range(0, len(live), 2)))
+                live = live[::2]
+            rows = sequence_forward(lm.params, "dec", step[live].tolist(), lm.cfg,
+                                    context=ad.value(contexts[live]), causal=True, cache=lockstep).data
+            for slot, i in enumerate(live):
+                row = sequence_forward(lm.params, "dec", [int(step[i])], lm.cfg,
+                                       context=ad.value(contexts[i]), causal=True, cache=alone[i]).data
+                np.testing.assert_array_equal(rows[slot], row[0])
+
+    def test_cache_refuses_a_position_beyond_its_capacity(self, stopping_lm):
+        lm, _ = stopping_lm
+        cache = KVCache(lm.cfg, positions=2)
+        for token in (BOS_ID, 5):
+            sequence_forward(lm.params, "dec", [token], lm.cfg, causal=True, cache=cache)
+        with pytest.raises(ShapeError, match="cache's 2 positions"):
+            sequence_forward(lm.params, "dec", [6], lm.cfg, causal=True, cache=cache)
+
+    def test_compaction_keeps_the_live_rows_in_order(self, stopping_lm):
+        lm, contexts = stopping_lm
+        cache = KVCache(lm.cfg, rows=4)
+        for token in (BOS_ID, 5, 6):
+            sequence_forward(lm.params, "dec", [token] * 4, lm.cfg, context=ad.value(contexts[:4]),
+                             causal=True, cache=cache)
+        keys = cache.keys[:, :, :4, :3].copy()
+        cache.keep([1, 3])
+        assert cache.rows == 2 and cache.length == 3
+        np.testing.assert_array_equal(cache.keys[:, :, :2, :3], keys[:, :, [1, 3]])
+
+
 class TestNearestToken:
     def test_exact_row_recovered(self, lm):
         tid = lm.vocab.id_of("no")
@@ -368,6 +533,20 @@ class TestPretrain:
         ("decode_max_len", 0),
         ("embed_bias_std", -1.0),
         ("embed_noise_std", -1.0),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+        ("max_grad_norm", float("nan")),
+        ("convergence_tol", float("nan")),
+        ("convergence_tol", float("inf")),
+        ("prefix_noise_prob", float("nan")),
+        ("embed_bias_std", float("nan")),
+        ("embed_noise_std", float("nan")),
+        ("embed_noise_std", float("inf")),
+        ("pos_scale", float("nan")),
+        ("pos_scale", float("-inf")),
+        ("n_heads", 0),
+        ("embed_dim", 63),
+        ("n_blocks", -1),
     ])
     def test_invalid_config_rejected(self, field, value):
         config = ModelConfig if field in ModelConfig.__dataclass_fields__ else PretrainConfig
