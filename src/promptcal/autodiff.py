@@ -89,19 +89,20 @@ def _record(data: Array, parents: Sequence[DiffValue], backward_fn: _BackwardFn)
 
 def _topological_order(root: DiffValue) -> list[DiffValue]:
     order: list[DiffValue] = []
-    visited: set[int] = set()
+    # DiffValue hashes by identity, so nodes key the sets and dicts directly.
+    visited: set[DiffValue] = set()
     stack: list[tuple[DiffValue, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for parent in node._parents:
-            if parent.requires_grad and id(parent) not in visited:
+            if parent.requires_grad and parent not in visited:
                 stack.append((parent, False))
     return order
 
@@ -117,17 +118,16 @@ def backward(loss: DiffValue) -> None:
     if not loss.requires_grad:
         return
     order = _topological_order(loss)
-    local: dict[int, Array] = {id(loss): np.ones((), dtype=np.float64)}
+    local: dict[DiffValue, Array] = {loss: np.ones((), dtype=np.float64)}
 
     def accumulate(parent: DiffValue, contribution: Array) -> None:
         if not parent.requires_grad:
             return
-        key = id(parent)
-        existing = local.get(key)
-        local[key] = contribution if existing is None else existing + contribution
+        existing = local.get(parent)
+        local[parent] = contribution if existing is None else existing + contribution
 
     for node in reversed(order):
-        g = local.pop(id(node), None)
+        g = local.pop(node, None)
         if g is None:
             continue
         if node.grad is None:
@@ -294,9 +294,10 @@ def tanh(a: DiffValue) -> DiffValue:
 
 
 def _stable_softmax(x: Array) -> Array:
-    shifted = x - x.max()
+    # As in softmax_rows, the ufunc reductions skip ndarray.max/sum's wrappers.
+    shifted = x - np.maximum.reduce(x)
     e = np.exp(shifted)
-    return e / e.sum()
+    return e / np.add.reduce(e)
 
 
 def softmax(v: DiffValue) -> DiffValue:

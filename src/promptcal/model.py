@@ -62,7 +62,8 @@ class ModelConfig:
     pos_scale: float = 0.5
 
     def __post_init__(self):
-        check_fields(self, at_least_one, "must be >= 1", "n_heads", "ffn_dim", "decode_max_len")
+        check_fields(self, at_least_one, "must be >= 1",
+                     "n_heads", "ffn_dim", "max_seq_len", "decode_max_len")
         check_fields(self, lambda d: d > 0 and d % self.n_heads == 0,
                      f"must be a positive multiple of the head count {self.n_heads}", "embed_dim")
         check_fields(self, non_negative, "must be >= 0", "n_blocks")
@@ -436,7 +437,7 @@ def clip_gradients(params: Sequence[DiffValue], max_norm: float) -> None:
     for p in params:
         if p.grad is None:
             continue
-        norm = float(np.sqrt((p.grad * p.grad).sum()))
+        norm = math.sqrt(np.add.reduce(p.grad * p.grad, axis=None))
         if norm > max_norm:
             p.grad *= max_norm / norm
 
@@ -510,6 +511,7 @@ def pretrain(
         if epoch == encoder_epochs:
             freeze_encoder_side()
             trainable = lm.trainable()
+            del opt  # free the encoder-phase buffers before allocating the decoder-only ones
             opt = Adam(trainable, learning_rate=config.learning_rate)
         if rule.update(mean_loss):
             break

@@ -7,7 +7,7 @@ import pytest
 
 from promptcal import autodiff as ad
 from promptcal.errors import ContractError, ShapeError
-from promptcal.optim import Adam, GradientDescent
+from promptcal.optim import _CHUNK, Adam, GradientDescent
 
 
 def finite_difference_check(build_loss, params, rng, h=1e-5, rel_tol=1e-4, abs_tol=1e-8,
@@ -459,6 +459,116 @@ class TestDeterminism:
         assert run() == run()
 
 
+class OracleGradientDescent:
+    """The per-parameter gradient-descent loop: the flat rule must match it bit for bit."""
+
+    def __init__(self, params, learning_rate):
+        self.params = list(params)
+        self.learning_rate = float(learning_rate)
+        self.step_count = 0
+
+    def step(self):
+        for p in self.params:
+            if p.grad is None:
+                continue
+            p.data -= self.learning_rate * p.grad
+            p.grad[...] = 0.0
+        self.step_count += 1
+
+
+class OracleAdam:
+    """The per-parameter Adam loop (Kingma & Ba 2015): the flat rule must match it bit for bit."""
+
+    def __init__(self, params, learning_rate=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.learning_rate = float(learning_rate)
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.eps = float(eps)
+        self.step_count = 0
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1**t
+        bc2 = 1.0 - self.beta2**t
+        for p, m, v in zip(self.params, self._m, self._v):
+            g = p.grad
+            m *= self.beta1
+            v *= self.beta2
+            if g is not None:
+                m += (1.0 - self.beta1) * g
+                v += (1.0 - self.beta2) * g * g
+            p.data -= self.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if g is not None:
+                p.grad[...] = 0.0
+
+
+# 0-d, small and odd shapes, one parameter that straddles a chunk boundary and
+# one longer than a chunk, so the last chunk is partial.
+FLAT_SHAPES = [(), (5,), (_CHUNK - 3,), (4, 7), (_CHUNK + 2,), (3, 1, 2)]
+
+
+def twin_params(shapes, seed, grad_none=()):
+    """Two independent, equal lists of leaves; indices in grad_none start with no gradient."""
+    rng = np.random.default_rng(seed)
+    values = [rng.normal(size=shape) for shape in shapes]
+
+    def build():
+        out = []
+        for i, v in enumerate(values):
+            p = ad.param(v.copy())
+            if i in grad_none:
+                p.grad = None
+            out.append(p)
+        return out
+
+    return build(), build()
+
+
+@pytest.mark.parametrize("rule, oracle, kwargs", [
+    (Adam, OracleAdam, {"learning_rate": 2e-3}),
+    (Adam, OracleAdam, {"learning_rate": 0.3, "beta1": 0.5, "beta2": 0.9, "eps": 1e-3}),
+    (GradientDescent, OracleGradientDescent, {"learning_rate": 0.05}),
+], ids=["adam-default-betas", "adam-other-betas", "gradient-descent"])
+def test_flat_rule_equals_per_parameter_oracle(rule, oracle, kwargs):
+    flat_params, oracle_params = twin_params(FLAT_SHAPES, seed=41)
+    flat, ref = rule(flat_params, **kwargs), oracle(oracle_params, **kwargs)
+    rng = np.random.default_rng(42)
+    for step in range(50):
+        for i, (a, b) in enumerate(zip(flat_params, oracle_params)):
+            # Whole steps and single parameters with zero gradient, the rest random.
+            if step % 7 == 3 or (step + i) % 5 == 0:
+                continue
+            g = rng.normal(size=a.shape) * 10.0 ** rng.integers(-6, 2)
+            a.grad[...] = g
+            b.grad[...] = g
+        flat.step()
+        ref.step()
+    assert flat.step_count == ref.step_count == 50
+    for a, b in zip(flat_params, oracle_params):
+        assert a.data.tobytes() == b.data.tobytes()
+        assert a.grad.tobytes() == b.grad.tobytes()
+
+
+def test_flat_adam_matches_oracle_on_parameters_without_gradient():
+    # Without a gradient, the oracle still decays the moments and moves the parameter.
+    flat_params, oracle_params = twin_params([(3,), (2, 2), ()], seed=5, grad_none={1, 2})
+    flat, ref = Adam(flat_params, 0.1), OracleAdam(oracle_params, 0.1)
+    rng = np.random.default_rng(6)
+    for step in range(50):
+        if step < 10:
+            g = rng.normal(size=3)
+            flat_params[0].grad[...] = g
+            oracle_params[0].grad[...] = g
+        flat.step()
+        ref.step()
+    for a, b in zip(flat_params, oracle_params):
+        assert a.data.tobytes() == b.data.tobytes()
+
+
 class TestOptimizers:
     def test_sgd_hand_arithmetic(self):
         theta = ad.param(np.float64(1.0))
@@ -497,15 +607,49 @@ class TestOptimizers:
         assert opt.step_count == 500
 
     def test_adam_moments_exist_only_for_adaptive_rule(self):
-        theta = ad.param(np.float64(0.0))
-        sgd = GradientDescent([theta], 0.1)
-        adam = Adam([theta], 0.1)
+        sgd = GradientDescent([ad.param(np.float64(0.0))], 0.1)
+        adam = Adam([ad.param(np.float64(0.0)), ad.param(np.zeros((2, 3)))], 0.1)
         assert not hasattr(sgd, "_m")
-        assert len(adam._m) == 1 and len(adam._v) == 1
+        # One flat moment per trainable float, across all parameters.
+        assert adam._m.shape == adam._v.shape == (7,)
 
     def test_requires_grad_enforced(self):
         with pytest.raises(ContractError):
             GradientDescent([ad.value(np.float64(1.0))], 0.1)
+
+    @pytest.mark.parametrize("rule", [GradientDescent, Adam])
+    def test_parameter_listed_twice_rejected(self, rule):
+        theta = ad.param(np.ones(3))
+        with pytest.raises(ContractError, match="listed twice"):
+            rule([theta, ad.param(np.ones(2)), theta], 0.1)
+
+    @pytest.mark.parametrize("rule", [GradientDescent, Adam])
+    def test_construction_keeps_values_and_gradients(self, rule):
+        a, b = ad.param(np.arange(6.0).reshape(2, 3)), ad.param(np.float64(-2.5))
+        a.grad[...] = 1.5
+        a_data, b_data, a_grad = a.data.copy(), b.data.copy(), a.grad.copy()
+        rule([a, b], 0.1)
+        assert a.data.tobytes() == a_data.tobytes() and b.data.tobytes() == b_data.tobytes()
+        assert a.grad.tobytes() == a_grad.tobytes() and float(b.grad) == 0.0
+        assert a.data.shape == (2, 3) and b.data.shape == () == b.grad.shape
+
+    @pytest.mark.parametrize("rule", [GradientDescent, Adam])
+    def test_gradients_stay_the_optimizers_views(self, rule):
+        w, b = ad.param(np.ones((3, 2))), ad.param(np.zeros(2))
+        opt = rule([w, b], 0.1)
+        views = [(p.data, p.grad) for p in (w, b)]
+        for _ in range(3):
+            x = ad.value(np.arange(6.0).reshape(2, 3))
+            ad.backward(ad.sum_all(ad.add_row_vector(ad.matmul(x, w), b)))
+            assert float(np.abs(b.grad).sum()) > 0.0
+            opt.step()
+            ad.backward(ad.sum_all(ad.mul(b, b)))
+            ad.zero_grads([w, b])
+            for p, (data, grad) in zip((w, b), views):
+                assert p.data is data and p.grad is grad
+        # The views are slices of the optimizer's flat buffers, in list order.
+        assert np.shares_memory(w.data, opt._data) and np.shares_memory(b.grad, opt._grad)
+        assert opt._data.tolist() == w.data.ravel().tolist() + b.data.tolist()
 
 
 class TestGradientCorrectnessSweep:

@@ -362,6 +362,8 @@ BAD_VALUE_CASES = [
                  "ffn_dim 0", id="pretrain-ffn-dim-0"),
     pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "decode_max_len=0"), 2,
                  "decode_max_len 0", id="pretrain-decode-max-len-0"),
+    pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "max_sequence_length=0"), 2,
+                 "max_sequence_length 0 must be >= 1", id="pretrain-max-sequence-length-0"),
     pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "pretrain_tol=-1"), 2,
                  "pretrain_tol -1", id="pretrain-negative-tol"),
     pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "prefix_noise_prob=-1"), 2,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from promptcal import autodiff as ad
+from promptcal import model as model_module
 from promptcal.corpus import generate_corpus
 from promptcal.errors import ContractError, ShapeError
 from promptcal.model import (
@@ -24,6 +25,7 @@ from promptcal.model import (
     sinusoidal_positions,
 )
 from promptcal.vocab import BOS_ID, EOS_ID, TokenSequence, Vocabulary, tokenize
+from tests.test_autodiff import OracleAdam
 
 
 @pytest.fixture(scope="module")
@@ -505,6 +507,22 @@ class TestPretrain:
         b = pretrain(tiny_corpus[:10], PretrainConfig(seed=2, **base))
         assert a.weight_digest() != b.weight_digest()
 
+    def test_flat_adam_trains_as_the_per_parameter_oracle(self, tiny_corpus, monkeypatch):
+        # One epoch with the encoder, one without: both optimizers of a pretrain.
+        cfg = PretrainConfig(max_epochs=2, encoder_train_epochs=1, seed=3, model=ModelConfig(
+            embed_dim=16, n_blocks=1, n_heads=2, ffn_dim=16, max_seq_len=64))
+
+        def run():
+            losses = []
+            lm = pretrain(tiny_corpus[:12], cfg, log_fn=lambda e, l: losses.append(l))
+            return lm.weight_digest(), losses
+
+        flat = run()
+        monkeypatch.setattr(model_module, "Adam", OracleAdam)
+        oracle = run()
+        assert len(flat[1]) == 2
+        assert flat == oracle
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ContractError):
             pretrain([], PretrainConfig(max_epochs=1))
@@ -531,6 +549,8 @@ class TestPretrain:
         ("prefix_noise_prob", 2.0),
         ("ffn_dim", 0),
         ("decode_max_len", 0),
+        ("max_seq_len", 0),
+        ("max_seq_len", -5),
         ("embed_bias_std", -1.0),
         ("embed_noise_std", -1.0),
         ("learning_rate", float("nan")),
