@@ -1,9 +1,12 @@
 """Binary checkpoints for the frozen model and the trained calibrator.
 
 Both files start with a version byte and end with a sha256 of every byte
-before it; loading re-hashes and refuses corrupted files. A calibrator is its
-trained soft vector plus provenance: the digest of the frozen model it was
-trained against (it refuses to load next to a different model), the soft
+before it; loading re-hashes and refuses corrupted files, then parses the
+verified bytes in place, copying each weight array out once. A model file
+must be marked frozen and hold exactly the parameters its config and
+vocabulary make, none marked trainable, and nothing after them. A calibrator
+is its trained soft vector plus provenance: the digest of the frozen model it
+was trained against (it refuses to load next to a different model), the soft
 token text and the calibration config.
 """
 
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import struct
 from pathlib import Path
 
@@ -19,8 +23,8 @@ import numpy as np
 from .autodiff import DiffValue
 from .calibration import DISTANCES, SEPARATOR_POLICIES, CalibrationConfig, SoftPromptToken
 from .corpus import atomic_write
-from .errors import CheckpointError, CheckpointMismatchError
-from .model import EncoderDecoderLM, ModelConfig
+from .errors import CheckpointError, CheckpointMismatchError, ConfigError
+from .model import EncoderDecoderLM, ModelConfig, param_shapes
 from .vocab import Vocabulary
 
 MODEL_VERSION = 2
@@ -35,40 +39,84 @@ def _write_sealed(buf: io.BytesIO, path: str | Path) -> None:
     atomic_write(path, body + hashlib.sha256(body).digest())
 
 
-def _open_sealed(path: str | Path, version: int, kind: str) -> io.BytesIO:
-    """The file, positioned after its version byte, once the version and trailing sha256 check out."""
+class _SealedReader:
+    """The fields of a sealed file's body, read in file order from a running offset.
+
+    The body is a memoryview of the file without its trailing sha256, so a
+    field that would reach into the seal is a truncation, and unpacking or
+    slicing it copies nothing.
+    """
+
+    def __init__(self, body: memoryview, where: str):
+        self.body = body
+        self.where = where
+        self.pos = 1  # after the version byte
+
+    def _advance(self, n: int) -> int:
+        start = self.pos
+        if start + n > len(self.body):
+            raise CheckpointError("truncated checkpoint file")
+        self.pos = start + n
+        return start
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.body, self._advance(struct.calcsize(fmt)))
+
+    def raw(self, n: int) -> memoryview:
+        start = self._advance(n)
+        return self.body[start:self.pos]
+
+    def strings(self, count: int) -> list[str]:
+        """The next count strings, each a little-endian u16 byte length and UTF-8 bytes."""
+        # One loop over locals: a model file holds a string per vocabulary word.
+        body, pos, size = self.body, self.pos, len(self.body)
+        out = []
+        for _ in range(count):
+            if pos + 2 > size:
+                raise CheckpointError("truncated checkpoint file")
+            start = pos + 2
+            pos = start + (body[pos] | body[pos + 1] << 8)
+            if pos > size:
+                raise CheckpointError("truncated checkpoint file")
+            try:
+                out.append(str(body[start:pos], "utf-8"))
+            except UnicodeDecodeError as exc:
+                raise CheckpointError(f"checkpoint string is not UTF-8: {exc}") from None
+        self.pos = pos
+        return out
+
+    def string(self) -> str:
+        return self.strings(1)[0]
+
+    def floats(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A fresh, aligned copy of the next little-endian float64 array of this shape."""
+        count = math.prod(shape)
+        start = self._advance(8 * count)
+        return np.frombuffer(self.body, dtype="<f8", count=count, offset=start).reshape(shape).copy()
+
+    def end(self) -> None:
+        extra = len(self.body) - self.pos
+        if extra:
+            raise CheckpointError(f"{self.where} has {extra} bytes after its last field")
+
+
+def _open_sealed(path: str | Path, version: int, kind: str) -> _SealedReader:
+    """A reader after the file's version byte, once the version and trailing sha256 check out."""
     raw = Path(path).read_bytes()
     if not raw:
         raise CheckpointError("truncated checkpoint file")
     if raw[0] != version:
         raise CheckpointError(f"unsupported {kind} checkpoint version {raw[0]}")
-    # A memoryview hashes in place; slicing would copy the whole file.
-    if hashlib.sha256(memoryview(raw)[:-32]).digest() != raw[-32:]:
+    body = memoryview(raw)[:-32]  # hashes and parses in place; slicing raw would copy it
+    if hashlib.sha256(body).digest() != raw[-32:]:
         raise CheckpointError(f"{kind} checkpoint {path} failed its integrity hash")
-    buf = io.BytesIO(raw)
-    buf.seek(1)
-    return buf
+    return _SealedReader(body, f"{kind} checkpoint {path}")
 
 
 def _write_str(buf: io.BytesIO, s: str) -> None:
     raw = s.encode("utf-8")
     buf.write(struct.pack("<H", len(raw)))
     buf.write(raw)
-
-
-def _read_str(buf: io.BytesIO) -> str:
-    (n,) = struct.unpack("<H", _read_exact(buf, 2))
-    try:
-        return _read_exact(buf, n).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CheckpointError(f"checkpoint string is not UTF-8: {exc}") from None
-
-
-def _read_exact(buf: io.BytesIO, n: int) -> bytes:
-    raw = buf.read(n)
-    if len(raw) != n:
-        raise CheckpointError("truncated checkpoint file")
-    return raw
 
 
 def _write_params(buf: io.BytesIO, params: dict[str, DiffValue]) -> None:
@@ -83,17 +131,24 @@ def _write_params(buf: io.BytesIO, params: dict[str, DiffValue]) -> None:
         buf.write(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
 
 
-def _read_params(buf: io.BytesIO) -> dict[str, DiffValue]:
-    (count,) = struct.unpack("<I", _read_exact(buf, 4))
+def _read_params(reader: _SealedReader, expected: dict[str, tuple[int, ...]]) -> dict[str, DiffValue]:
+    """The parameters, which must be exactly the expected names and shapes."""
+    (count,) = reader.unpack("<I")
+    if count != len(expected):
+        raise CheckpointError(f"{reader.where} holds {count} parameters, its config needs {len(expected)}")
     params: dict[str, DiffValue] = {}
     for _ in range(count):
-        name = _read_str(buf)
-        _read_exact(buf, 1)  # trainable flag
-        (ndim,) = struct.unpack("<B", _read_exact(buf, 1))
-        shape = tuple(struct.unpack("<I", _read_exact(buf, 4))[0] for _ in range(ndim))
-        n_bytes = 8 * int(np.prod(shape)) if shape else 8
-        data = np.frombuffer(_read_exact(buf, n_bytes), dtype="<f8").reshape(shape).copy()
-        params[name] = DiffValue(data)
+        name = reader.string()
+        trainable, ndim = reader.unpack("<2B")
+        shape = reader.unpack(f"<{ndim}I")
+        if trainable:
+            raise CheckpointError(f"{reader.where} marks parameter {name!r} trainable")
+        if name not in expected or name in params:
+            raise CheckpointError(f"{reader.where} holds an unknown or repeated parameter {name!r}")
+        if shape != expected[name]:
+            raise CheckpointError(f"{reader.where} parameter {name} has shape {shape}, "
+                                  f"its config needs {expected[name]}")
+        params[name] = DiffValue(reader.floats(shape))
     return params
 
 
@@ -105,10 +160,13 @@ def _write_model_config(buf: io.BytesIO, cfg: ModelConfig) -> None:
     buf.write(struct.pack("<3d", cfg.embed_bias_std, cfg.embed_noise_std, cfg.pos_scale))
 
 
-def _read_model_config(buf: io.BytesIO) -> ModelConfig:
-    dims = struct.unpack("<6I", _read_exact(buf, 24))
-    scales = struct.unpack("<3d", _read_exact(buf, 24))
-    return ModelConfig(*dims, *scales)
+def _read_model_config(reader: _SealedReader) -> ModelConfig:
+    dims = reader.unpack("<6I")
+    scales = reader.unpack("<3d")
+    try:
+        return ModelConfig(*dims, *scales)
+    except ConfigError as exc:
+        raise CheckpointError(f"{reader.where} has an invalid config: {exc}") from None
 
 
 def save_model(lm: EncoderDecoderLM, path: str | Path) -> None:
@@ -127,15 +185,18 @@ def save_model(lm: EncoderDecoderLM, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> EncoderDecoderLM:
-    buf = _open_sealed(path, MODEL_VERSION, "model")
-    (n_words,) = struct.unpack("<I", _read_exact(buf, 4))
-    words = [_read_str(buf) for _ in range(n_words)]
-    cfg = _read_model_config(buf)
-    (frozen_flag,) = struct.unpack("<B", _read_exact(buf, 1))
-    params = _read_params(buf)
-    lm = EncoderDecoderLM(Vocabulary(words), cfg, params)
-    if frozen_flag:
-        lm.freeze()
+    """The frozen model in the file, once its parameters match what its config and vocabulary make."""
+    reader = _open_sealed(path, MODEL_VERSION, "model")
+    (n_words,) = reader.unpack("<I")
+    vocab = Vocabulary(reader.strings(n_words))
+    cfg = _read_model_config(reader)
+    (frozen_flag,) = reader.unpack("<B")
+    if frozen_flag != 1:  # save_model writes frozen models only
+        raise CheckpointError(f"{reader.where} has frozen flag {frozen_flag}, not 1")
+    params = _read_params(reader, param_shapes(cfg, vocab.size))
+    reader.end()
+    lm = EncoderDecoderLM(vocab, cfg, params)
+    lm.freeze()
     return lm
 
 
@@ -165,22 +226,19 @@ def save_calibrator(
 def load_calibrator(
     path: str | Path, lm: EncoderDecoderLM
 ) -> tuple[np.ndarray, SoftPromptToken, CalibrationConfig]:
-    """The soft vector (read-only), its token and its config, checked against lm."""
-    buf = _open_sealed(path, CALIBRATOR_VERSION, "calibrator")
-    lm_digest = _read_exact(buf, 32).hex()
-    token_text = _read_str(buf)
-    (distance_code,) = struct.unpack("<B", _read_exact(buf, 1))
-    (learning_rate,) = struct.unpack("<d", _read_exact(buf, 8))
-    (max_epochs,) = struct.unpack("<I", _read_exact(buf, 4))
-    (tol,) = struct.unpack("<d", _read_exact(buf, 8))
-    (window,) = struct.unpack("<I", _read_exact(buf, 4))
-    (seed,) = struct.unpack("<q", _read_exact(buf, 8))
-    (policy_code,) = struct.unpack("<B", _read_exact(buf, 1))
-    (dim,) = struct.unpack("<I", _read_exact(buf, 4))
-    soft = np.frombuffer(_read_exact(buf, 8 * dim), dtype="<f8")
+    """The soft vector (read-only), its token and its config, checked against the frozen lm."""
+    reader = _open_sealed(path, CALIBRATOR_VERSION, "calibrator")
+    lm_digest = reader.raw(32).hex()
+    token_text = reader.string()
+    # distance, learning rate, max epochs, tolerance, stall window, seed, policy, dim
+    distance_code, learning_rate, max_epochs, tol, window, seed, policy_code, dim = (
+        reader.unpack("<BdIdIqBI"))
+    soft = reader.floats((dim,))
+    soft.flags.writeable = False
+    reader.end()
     if distance_code >= len(_DISTANCE_NAMES) or policy_code >= len(SEPARATOR_POLICIES):
         raise CheckpointError(f"calibrator checkpoint {path} has an unknown distance or policy code")
-    actual = lm.weight_digest()
+    actual = lm.frozen_digest
     if lm_digest != actual:
         raise CheckpointMismatchError(
             f"calibrator was trained against model digest {lm_digest[:12]}..., "

@@ -189,7 +189,7 @@ def cmd_pretrain(args, cfg: PipelineConfig, pretrain_cfg: PretrainConfig) -> int
     out = Path(cfg.model_checkpoint)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(lm, out)
-    print(f"model digest {lm.weight_digest()}")
+    print(f"model digest {lm.frozen_digest}")
     print(f"wrote model checkpoint to {out}")
     return EXIT_OK
 
@@ -204,7 +204,7 @@ def cmd_calibrate(args, cfg: PipelineConfig, calib_cfg: CalibrationConfig) -> in
     soft = train_calibrator(inputs, prompt_seqs, tok, lm, calib_cfg, log_fn=_log_epoch)
     out = Path(cfg.calibrator_checkpoint)
     out.parent.mkdir(parents=True, exist_ok=True)
-    save_calibrator(soft, tok, calib_cfg, lm.weight_digest(), out)
+    save_calibrator(soft, tok, calib_cfg, lm.frozen_digest, out)
     print(f"wrote calibrator checkpoint to {out}")
     return EXIT_OK
 

@@ -140,7 +140,7 @@ def evaluate_ensemble(
         for prompt in ensemble.prompts
     )
     config_digest = hashlib.sha256(
-        f"{label}|{lm.weight_digest()}|{policy}|{max_len}".encode("utf-8")
+        f"{label}|{lm.frozen_digest}|{policy}|{max_len}".encode("utf-8")
     ).hexdigest()
     return EvaluationRun(
         label=label,

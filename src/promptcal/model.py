@@ -84,28 +84,37 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     return table
 
 
-def init_side_params(
-    prefix: str, cfg: ModelConfig, vocab_size: int, rng: np.random.Generator
-) -> dict[str, DiffValue]:
-    """Fresh parameters for one side ('enc' or 'dec') of the model."""
+def param_shapes(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Every parameter's name and shape: encoder side, then decoder side, in init_params' draw order."""
     d, dh, f = cfg.embed_dim, cfg.head_dim, cfg.ffn_dim
-    w_scale = 0.5 / math.sqrt(d)
+    shapes: dict[str, tuple[int, ...]] = {}
+    for prefix in ("enc", "dec"):
+        shapes[f"{prefix}.embed"] = (vocab_size, d)
+        shapes[f"{prefix}.pos"] = (cfg.max_seq_len, d)
+        for b in range(cfg.n_blocks):
+            for h in range(cfg.n_heads):
+                base = f"{prefix}.b{b}.h{h}"
+                shapes[f"{base}.wq"] = shapes[f"{base}.wk"] = shapes[f"{base}.wv"] = (d, dh)
+                shapes[f"{base}.wo"] = (dh, d)
+            shapes[f"{prefix}.b{b}.ffn.w1"] = (d, f)
+            shapes[f"{prefix}.b{b}.ffn.w2"] = (f, d)
+    shapes["dec.out"] = (d, vocab_size)
+    return shapes
+
+
+def init_params(cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> dict[str, DiffValue]:
+    """Fresh parameters for the whole model, drawn in param_shapes order."""
     params: dict[str, DiffValue] = {}
-    bias = rng.normal(0.0, cfg.embed_bias_std, size=(1, d))
-    noise = rng.normal(0.0, cfg.embed_noise_std, size=(vocab_size, d))
-    params[f"{prefix}.embed"] = ad.param(bias + noise)
-    params[f"{prefix}.pos"] = ad.value(sinusoidal_positions(cfg.max_seq_len, d) * cfg.pos_scale)
-    for b in range(cfg.n_blocks):
-        for h in range(cfg.n_heads):
-            base = f"{prefix}.b{b}.h{h}"
-            params[f"{base}.wq"] = ad.param(rng.normal(0.0, w_scale, size=(d, dh)))
-            params[f"{base}.wk"] = ad.param(rng.normal(0.0, w_scale, size=(d, dh)))
-            params[f"{base}.wv"] = ad.param(rng.normal(0.0, w_scale, size=(d, dh)))
-            params[f"{base}.wo"] = ad.param(rng.normal(0.0, w_scale, size=(dh, d)))
-        params[f"{prefix}.b{b}.ffn.w1"] = ad.param(rng.normal(0.0, w_scale, size=(d, f)))
-        params[f"{prefix}.b{b}.ffn.w2"] = ad.param(rng.normal(0.0, w_scale, size=(f, d)))
-    if prefix == "dec":
-        params["dec.out"] = ad.param(rng.normal(0.0, 1.0 / math.sqrt(d), size=(d, vocab_size)))
+    for name, shape in param_shapes(cfg, vocab_size).items():
+        if name.endswith(".embed"):
+            bias = rng.normal(0.0, cfg.embed_bias_std, size=(1, shape[1]))
+            noise = rng.normal(0.0, cfg.embed_noise_std, size=shape)
+            params[name] = ad.param(bias + noise)
+        elif name.endswith(".pos"):
+            params[name] = ad.value(sinusoidal_positions(*shape) * cfg.pos_scale)
+        else:
+            scale = (1.0 if name == "dec.out" else 0.5) / math.sqrt(cfg.embed_dim)
+            params[name] = ad.param(rng.normal(0.0, scale, size=shape))
     return params
 
 
@@ -243,7 +252,8 @@ def params_digest(params: Mapping[str, DiffValue]) -> str:
         arr = params[name].data
         h.update(name.encode("utf-8") + b"\x00")
         h.update(str(arr.shape).encode("ascii") + b"\x00")
-        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        # Hashed in place: the memoryview exposes the bytes tobytes() would copy.
+        h.update(memoryview(np.ascontiguousarray(arr, dtype="<f8")))
     return h.hexdigest()
 
 
@@ -283,28 +293,35 @@ class EncoderDecoderLM:
 
     @classmethod
     def initialize(cls, vocab: Vocabulary, cfg: ModelConfig, seed: int) -> "EncoderDecoderLM":
-        rng = np.random.default_rng(seed)
-        params = init_side_params("enc", cfg, vocab.size, rng)
-        params.update(init_side_params("dec", cfg, vocab.size, rng))
-        return cls(vocab, cfg, params)
+        return cls(vocab, cfg, init_params(cfg, vocab.size, np.random.default_rng(seed)))
 
     def trainable(self) -> list[DiffValue]:
         return [p for p in self.params.values() if p.requires_grad]
 
     def freeze(self) -> None:
+        """Stop training for good: every weight array becomes read-only."""
         for p in self.params.values():
             p.requires_grad = False
             p.grad = None
+            p.data.flags.writeable = False
         self.frozen = True
-        self._frozen_digest = params_digest(self.params)
+        self._frozen_digest = None
 
     def weight_digest(self) -> str:
+        """params_digest of the weights as they are now; always recomputed."""
         return params_digest(self.params)
 
     @property
     def frozen_digest(self) -> str:
-        if self._frozen_digest is None:
+        """params_digest at the freeze, computed on first use and then cached.
+
+        Caching is sound because freeze() made every weight array read-only,
+        so no in-place write can change the weights afterwards.
+        """
+        if not self.frozen:
             raise ContractError("model is not frozen")
+        if self._frozen_digest is None:
+            self._frozen_digest = params_digest(self.params)
         return self._frozen_digest
 
     def _require_frozen(self, op: str) -> None:
@@ -474,6 +491,10 @@ def pretrain(
             if name.startswith("enc."):
                 p.requires_grad = False
                 p.grad = None
+                # A copy, not a view of the encoder-phase optimizer's buffer:
+                # a view would keep that whole buffer, decoder half included,
+                # alive for as long as the model.
+                p.data = p.data.copy()
 
     encoder_epochs = min(config.encoder_train_epochs, config.max_epochs)
     if encoder_epochs == 0:

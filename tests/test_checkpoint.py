@@ -2,14 +2,17 @@
 
 import hashlib
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from promptcal import model as model_module
 from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT, CalibrationConfig, SoftPromptToken
 from promptcal.checkpoint import load_calibrator, load_model, save_calibrator, save_model
 from promptcal.corpus import generate_corpus, save_corpus
 from promptcal.errors import CheckpointError, CheckpointMismatchError
+from tests.test_model import assert_weights_read_only, one_bit_edited
 
 MODEL_SECTIONS = ("version", "vocabulary", "config", "frozen_flag", "params", "seal")
 CALIBRATOR_SECTIONS = ("version", "model_digest", "token", "config", "dim", "soft", "seal")
@@ -29,16 +32,45 @@ def calibrator_layout(token_text: str, dim: int) -> dict[str, int]:
     return dict(zip(CALIBRATOR_SECTIONS, (1, 32, token, 34, 4, 8 * dim, 32)))
 
 
-def damaged(raw: bytes, layout: dict[str, int], section: str, how: str) -> bytes:
-    """raw with one byte inside section flipped, or cut at the section's start."""
+def model_field_ends(lm) -> list[int]:
+    """The offset after each field of a version-2 model file's body, in file order."""
+    sizes = [1, 4]  # version, word count
+    for w in lm.vocab.words:
+        sizes += [2, len(w.encode("utf-8"))]
+    sizes += [4] * 6 + [8] * 3 + [1, 4]  # config dims and scales, frozen flag, parameter count
+    for name in sorted(lm.params):
+        data = lm.params[name].data
+        sizes += [2, len(name.encode("utf-8")), 1, 1, *[4] * data.ndim, 8 * data.size]
+    ends, total = [], 0
+    for size in sizes:
+        total += size
+        ends.append(total)
+    return ends
+
+
+def damaged(raw: bytes, layout: dict[str, int], section: str, how) -> bytes:
+    """raw with one section damaged.
+
+    how is "flip" (one byte inside the section), "truncate" (cut at the
+    section's start), "insert" (16 junk bytes at the section's start, resealed)
+    or (offset, struct format, change): the field at that offset within the
+    section, set to change(its value) and resealed, as a deliberate edit would.
+    """
     assert sum(layout.values()) == len(raw), "layout does not describe this file"
     names = list(layout)
     start = sum(layout[name] for name in names[:names.index(section)])
     if how == "truncate":
         return raw[:start]
+    if how == "insert":
+        return reseal(raw[:start] + bytes(range(16)) + raw[start:])
     out = bytearray(raw)
-    out[start + layout[section] // 2] ^= 0xFF
-    return bytes(out)
+    if how == "flip":
+        out[start + layout[section] // 2] ^= 0xFF
+        return bytes(out)
+    offset, fmt, change = how
+    (value,) = struct.unpack_from(fmt, out, start + offset)
+    struct.pack_into(fmt, out, start + offset, change(value))
+    return reseal(bytes(out))
 
 
 def reseal(raw: bytes) -> bytes:
@@ -59,7 +91,7 @@ class TestModelCheckpoint:
         save_model(tiny_lm, path)
         loaded = load_model(path)
         assert loaded.frozen
-        assert loaded.weight_digest() == tiny_lm.weight_digest()
+        assert loaded.frozen_digest == loaded.weight_digest() == tiny_lm.weight_digest()
         assert loaded.vocab.words == tiny_lm.vocab.words
         assert loaded.cfg == tiny_lm.cfg
 
@@ -98,6 +130,57 @@ class TestModelCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="version"):
             load_model(path)
+
+    def test_loaded_weights_are_read_only(self, tiny_lm, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(tiny_lm, path)
+        assert_weights_read_only(load_model(path))
+
+    def test_truncation_at_every_field_boundary_detected_after_reseal(self, tiny_lm, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(tiny_lm, path)
+        raw = path.read_bytes()
+        ends = model_field_ends(tiny_lm)
+        assert ends[-1] == len(raw) - 32, "field list does not describe this file"
+        for cut in ends[:-1]:
+            path.write_bytes(reseal(raw[:cut] + bytes(32)))
+            with pytest.raises(CheckpointError):
+                load_model(path)
+
+    def test_renamed_parameter_rejected(self, tiny_lm, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(tiny_lm, path)
+        raw = path.read_bytes()
+        name = b"\x07\x00enc.pos"
+        assert raw.count(name) == 1
+        path.write_bytes(reseal(raw.replace(name, b"\x07\x00enc.poz")))
+        with pytest.raises(CheckpointError, match="unknown or repeated parameter 'enc.poz'"):
+            load_model(path)
+
+    def test_parameter_marked_trainable_rejected(self, tiny_lm, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(tiny_lm, path)
+        raw = path.read_bytes()
+        flags = b"\x07\x00enc.pos\x00"
+        assert raw.count(flags) == 1
+        path.write_bytes(reseal(raw.replace(flags, b"\x07\x00enc.pos\x01")))
+        with pytest.raises(CheckpointError, match="marks parameter 'enc.pos' trainable"):
+            load_model(path)
+
+    def test_load_hashes_the_weights_once_with_a_calibrator(self, tiny_lm, tmp_path, monkeypatch):
+        path, calib_path = tmp_path / "model.bin", tmp_path / "calib.bin"
+        save_model(tiny_lm, path)
+        tok = SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, tiny_lm.vocab)
+        save_calibrator(tiny_lm.encode(tok.ids).pooled.data, tok, CalibrationConfig(),
+                        tiny_lm.frozen_digest, calib_path)
+        calls = []
+        digest = model_module.params_digest
+        monkeypatch.setattr(model_module, "params_digest", lambda params: calls.append(1) or digest(params))
+        loaded = load_model(path)
+        assert calls == []
+        load_calibrator(calib_path, loaded)
+        load_calibrator(calib_path, loaded)
+        assert len(calls) == 1
 
     def test_resealed_non_utf8_word_rejected(self, tiny_lm, tmp_path):
         path = tmp_path / "model.bin"
@@ -148,9 +231,8 @@ class TestCalibratorCheckpoint:
         save_calibrator(soft, tok, CalibrationConfig(), tiny_lm.weight_digest(), calib_path)
         loaded = load_model(model_path)
         load_calibrator(calib_path, loaded)  # matches: no error
-        loaded.params["enc.embed"].data[0, 0] += 1.0
         with pytest.raises(CheckpointMismatchError):
-            load_calibrator(calib_path, loaded)
+            load_calibrator(calib_path, one_bit_edited(loaded, "enc.embed"))
 
     def test_unknown_distance_code_rejected(self, tiny_lm, calibrator, tmp_path):
         # a resealed file passes the hash, so a bad code must be caught on its own

@@ -395,6 +395,19 @@ EXIT_CODE_CASES = [
       for kind, sections in (("model", MODEL_SECTIONS), ("calibrator", CALIBRATOR_SECTIONS))
       for section in sections
       for how in ("flip", "truncate")),
+    # Resealed edits: the file passes its hash, so its structure must be checked on its own.
+    pytest.param(damaged_checkpoint("model", "params", (0, "<I", lambda n: n + 1)), 4,
+                 "parameters, its config needs", id="model-resealed-one-parameter-too-many"),
+    pytest.param(damaged_checkpoint("model", "seal", "insert"), 4, "16 bytes after its last field",
+                 id="model-resealed-junk-after-parameters"),
+    pytest.param(damaged_checkpoint("calibrator", "seal", "insert"), 4, "16 bytes after its last field",
+                 id="calibrator-resealed-junk-after-vector"),
+    pytest.param(damaged_checkpoint("model", "config", (0, "<I", lambda d: d // 2)), 4,
+                 "its config needs", id="model-resealed-embed-dim-halved"),
+    pytest.param(damaged_checkpoint("model", "config", (8, "<I", lambda h: 3)), 4,
+                 "invalid config", id="model-resealed-three-heads"),
+    pytest.param(damaged_checkpoint("model", "frozen_flag", (0, "<B", lambda f: 0)), 4,
+                 "frozen flag 0", id="model-resealed-not-frozen"),
 ]
 
 

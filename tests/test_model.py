@@ -1,6 +1,7 @@
 """Surrogate model tests: encoding, greedy decoding, projection, pretraining,
 and the freeze contract."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from promptcal.model import (
     KVCache,
     ModelConfig,
     PretrainConfig,
+    param_shapes,
     pretrain,
     sequence_forward,
     sinusoidal_positions,
@@ -584,14 +586,80 @@ class TestPretrain:
         assert lm.trainable() == []
 
 
+def one_bit_edited(lm, name):
+    """A new frozen model equal to lm but for the lowest bit of params[name]'s first float.
+
+    Frozen weights are read-only, so the edit goes into writable copies.
+    """
+    params = {n: ad.value(p.data.copy()) for n, p in lm.params.items()}
+    params[name].data.reshape(-1).view(np.uint64)[0] ^= 1
+    edited = EncoderDecoderLM(lm.vocab, lm.cfg, params)
+    edited.freeze()
+    return edited
+
+
+def assert_weights_read_only(lm):
+    for p in lm.params.values():
+        with pytest.raises(ValueError, match="read-only"):
+            p.data.reshape(-1)[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            p.data += 0.0
+
+
 class TestDigest:
     def test_digest_changes_with_any_parameter_bit(self, tiny_corpus):
         cfg = PretrainConfig(max_epochs=1, seed=4, model=ModelConfig(
             embed_dim=16, n_blocks=1, n_heads=2, ffn_dim=16, max_seq_len=64))
         lm = pretrain(tiny_corpus[:5], cfg)
-        before = lm.weight_digest()
-        lm.params["enc.embed"].data[0, 0] += 1e-12
-        assert lm.weight_digest() != before
+        for name in ("enc.embed", "dec.out"):
+            edited = one_bit_edited(lm, name)
+            assert edited.frozen_digest == edited.weight_digest() != lm.weight_digest()
+
+    def test_digest_hashes_the_little_endian_bytes(self, lm):
+        # the in-place hash reads the same bytes as the documented tobytes() form
+        h = hashlib.sha256()
+        for name in sorted(lm.params):
+            arr = lm.params[name].data
+            h.update(name.encode("utf-8") + b"\x00" + str(arr.shape).encode("ascii") + b"\x00")
+            h.update(arr.astype("<f8").tobytes())
+        assert lm.weight_digest() == h.hexdigest()
+
+
+class TestFreeze:
+    def test_weights_read_only_after_pretrain(self, lm):
+        assert_weights_read_only(lm)
+
+    def test_weights_read_only_after_initialize_and_freeze(self):
+        lm = EncoderDecoderLM.initialize(Vocabulary([f"w{i}" for i in range(20)]),
+                                         ModelConfig(embed_dim=8, n_blocks=1, n_heads=2, ffn_dim=8), seed=1)
+        assert all(p.data.flags.writeable for p in lm.params.values())
+        lm.freeze()
+        assert_weights_read_only(lm)
+
+    def test_frozen_digest_is_computed_once_on_first_use(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(model_module, "params_digest",
+                            lambda params: calls.append(1) or "digest")
+        lm = EncoderDecoderLM.initialize(Vocabulary(["a"]), ModelConfig(embed_dim=8, n_blocks=0, n_heads=1,
+                                                                         ffn_dim=8), seed=1)
+        with pytest.raises(ContractError, match="not frozen"):
+            lm.frozen_digest
+        lm.freeze()
+        assert calls == []
+        assert lm.frozen_digest == lm.frozen_digest == "digest"
+        assert len(calls) == 1
+        lm.weight_digest()  # the explicit recompute
+        assert len(calls) == 2
+
+    def test_pretrained_encoder_owns_its_weights(self, lm):
+        # a view would keep the encoder-phase optimizer's whole buffer alive
+        assert all(p.data.base is None for name, p in lm.params.items() if name.startswith("enc."))
+
+    def test_param_shapes_lists_what_initialize_makes(self):
+        cfg = ModelConfig(embed_dim=8, n_blocks=2, n_heads=2, ffn_dim=6, max_seq_len=12)
+        lm = EncoderDecoderLM.initialize(Vocabulary([f"w{i}" for i in range(20)]), cfg, seed=1)
+        shapes = param_shapes(cfg, lm.vocab.size)
+        assert list(shapes.items()) == [(name, p.shape) for name, p in lm.params.items()]
 
 
 class TestPositions:

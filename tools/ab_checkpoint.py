@@ -1,0 +1,158 @@
+"""In-process A/B of checkpoint loading: an earlier revision's package against this checkout's.
+
+Extracts ``src/promptcal`` at a git revision (``--parent``) into a temporary
+directory and imports it beside the checkout's own package under another
+name. Builds a frozen model with the summarize benchmark's shapes (200
+seeded records, the bundled prompts and soft token in the vocabulary,
+default ModelConfig, seed 7) and a calibrator bound to it, saves both once,
+and times the two requests the summarize workload serves: ``load_model``
+alone (uncalibrated) and ``load_model`` then ``load_calibrator``
+(calibrated). Each repeat times every variant, starting the rotation at the
+next one, so drift in machine load falls on both alike. Both variants must
+save byte-identical files and load bit-identical weights, digest and soft
+vector.
+
+Run from the repository root, before committing a change (``--parent HEAD``)
+or after it (``--parent HEAD~1``):
+
+    python3 tools/ab_checkpoint.py --parent HEAD [--repeats 400] [--out BENCH_checkpoint.json]
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import importlib.util
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT)]
+
+import bench_env  # noqa: E402
+
+bench_env.prepare()  # the benchmark's thread pinning and import path
+
+from promptcal import checkpoint  # noqa: E402
+from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT, CalibrationConfig, SoftPromptToken  # noqa: E402
+from promptcal.corpus import generate_corpus  # noqa: E402
+from promptcal.harness import load_default_ensemble  # noqa: E402
+from promptcal.model import EncoderDecoderLM, ModelConfig  # noqa: E402
+from promptcal.vocab import Vocabulary  # noqa: E402
+
+SEED = 7
+
+
+def parent_package(rev: str, into: Path):
+    """The promptcal package at git revision rev, imported as promptcal_parent."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev, "src/promptcal"],
+                             cwd=ROOT, check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    package_dir = into / "src" / "promptcal"
+    spec = importlib.util.spec_from_file_location(
+        "promptcal_parent", package_dir / "__init__.py", submodule_search_locations=[str(package_dir)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module("promptcal_parent.checkpoint")
+
+
+def benchmark_model() -> EncoderDecoderLM:
+    records = generate_corpus(200, SEED)
+    texts = ([r.findings for r in records] + [r.impression for r in records]
+             + list(load_default_ensemble().prompts) + [DEFAULT_SOFT_TOKEN_TEXT])
+    lm = EncoderDecoderLM.initialize(Vocabulary.from_texts(texts), ModelConfig(), SEED)
+    lm.freeze()
+    return lm
+
+
+def quartiles(xs: list[float]) -> dict[str, float]:
+    q1, q2, q3 = statistics.quantiles(xs, n=4)
+    return {"median": round(q2, 1), "q1": round(q1, 1), "q3": round(q3, 1)}
+
+
+def loaded_state(module, model_path: Path, calibrator_path: Path) -> tuple:
+    """Everything a calibrated request gets from the files, as plain values (the packages' classes differ)."""
+    lm = module.load_model(model_path)
+    soft, tok, config = module.load_calibrator(calibrator_path, lm)
+    weights = tuple((name, p.data.tobytes()) for name, p in sorted(lm.params.items()))
+    return (weights, lm.frozen_digest, lm.vocab.words, dataclasses.astuple(lm.cfg), soft.tobytes(),
+            tok.text, dataclasses.astuple(config))
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git revision of the package to compare against")
+    ap.add_argument("--repeats", type=int, default=400)
+    ap.add_argument("--out", default=str(ROOT / "BENCH_checkpoint.json"))
+    args = ap.parse_args(argv)
+    lm = benchmark_model()
+    tok = SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, lm.vocab)
+    soft = lm.encode(tok.ids).pooled.data
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        variants = {"parent": parent_package(args.parent, tmp / "parent"), "change": checkpoint}
+        saved = {}
+        for name, module in variants.items():
+            model_path, calibrator_path = tmp / f"{name}-model.bin", tmp / f"{name}-calibrator.bin"
+            module.save_model(lm, model_path)
+            module.save_calibrator(soft, tok, CalibrationConfig(), lm.weight_digest(), calibrator_path)
+            saved[name] = (model_path, calibrator_path)
+        files_identical = all(saved["parent"][i].read_bytes() == saved["change"][i].read_bytes()
+                              for i in range(2))
+        model_path, calibrator_path = saved["change"]
+        loads_identical = (loaded_state(variants["parent"], model_path, calibrator_path)
+                           == loaded_state(checkpoint, model_path, calibrator_path))
+
+        times = {name: {"model_us": [], "model_and_calibrator_us": []} for name in variants}
+        order = list(variants.items())
+        for i in range(args.repeats):
+            for k in range(len(order)):
+                name, module = order[(i + k) % len(order)]
+                start = time.perf_counter_ns()
+                module.load_model(model_path)
+                times[name]["model_us"].append((time.perf_counter_ns() - start) / 1e3)
+                start = time.perf_counter_ns()
+                module.load_calibrator(calibrator_path, module.load_model(model_path))
+                times[name]["model_and_calibrator_us"].append((time.perf_counter_ns() - start) / 1e3)
+        model_bytes, calibrator_bytes = model_path.stat().st_size, calibrator_path.stat().st_size
+
+    requests = {}
+    for request in ("model_us", "model_and_calibrator_us"):
+        parent, change = times["parent"][request], times["change"][request]
+        requests[request] = {
+            "parent": quartiles(parent),
+            "change": quartiles(change),
+            "speedup": round(statistics.median(parent) / statistics.median(change), 3),
+            "change_faster_pct": round(100.0 * sum(c < p for p, c in zip(parent, change)) / len(parent), 1),
+        }
+    report = {
+        "what": "checkpoint load time per request, parent package vs checkout, interleaved in one process",
+        "command": "python3 tools/ab_checkpoint.py " + " ".join(argv if argv is not None else sys.argv[1:]),
+        "platform": bench_env.fingerprint(),
+        "model_file_bytes": model_bytes,
+        "calibrator_file_bytes": calibrator_bytes,
+        "repeats": args.repeats,
+        "saved_files_byte_identical": files_identical,
+        "loaded_state_identical": loads_identical,
+        "requests": requests,
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    for request, row in requests.items():
+        print(f"{request}: parent {row['parent']['median']:.0f} us, change {row['change']['median']:.0f} us, "
+              f"speedup {row['speedup']}, change faster in {row['change_faster_pct']}% of repeats")
+    print(f"wrote {args.out}; saved files byte-identical: {files_identical}; "
+          f"loaded state identical: {loads_identical}")
+    return 0 if files_identical and loads_identical else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
