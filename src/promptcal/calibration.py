@@ -157,8 +157,7 @@ def alignment_loss(
     policy: str = "prompt_first",
 ) -> DiffValue:
     """The calibration objective for one (notes, prompt) pair: its B = 1 case."""
-    prompted = lm.encode(join_prompted(t_llm, t_org, policy)).pooled.data
-    bare = lm.encode(t_org).pooled.data
+    bare, prompted = lm.encode_many([t_org, join_prompted(t_llm, t_org, policy)])
     return calibration_loss(bare[None, :], prompted[None, :], enc.encode_pooled(tok.ids.ids), distance)
 
 
@@ -174,10 +173,13 @@ def train_calibrator(
 
     Zero-shot by construction: only input token sequences are accepted, never
     gold summaries. The frozen pooled embeddings are constants of the
-    optimization, so they are computed once up front; each epoch takes one
-    full-batch step on calibration_loss over all pairs. The result is the
-    read-only d-vector the encoder copy maps tok to after the last epoch;
-    frozen weights are untouched.
+    optimization, so they are computed once up front by one encode_many call
+    over the bare inputs and every prompted pair: sequences of equal length
+    are encoded stacked, at most ENCODE_ROWS at a time, each row bit-identical
+    to encoding it alone. Each epoch takes one full-batch step on
+    calibration_loss over all pairs. The result is the read-only d-vector the
+    encoder copy maps tok to after the last epoch; frozen weights are
+    untouched.
     """
     if not corpus_inputs:
         raise ContractError("train_calibrator requires at least one input")
@@ -190,12 +192,10 @@ def train_calibrator(
     # buffers raised calibration's peak memory by about 1%.
     opt = Adam(enc.trainable(), learning_rate=config.learning_rate)
 
-    bare = np.stack([lm.encode(t).pooled.data for t in corpus_inputs])
-    # Row k is the pair (input k // n_prompts, prompt k % n_prompts).
-    prompted = np.stack([
-        lm.encode(join_prompted(p, t, config.separator_policy)).pooled.data
-        for t in corpus_inputs for p in prompts
-    ])
+    # Row k of prompted is the pair (input k // n_prompts, prompt k % n_prompts).
+    pooled = lm.encode_many([*corpus_inputs, *(join_prompted(p, t, config.separator_policy)
+                                                for t in corpus_inputs for p in prompts)])
+    bare, prompted = pooled[:len(corpus_inputs)], pooled[len(corpus_inputs):]
 
     rng = np.random.default_rng(config.seed)
     rule = ConvergenceRule(config.convergence_tol, config.stall_window)
@@ -259,22 +259,21 @@ def summarize_many(
 
     calibration is (soft vector, soft token) as train_calibrator and
     load_calibrator give them; its prefix is decoded once and goes before each
-    prompted note. Notes are ragged, so each is encoded on its own; the pooled
-    contexts then go to one lockstep decode_greedy call. Each summary equals,
-    token for token, summarizing that note alone.
+    prompted note. One encode_many call encodes the prompted notes, stacking
+    those of equal length in chunks of at most ENCODE_ROWS (bounded, because
+    larger stacks measured slower); the pooled contexts then go to one
+    lockstep decode_greedy call. Each summary equals, token for token,
+    summarizing that note alone.
     """
     if not notes:
         raise ContractError("summarize_many requires at least one note")
     if not lm.frozen:
         raise ContractError("summarize requires a frozen model")
     prefix = decode_soft_prompt(*calibration, lm) if calibration is not None else None
-    pooled = []
-    for t_org in notes:
-        joined = join_prompted(t_llm, t_org, policy)
-        if prefix is not None:
-            joined = concat(prefix, joined)
-        pooled.append(lm.encode(joined).pooled.data)
-    return lm.decode_greedy(np.stack(pooled), max_len=max_len).rows
+    joined = [join_prompted(t_llm, t_org, policy) for t_org in notes]
+    if prefix is not None:
+        joined = [concat(prefix, seq) for seq in joined]
+    return lm.decode_greedy(lm.encode_many(joined), max_len=max_len).rows
 
 
 def summarize(

@@ -157,6 +157,7 @@ def sequence_forward(
     context: DiffValue | None = None,
     causal: bool = False,
     cache: KVCache | None = None,
+    rows: int | None = None,
 ) -> DiffValue:
     """Run ids through one side of the model, returning per-token rows [n x d].
 
@@ -168,19 +169,28 @@ def sequence_forward(
     the result has one row per live row. Each new row attends over its own
     cached positions, and every product runs stacked (a [rows x 1 x m]
     operand), which rounds each row as a one-row product does.
+
+    With rows, the call runs that many equal-length sequences of a frozen,
+    unmasked side at once: ids holds them back to back, and the result is
+    [rows x n x d]. Every product runs stacked, one [n x m] product per
+    sequence, so each sequence's rows are bit-identical to running it alone.
     """
     if len(ids) == 0:
         raise ContractError("cannot embed empty input")
-    start = 0 if cache is None else cache.length
-    n = start + (len(ids) if cache is None else 1)
-    if n > cfg.max_seq_len:
-        raise ShapeError(f"sequence length {n} exceeds max_sequence_length {cfg.max_seq_len}")
-    if cache is not None and n > cache.positions:
-        raise ShapeError(f"sequence length {n} exceeds the cache's {cache.positions} positions")
     side = prefix + "."
     needs_graph = (context is not None and context.requires_grad) or any(
         p.requires_grad and name.startswith(side) for name, p in params.items()
     )
+    if rows is not None and (needs_graph or causal or cache is not None
+                             or rows < 1 or len(ids) % rows != 0):
+        raise ContractError(f"a stacked call runs {rows} equal-length frozen sequences "
+                            f"without a graph, a causal mask or a cache; got {len(ids)} ids")
+    start = 0 if cache is None else cache.length
+    n = start + (1 if cache is not None else len(ids) // (rows or 1))
+    if n > cfg.max_seq_len:
+        raise ShapeError(f"sequence length {n} exceeds max_sequence_length {cfg.max_seq_len}")
+    if cache is not None and n > cache.positions:
+        raise ShapeError(f"sequence length {n} exceeds the cache's {cache.positions} positions")
     if cache is not None and (needs_graph or not causal or len(ids) != cache.rows):
         raise ContractError("a key/value cache extends a frozen causal decode by one id per live row")
     if context is not None and context.shape != (cfg.embed_dim,) and (
@@ -199,7 +209,8 @@ def sequence_forward(
         x = ad.add(ad.rows(params[side + "embed"], ids), ad.value(pos))
     else:
         table = params[side + "embed"].data
-        x = table[ad.row_index(table, ids)] + pos
+        x = table[ad.row_index(table, ids)]
+        x = (x if rows is None else x.reshape(rows, n, -1)) + pos
     if context is not None:
         x = ad.add_row_vector(x, context) if needs_graph else x + context.data
     if cache is not None:
@@ -217,10 +228,10 @@ def sequence_forward(
             k = x @ weight(base + "wk")
             v = x @ weight(base + "wv")
             if cache is not None:
-                rows = cache.rows
-                cache.keys[b, h, :rows, start:n] = k
-                cache.values[b, h, :rows, start:n] = v
-                k, v = cache.keys[b, h, :rows, :n], cache.values[b, h, :rows, :n]
+                live = cache.rows
+                cache.keys[b, h, :live, start:n] = k
+                cache.values[b, h, :live, start:n] = v
+                k, v = cache.keys[b, h, :live, :n], cache.values[b, h, :live, :n]
             if needs_graph:
                 probs = row_softmax(ad.scale(q @ ad.transpose(k), inv_sqrt_dh))
             else:
@@ -263,6 +274,14 @@ def params_digest(params: Mapping[str, DiffValue]) -> str:
 # groups but added about 1.4 MiB (4%) to peak RSS, where 16-row groups add
 # about 0.1 MiB to that of decoding one row at a time.
 LOCKSTEP_ROWS = 16
+
+# Equal-length sequences encode_many stacks into one encoder forward at most.
+# Larger stacks run slower, not faster: encoding the calibrate benchmark's
+# 2,200 sequences took about 1,100 ms one at a time, 790-840 ms in stacks of 4
+# to 8, and 1,000-1,080 ms in stacks of 12 to 32 (tools/ab_encode.py
+# --bounds, medians of 15 interleaved repeats, 1 BLAS thread; BENCH_encode.json),
+# so LOCKSTEP_ROWS (16) is on the slow side of that step.
+ENCODE_ROWS = 6
 
 
 @dataclass(frozen=True)
@@ -332,6 +351,26 @@ class EncoderDecoderLM:
         """Per-token contextual embeddings and their arithmetic mean."""
         per_token = sequence_forward(self.params, "enc", seq.ids, self.cfg)
         return Encoding(per_token, ad.mean_rows(per_token))
+
+    def encode_many(self, seqs: Sequence[TokenSequence]) -> np.ndarray:
+        """The pooled encoding of each sequence, as [B x d] rows in input order.
+
+        Sequences of one length are encoded together, ENCODE_ROWS at most per
+        stacked sequence_forward call; each row is bit-identical to
+        encode(seq).pooled. The encoder must be frozen: a stacked call builds
+        no graph.
+        """
+        by_length: dict[int, list[int]] = {}
+        for i, s in enumerate(seqs):
+            by_length.setdefault(len(s.ids), []).append(i)
+        pooled = np.empty((len(seqs), self.cfg.embed_dim))
+        for members in by_length.values():
+            for lo in range(0, len(members), ENCODE_ROWS):
+                chunk = members[lo:lo + ENCODE_ROWS]
+                ids = [i for k in chunk for i in seqs[k].ids]
+                x = sequence_forward(self.params, "enc", ids, self.cfg, rows=len(chunk)).data
+                pooled[chunk] = x.mean(axis=1)
+        return pooled
 
     def decode_greedy(
         self, context: DiffValue | np.ndarray, max_len: int | None = None

@@ -15,6 +15,7 @@ from promptcal import model as model_module
 from promptcal.corpus import generate_corpus
 from promptcal.errors import ContractError, ShapeError
 from promptcal.model import (
+    ENCODE_ROWS,
     LOCKSTEP_ROWS,
     DecodedRows,
     EncoderDecoderLM,
@@ -123,6 +124,67 @@ class TestEncode:
         a = lm.encode(TokenSequence(ids)).pooled.data
         b = lm.encode(TokenSequence(permuted)).pooled.data
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+def random_seqs(lm, lengths, seed=0):
+    rng = np.random.default_rng(seed)
+    return [TokenSequence(tuple(int(i) for i in rng.integers(4, lm.vocab.size, size=n))) for n in lengths]
+
+
+def raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+class TestEncodeMany:
+    def assert_rows_equal_encode(self, lm, seqs):
+        pooled = lm.encode_many(seqs)
+        assert pooled.shape == (len(seqs), lm.cfg.embed_dim)
+        for row, s in zip(pooled, seqs):
+            np.testing.assert_array_equal(row, lm.encode(s).pooled.data)
+
+    def test_ragged_rows_equal_encode_in_input_order(self, lm):
+        lengths = [5, 1, lm.cfg.max_seq_len, 3, 5, 1, 17, lm.cfg.max_seq_len, 3, 5]
+        self.assert_rows_equal_encode(lm, random_seqs(lm, lengths))
+
+    def test_more_equal_length_rows_than_the_chunk_bound(self, lm):
+        self.assert_rows_equal_encode(lm, random_seqs(lm, [7] * (2 * ENCODE_ROWS + 3) + [2, 9]))
+
+    def test_duplicates_get_equal_rows(self, lm):
+        a, b = random_seqs(lm, [6, 6], seed=1)
+        seqs = [a, b, a, a, b] * ENCODE_ROWS
+        pooled = lm.encode_many(seqs)
+        for row, s in zip(pooled, seqs):
+            np.testing.assert_array_equal(row, pooled[0] if s is a else pooled[1])
+        self.assert_rows_equal_encode(lm, seqs[:5])
+
+    def test_one_stacked_forward_per_chunk_of_a_length_group(self, lm, monkeypatch):
+        calls = []
+        forward = model_module.sequence_forward
+
+        def counting(params, prefix, ids, cfg, **kwargs):
+            calls.append((len(ids), kwargs["rows"]))
+            return forward(params, prefix, ids, cfg, **kwargs)
+
+        monkeypatch.setattr(model_module, "sequence_forward", counting)
+        lengths = [4] * (ENCODE_ROWS + 1) + [9] * 2 + [1]
+        lm.encode_many(random_seqs(lm, lengths))
+        # (ids, rows) per call: length groups in order of first appearance
+        assert calls == [(4 * ENCODE_ROWS, ENCODE_ROWS), (4, 1), (9 * 2, 2), (1, 1)]
+
+    def test_no_sequences_give_no_rows(self, lm):
+        assert lm.encode_many([]).shape == (0, lm.cfg.embed_dim)
+
+    @pytest.mark.parametrize("case", ["empty", "too long", "id too large"])
+    def test_errors_match_encode(self, lm, case):
+        ok = random_seqs(lm, [3, 4], seed=2)
+        bad = {
+            "empty": TokenSequence(()),
+            "too long": TokenSequence((5,) * (lm.cfg.max_seq_len + 1)),
+            "id too large": TokenSequence((5, lm.vocab.size, 6)),
+        }[case]
+        assert raised(lm.encode_many, [*ok, bad]) == raised(lm.encode, bad)
 
 
 class TestDecodeGreedy:
@@ -264,6 +326,28 @@ class TestInferencePath:
         out = sequence_forward(params, "enc", [4, 5, 6], lm.cfg)
         assert not out.requires_grad and out._parents == ()
 
+    @pytest.mark.parametrize("n_blocks", [0, 1, 2])
+    def test_stacked_rows_are_bit_identical_to_one_sequence_calls(self, n_blocks):
+        lm = small_lm(n_blocks)
+        rng = np.random.default_rng(n_blocks)
+        for n in range(1, lm.cfg.max_seq_len + 1):
+            ids = rng.integers(0, lm.vocab.size, size=(ENCODE_ROWS, n)).tolist()
+            stacked = sequence_forward(lm.params, "enc", sum(ids, []), lm.cfg, rows=ENCODE_ROWS)
+            assert stacked.shape == (ENCODE_ROWS, n, lm.cfg.embed_dim) and stacked._parents == ()
+            for row, one in zip(stacked.data, ids):
+                np.testing.assert_array_equal(row, sequence_forward(lm.params, "enc", one, lm.cfg).data)
+
+    @pytest.mark.parametrize("case", ["trainable side", "trainable context", "causal", "cache",
+                                      "ids not a multiple of rows", "zero rows"])
+    def test_stacked_call_only_runs_frozen_unmasked_sequences(self, case):
+        lm = small_lm(1)
+        params = trainable_copy(lm.params) if case == "trainable side" else lm.params
+        ctx = ad.param(np.zeros(lm.cfg.embed_dim)) if case == "trainable context" else None
+        rows = {"ids not a multiple of rows": 4, "zero rows": 0}.get(case, 2)
+        with pytest.raises(ContractError, match="stacked call"):
+            sequence_forward(params, "enc", [4, 5, 6, 7, 8, 9], lm.cfg, context=ctx, causal=case == "causal",
+                             cache=KVCache(lm.cfg) if case == "cache" else None, rows=rows)
+
     @pytest.mark.parametrize("case", ["trainable", "two ids", "not causal"])
     def test_cache_only_extends_a_frozen_causal_decode(self, case):
         lm = small_lm(1)
@@ -273,7 +357,7 @@ class TestInferencePath:
             sequence_forward(params, "dec", ids, lm.cfg, causal=case != "not causal",
                              cache=KVCache(lm.cfg))
 
-    @pytest.mark.parametrize("path", ["graph", "plain", "cached"])
+    @pytest.mark.parametrize("path", ["graph", "plain", "cached", "stacked"])
     @pytest.mark.parametrize("case, error, match", [
         ("empty", ContractError, "empty"),
         ("overlong", ShapeError, "exceeds max_sequence_length"),
@@ -295,7 +379,10 @@ class TestInferencePath:
         else:
             ids = bad[case]
         with pytest.raises(error, match=match):
-            sequence_forward(params, "dec", ids, lm.cfg, causal=True, cache=cache)
+            if path == "stacked":  # two copies of the sequence through the encoder's stacked call
+                sequence_forward(params, "enc", ids * 2, lm.cfg, rows=2)
+            else:
+                sequence_forward(params, "dec", ids, lm.cfg, causal=True, cache=cache)
 
 
 # (d, head_dim, ffn_dim, vocabulary size): the default config with the bundled
@@ -308,8 +395,14 @@ def weight_shapes(d, dh, ffn, vocab_size):
     return [(d, dh), (dh, d), (d, ffn), (ffn, d), (d, vocab_size)]
 
 
+# The longest sequence the default config encodes.
+MAX_SEQ_LEN = ModelConfig().max_seq_len
+
+
 class TestStackedProducts:
-    """Lockstep decoding's premise: the stacked products round each row as a 1-row product does."""
+    """The premise of lockstep decoding and of encode_many: a stacked product
+    rounds each row (decoding) or each sequence (encoding) as computing it
+    alone does."""
 
     @pytest.mark.parametrize("shape", sorted({s for dims in PRODUCT_DIMS for s in weight_shapes(*dims)}))
     def test_stacked_product_equals_one_row_products(self, shape):
@@ -340,6 +433,42 @@ class TestStackedProducts:
                     np.testing.assert_array_equal(scores[i], row_scores[0])
                     np.testing.assert_array_equal(probs[i], row_probs[0])
                     np.testing.assert_array_equal(mixed[i], (row_probs @ np.ascontiguousarray(values[i]))[0])
+
+
+    @pytest.mark.parametrize("shape", sorted({s for dims in PRODUCT_DIMS for s in weight_shapes(*dims)}))
+    def test_stacked_sequences_equal_one_sequence_products(self, shape):
+        rng = np.random.default_rng(shape)
+        w = rng.normal(size=shape)
+        for n in range(1, MAX_SEQ_LEN + 1):
+            x = rng.normal(size=(ENCODE_ROWS, n, shape[0]))
+            alone = np.stack([x[i] @ w for i in range(ENCODE_ROWS)])
+            for rows in range(1, ENCODE_ROWS + 1):
+                np.testing.assert_array_equal(x[:rows] @ w, alone[:rows])
+
+    @pytest.mark.parametrize("head_dim", sorted({dims[1] for dims in PRODUCT_DIMS}))
+    def test_stacked_sequence_attention_equals_per_sequence(self, head_dim):
+        # as in sequence_forward: scores against a copied key transpose, the
+        # softmax over every sequence's score rows at once
+        rng = np.random.default_rng(head_dim)
+        for n in range(1, MAX_SEQ_LEN + 1):
+            q, k, v = rng.normal(size=(3, ENCODE_ROWS, n, head_dim))
+            scores = q @ k.swapaxes(-1, -2).copy()
+            probs = ad.softmax_rows(ad.value(scores.reshape(-1, n))).data.reshape(scores.shape)
+            mixed = probs @ v
+            for i in range(ENCODE_ROWS):
+                row_scores = q[i] @ k[i].T.copy()
+                row_probs = ad.softmax_rows(ad.value(row_scores)).data
+                np.testing.assert_array_equal(scores[i], row_scores)
+                np.testing.assert_array_equal(probs[i], row_probs)
+                np.testing.assert_array_equal(mixed[i], row_probs @ v[i])
+
+    @pytest.mark.parametrize("d", sorted({dims[0] for dims in PRODUCT_DIMS}))
+    def test_stacked_pooling_equals_per_sequence_mean_rows(self, d):
+        rng = np.random.default_rng(d)
+        for n in range(1, MAX_SEQ_LEN + 1):
+            x = rng.normal(size=(ENCODE_ROWS, n, d))
+            alone = np.stack([ad.mean_rows(ad.value(x[i])).data for i in range(ENCODE_ROWS)])
+            np.testing.assert_array_equal(x.mean(axis=1), alone)
 
 
 def numpy_blas_name() -> str:
