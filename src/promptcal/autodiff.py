@@ -2,9 +2,10 @@
 
 Everything is float64. A ``DiffValue`` wraps a numpy array together with a
 same-shape gradient accumulator; operations record closures on a graph so that
-``backward`` can push gradients from a scalar loss to every parameter that
-requires them. Gradients accumulate across ``backward`` calls; optimizers zero
-them after each step.
+``backward`` can push gradients from a scalar loss to every leaf that requires
+them. A leaf is a value no operation produced (a parameter); only leaves
+receive ``.grad``, and an operation's output keeps ``grad is None``. Gradients
+accumulate across ``backward`` calls; optimizers zero them after each step.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ class DiffValue:
         arr = np.asarray(data, dtype=np.float64)
         self.data: Array = arr
         self.requires_grad = bool(requires_grad)
-        # Allocated lazily: leaves get zeros via param(); intermediates only
-        # receive a buffer once backward reaches them.
+        # Allocated lazily: leaves get zeros via param(), or their first
+        # gradient once backward reaches them; intermediates never get one.
         self.grad: Array | None = None
         self._parents: tuple[DiffValue, ...] = ()
         self._backward_fn: _BackwardFn | None = None
@@ -79,11 +80,24 @@ def param(data) -> DiffValue:
     return out
 
 
-def _record(data: Array, parents: Sequence[DiffValue], backward_fn: _BackwardFn) -> DiffValue:
-    out = DiffValue(data, requires_grad=any(p.requires_grad for p in parents))
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _record(data: Array, parents: tuple[DiffValue, ...], backward_fn: _BackwardFn) -> DiffValue:
+    # Built field by field: this runs once per operation, and a float64 array
+    # needs no np.asarray.
+    out = DiffValue.__new__(DiffValue)
+    out.data = data if type(data) is np.ndarray and data.dtype is _FLOAT64 else np.asarray(data, _FLOAT64)
+    out.grad = None
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward_fn = backward_fn
+            return out
+    out.requires_grad = False
+    out._parents = ()
+    out._backward_fn = None
     return out
 
 
@@ -108,10 +122,11 @@ def _topological_order(root: DiffValue) -> list[DiffValue]:
 
 
 def backward(loss: DiffValue) -> None:
-    """Accumulate dL/dx into ``grad`` of every reachable value requiring it.
+    """Accumulate dL/dx into ``grad`` of every reachable leaf requiring it.
 
-    ``loss`` must be scalar. Contributions are propagated per call, so calling
-    twice doubles leaf gradients rather than compounding intermediate ones.
+    ``loss`` must be scalar. Intermediate values pass their gradient on to
+    their parents and keep ``grad is None``. Contributions are propagated per
+    call, so calling twice doubles leaf gradients.
     """
     if loss.shape != ():
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -130,12 +145,12 @@ def backward(loss: DiffValue) -> None:
         g = local.pop(node, None)
         if g is None:
             continue
-        if node.grad is None:
+        if node._backward_fn is not None:
+            node._backward_fn(g, accumulate)
+        elif node.grad is None:
             node.grad = g.copy()  # copy: g may be shared with a sibling parent
         else:
             node.grad += g
-        if node._backward_fn is not None:
-            node._backward_fn(g, accumulate)
 
 
 def _require_same_shape(op: str, a: DiffValue, b: DiffValue) -> None:
@@ -343,25 +358,27 @@ def softmax_rows(m: DiffValue) -> DiffValue:
 
 
 def causal_softmax_rows(m: DiffValue) -> DiffValue:
-    """Row i is the softmax of entries 0..i; entries beyond i are exactly zero.
+    """Row i is the softmax of entries 0..i; entries beyond i are exactly +0.0.
 
-    Computed by slicing rather than additive -inf masking so every intermediate
-    stays finite.
+    Entries beyond the diagonal are masked to -inf, whose exp is +0.0, so the
+    whole matrix goes through each elementwise step at once. The row sums and
+    the backward row dots still run one row at a time, over entries 0..i
+    only: their summation order depends on the length summed, and each row
+    must round as the softmax of its own slice does.
     """
     if m.data.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ShapeError(f"causal_softmax_rows requires a square matrix, got {m.shape}")
     n = m.shape[0]
-    s = np.zeros_like(m.data)
-    for i in range(n):
-        s[i, : i + 1] = _stable_softmax(m.data[i, : i + 1])
+    lower = np.tri(n, dtype=bool)
+    masked = np.where(lower, m.data, -np.inf)
+    e = np.exp(masked - np.maximum.reduce(masked, axis=1, keepdims=True))
+    sums = np.array([np.add.reduce(e[i, : i + 1]) for i in range(n)])
+    s = e / sums[:, None]
 
     def _bw(g, acc):
-        out = np.zeros_like(m.data)
-        for i in range(n):
-            si = s[i, : i + 1]
-            gi = g[i, : i + 1]
-            out[i, : i + 1] = si * (gi - float(gi @ si))
-        acc(m, out)
+        dots = np.array([g[i, : i + 1] @ s[i, : i + 1] for i in range(n)])
+        # where= leaves the upper triangle at +0.0: s * (g - dot) there could be -0.0.
+        acc(m, np.multiply(s, g - dots[:, None], out=np.zeros_like(s), where=lower))
 
     return _record(s, (m,), _bw)
 

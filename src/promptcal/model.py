@@ -508,6 +508,16 @@ def pretrain(
 
     The vocabulary covers the corpus plus any extra_texts (prompt files, soft
     token strings) so that downstream inputs are in-distribution.
+
+    Training runs in two phases. For the first encoder_train_epochs epochs
+    both sides train, and each example's context is the pooled encoding of its
+    source, on the autodiff graph. The encoder is then frozen and the decoder
+    trains alone; the contexts become constants, so they come from
+    encode_many: the bare sources are encoded once, at the first decoder-only
+    epoch, and each epoch's noised sources are encoded together before that
+    epoch's steps. Each epoch draws its whole input list (order, then prefix
+    noise per example) before its first step, in the order the steps take
+    them; the draws never depend on the weights.
     """
     records = list(corpus)
     if not records:
@@ -523,7 +533,7 @@ def pretrain(
         tgt = tokenize(r.impression, vocab)
         if not src.ids or not tgt.ids:
             raise ContractError(f"record {r.id!r} tokenized to an empty sequence")
-        examples.append((src.ids, tgt.ids))
+        examples.append((src, tgt.ids))
 
     def freeze_encoder_side() -> None:
         for name, p in lm.params.items():
@@ -535,25 +545,47 @@ def pretrain(
                 # alive for as long as the model.
                 p.data = p.data.copy()
 
+    rng = np.random.default_rng(config.seed)
+
+    def draw_epoch() -> list[tuple[int, TokenSequence, bool]]:
+        """Each step's example index, source and whether noise was prepended to it."""
+        steps = []
+        for idx in rng.permutation(len(examples)):
+            src = examples[idx][0]
+            noised = config.prefix_noise_prob > 0 and rng.random() < config.prefix_noise_prob
+            if noised:
+                n_noise = int(rng.integers(1, config.prefix_noise_max + 1))
+                noise_ids = tuple(
+                    int(x) for x in rng.integers(len(SPECIAL_TOKENS), vocab.size, size=n_noise)
+                )
+                src = TokenSequence(noise_ids + src.ids)
+            steps.append((idx, src, noised))
+        return steps
+
     encoder_epochs = min(config.encoder_train_epochs, config.max_epochs)
     if encoder_epochs == 0:
         freeze_encoder_side()
     trainable = lm.trainable()
     opt = Adam(trainable, learning_rate=config.learning_rate)
-    rng = np.random.default_rng(config.seed)
     rule = ConvergenceRule(config.convergence_tol, config.stall_window)
+    bare: np.ndarray | None = None  # the frozen encoder's pooled bare sources
     for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(len(examples))
+        steps = draw_epoch()
+        contexts = None
+        if epoch > encoder_epochs:
+            if bare is None:
+                bare = lm.encode_many([src for src, _ in examples])
+            contexts = bare[[idx for idx, _, _ in steps]]
+            noised = [k for k, (_, _, is_noised) in enumerate(steps) if is_noised]
+            if noised:
+                contexts[noised] = lm.encode_many([steps[k][1] for k in noised])
         total = 0.0
-        for idx in order:
-            src_ids, tgt_ids = examples[idx]
-            if config.prefix_noise_prob > 0 and rng.random() < config.prefix_noise_prob:
-                n_noise = int(rng.integers(1, config.prefix_noise_max + 1))
-                noise_ids = tuple(
-                    int(x) for x in rng.integers(len(SPECIAL_TOKENS), vocab.size, size=n_noise)
-                )
-                src_ids = noise_ids + src_ids
-            pooled = ad.mean_rows(sequence_forward(lm.params, "enc", src_ids, config.model))
+        for k, (idx, src, _) in enumerate(steps):
+            if contexts is None:
+                pooled = ad.mean_rows(sequence_forward(lm.params, "enc", src.ids, config.model))
+            else:
+                pooled = ad.value(contexts[k])
+            tgt_ids = examples[idx][1]
             dec_in = (BOS_ID,) + tgt_ids
             targets = tgt_ids + (EOS_ID,)
             x = sequence_forward(lm.params, "dec", dec_in, config.model, context=pooled, causal=True)

@@ -138,6 +138,40 @@ def scalar_reduce(v):
     return ad.sum_all(prod)
 
 
+def oracle_causal_softmax_rows(m, g):
+    """causal_softmax_rows and its input gradient for upstream gradient g, one row slice at a time.
+
+    Row i is the stabilized softmax of m[i, :i+1] and its gradient is
+    s_i * (g_i - g_i . s_i); every entry beyond the diagonal is +0.0.
+    """
+    n = m.shape[0]
+    s = np.zeros_like(m)
+    grad = np.zeros_like(m)
+    for i in range(n):
+        x = m[i, : i + 1]
+        e = np.exp(x - np.maximum.reduce(x))
+        s[i, : i + 1] = e / np.add.reduce(e)
+    for i in range(n):
+        si, gi = s[i, : i + 1], g[i, : i + 1]
+        grad[i, : i + 1] = si * (gi - float(gi @ si))
+    return s, grad
+
+
+def causal_softmax_and_gradient(m, g):
+    """ad.causal_softmax_rows of m and the gradient its backward step passes to m for upstream g.
+
+    The step is called directly, so nothing but the op itself computes, and
+    its contribution comes back as it is, signed zeros included.
+    """
+    x = ad.param(m)
+    s = ad.causal_softmax_rows(x)
+    passed = []
+    s._backward_fn(g, lambda parent, contribution: passed.append((parent, contribution)))
+    [(parent, grad)] = passed
+    assert parent is x
+    return s.data, grad
+
+
 class TestMatmul:
     def test_identity(self):
         rng = np.random.default_rng(0)
@@ -327,6 +361,23 @@ class TestBackward:
         sq = ad.mul(x, x)
         ad.backward(ad.add(sq, sq))
         assert float(x.grad) == pytest.approx(8.0, abs=1e-12)
+
+
+    def test_only_leaves_receive_gradients(self):
+        # f(x, w) = sum(tanh(x) * w): the tanh, product and sum nodes are intermediate
+        x = ad.param(np.array([0.5, -1.0, 2.0]))
+        w = ad.DiffValue(np.array([1.0, 2.0, -3.0]), requires_grad=True)  # a leaf without a buffer
+        t = ad.tanh(x)
+        prod = ad.mul(t, w)
+        loss = ad.sum_all(prod)
+        ad.backward(loss)
+        x_once, w_once = x.grad.copy(), w.grad.copy()
+        np.testing.assert_allclose(x_once, w.data * (1.0 - np.tanh(x.data) ** 2), rtol=1e-15)
+        np.testing.assert_array_equal(w_once, np.tanh(x.data))
+        ad.backward(loss)
+        np.testing.assert_array_equal(x.grad, 2.0 * x_once)
+        np.testing.assert_array_equal(w.grad, 2.0 * w_once)
+        assert t.grad is None and prod.grad is None and loss.grad is None
 
 
 class TestAuxiliaryOps:

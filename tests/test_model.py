@@ -27,8 +27,8 @@ from promptcal.model import (
     sequence_forward,
     sinusoidal_positions,
 )
-from promptcal.vocab import BOS_ID, EOS_ID, TokenSequence, Vocabulary, tokenize
-from tests.test_autodiff import OracleAdam
+from promptcal.vocab import BOS_ID, EOS_ID, SPECIAL_TOKENS, TokenSequence, Vocabulary, tokenize
+from tests.test_autodiff import OracleAdam, causal_softmax_and_gradient, oracle_causal_softmax_rows
 
 
 @pytest.fixture(scope="module")
@@ -402,7 +402,39 @@ MAX_SEQ_LEN = ModelConfig().max_seq_len
 class TestStackedProducts:
     """The premise of lockstep decoding and of encode_many: a stacked product
     rounds each row (decoding) or each sequence (encoding) as computing it
-    alone does."""
+    alone does. Likewise causal_softmax_rows, which runs its elementwise steps
+    on the whole matrix, rounds each row as the softmax of its slice does."""
+
+    def test_causal_softmax_equals_per_row_oracle(self):
+        rng = np.random.default_rng(96)
+        for n in range(1, MAX_SEQ_LEN + 1):
+            upper = ~np.tri(n, dtype=bool)
+            for scale in (1.0, 30.0, 1e3):
+                m, g = rng.uniform(-scale, scale, size=(2, n, n))
+                # Far-below-max entries underflow in exp, as in the oracle; no
+                # other floating-point exception may occur.
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    s, grad = causal_softmax_and_gradient(m, g)
+                expected_s, expected_grad = oracle_causal_softmax_rows(m, g)
+                assert s.tobytes() == expected_s.tobytes()
+                assert grad.tobytes() == expected_grad.tobytes()
+                for out in (s, grad):
+                    assert not np.signbit(out[upper]).any() and not out[upper].any()
+
+    def test_causal_softmax_raises_no_floating_point_exception(self):
+        # Entries within +-300 cannot underflow in exp, so every exception
+        # would come from the masked upper triangle, which holds inf and NaN.
+        rng = np.random.default_rng(97)
+        for n in range(1, MAX_SEQ_LEN + 1):
+            upper = ~np.tri(n, dtype=bool)
+            m, g = rng.uniform(-300.0, 300.0, size=(2, n, n))
+            m[upper] = rng.choice([np.inf, -np.inf, np.nan, 1e308], size=upper.sum())
+            g[upper] = rng.choice([np.inf, -np.inf, -1e308], size=upper.sum())
+            with np.errstate(all="raise"):
+                s, grad = causal_softmax_and_gradient(m, g)
+            expected_s, expected_grad = oracle_causal_softmax_rows(m, g)
+            assert s.tobytes() == expected_s.tobytes()
+            assert grad.tobytes() == expected_grad.tobytes()
 
     @pytest.mark.parametrize("shape", sorted({s for dims in PRODUCT_DIMS for s in weight_shapes(*dims)}))
     def test_stacked_product_equals_one_row_products(self, shape):
@@ -614,7 +646,114 @@ class TestNearestToken:
             assert lm.nearest_token(v) == best
 
 
+def oracle_pretrain(corpus, config, log_fn):
+    """pretrain as a per-example loop: each step draws its own prefix noise and
+    runs its own encoder forward, in both phases."""
+    texts = [r.findings for r in corpus] + [r.impression for r in corpus]
+    vocab = Vocabulary.from_texts(texts)
+    lm = EncoderDecoderLM.initialize(vocab, config.model, config.seed)
+    examples = [(tokenize(r.findings, vocab).ids, tokenize(r.impression, vocab).ids) for r in corpus]
+
+    def freeze_encoder_side():
+        for name, p in lm.params.items():
+            if name.startswith("enc."):
+                p.requires_grad = False
+                p.grad = None
+                p.data = p.data.copy()
+
+    encoder_epochs = min(config.encoder_train_epochs, config.max_epochs)
+    if encoder_epochs == 0:
+        freeze_encoder_side()
+    trainable = lm.trainable()
+    opt = model_module.Adam(trainable, learning_rate=config.learning_rate)
+    rng = np.random.default_rng(config.seed)
+    rule = model_module.ConvergenceRule(config.convergence_tol, config.stall_window)
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(len(examples))
+        total = 0.0
+        for idx in order:
+            src_ids, tgt_ids = examples[idx]
+            if config.prefix_noise_prob > 0 and rng.random() < config.prefix_noise_prob:
+                n_noise = int(rng.integers(1, config.prefix_noise_max + 1))
+                noise_ids = tuple(
+                    int(x) for x in rng.integers(len(SPECIAL_TOKENS), vocab.size, size=n_noise)
+                )
+                src_ids = noise_ids + src_ids
+            pooled = ad.mean_rows(sequence_forward(lm.params, "enc", src_ids, config.model))
+            x = sequence_forward(lm.params, "dec", (BOS_ID,) + tgt_ids, config.model,
+                                 context=pooled, causal=True)
+            loss = ad.token_cross_entropy(ad.matmul(x, lm.params["dec.out"]), tgt_ids + (EOS_ID,))
+            total += float(loss.data)
+            ad.backward(loss)
+            model_module.clip_gradients(trainable, config.max_grad_norm)
+            opt.step()
+        mean_loss = total / len(examples)
+        log_fn(epoch, mean_loss)
+        if epoch == encoder_epochs:
+            freeze_encoder_side()
+            trainable = lm.trainable()
+            opt = model_module.Adam(trainable, learning_rate=config.learning_rate)
+        if rule.update(mean_loss):
+            break
+    lm.freeze()
+    return lm
+
+
+PRETRAIN_MODEL = ModelConfig(embed_dim=16, n_blocks=1, n_heads=2, ffn_dim=16, max_seq_len=64)
+
+
 class TestPretrain:
+    @pytest.mark.parametrize("settings", [
+        dict(max_epochs=3, encoder_train_epochs=1),
+        dict(max_epochs=3, encoder_train_epochs=0),
+        dict(max_epochs=3, encoder_train_epochs=1, prefix_noise_prob=0.0),
+        dict(max_epochs=3, encoder_train_epochs=1, prefix_noise_prob=1.0),
+        dict(max_epochs=2, encoder_train_epochs=3),
+        dict(max_epochs=8, encoder_train_epochs=1, convergence_tol=1.0, stall_window=2),
+    ], ids=["encoder-1-of-3", "encoder-0", "noise-0", "noise-1", "max-epochs-below-encoder",
+            "converges-early"])
+    def test_trains_as_the_per_example_oracle(self, tiny_corpus, settings):
+        config = PretrainConfig(seed=4, model=PRETRAIN_MODEL, **settings)
+
+        def run(train):
+            losses = []
+            lm = train(tiny_corpus[:16], config, log_fn=lambda e, l: losses.append(l))
+            return lm.weight_digest(), losses
+
+        got, expected = run(pretrain), run(oracle_pretrain)
+        assert got == expected
+        assert len(got[1]) == (3 if settings.get("stall_window") else config.max_epochs)
+
+    @pytest.mark.parametrize("noise_prob, encode_many_sizes", [(0.0, [16]), (1.0, [16, 16, 16])])
+    def test_decoder_only_epochs_encode_through_encode_many(self, tiny_corpus, monkeypatch,
+                                                             noise_prob, encode_many_sizes):
+        # Bare sources once, then each decoder-only epoch's noised sources in one call.
+        sizes, per_example = [], []
+        encode_many, forward = EncoderDecoderLM.encode_many, model_module.sequence_forward
+
+        def counted_encode_many(self, seqs):
+            sizes.append(len(seqs))
+            return encode_many(self, seqs)
+
+        def counted_forward(params, prefix, ids, cfg, *args, **kwargs):
+            if prefix == "enc" and kwargs.get("rows") is None:
+                per_example.append(len(ids))
+            return forward(params, prefix, ids, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(EncoderDecoderLM, "encode_many", counted_encode_many)
+        monkeypatch.setattr(model_module, "sequence_forward", counted_forward)
+        pretrain(tiny_corpus[:16], PretrainConfig(max_epochs=3, encoder_train_epochs=1, seed=4,
+                                                  prefix_noise_prob=noise_prob, model=PRETRAIN_MODEL))
+        assert sizes == encode_many_sizes
+        assert len(per_example) == 16  # the encoder-training epoch only
+
+    @pytest.mark.parametrize("encoder_train_epochs", [0, 1])
+    def test_noised_source_beyond_max_seq_len_raises_shape_error(self, tiny_corpus, encoder_train_epochs):
+        config = PretrainConfig(max_epochs=3, encoder_train_epochs=encoder_train_epochs, seed=4,
+                                prefix_noise_prob=1.0, prefix_noise_max=64, model=PRETRAIN_MODEL)
+        with pytest.raises(ShapeError, match="exceeds max_sequence_length 64"):
+            pretrain(tiny_corpus[:16], config)
+
     def test_loss_halves_and_freezes(self, tiny_corpus):
         losses = []
         cfg = PretrainConfig(max_epochs=12, seed=5, model=ModelConfig(

@@ -96,9 +96,9 @@ def sequence_sets(lm) -> dict[str, list[list]]:
     }
 
 
-def quartiles(xs: list[float]) -> dict[str, float]:
+def quartiles(xs: list[float], digits: int = 1) -> dict[str, float]:
     q1, q2, q3 = statistics.quantiles(xs, n=4)
-    return {"median": round(q2, 1), "q1": round(q1, 1), "q3": round(q3, 1)}
+    return {"median": round(q2, digits), "q1": round(q1, digits), "q3": round(q3, digits)}
 
 
 def main(argv: list[str] | None = None) -> int:
