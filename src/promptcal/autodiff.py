@@ -342,14 +342,21 @@ def log_softmax(v: DiffValue) -> DiffValue:
     return _record(out_data, (v,), _bw)
 
 
-def softmax_rows(m: DiffValue) -> DiffValue:
-    """Row-wise stabilized softmax of a matrix."""
-    if m.data.ndim != 2 or 0 in m.shape:
-        raise ShapeError(f"softmax_rows requires a non-empty matrix, got shape {m.shape}")
+def softmax_rows(m: DiffValue | Array) -> DiffValue | Array:
+    """Row-wise stabilized softmax of a matrix.
+
+    A plain array gives a plain array with the same numbers as the DiffValue
+    path's .data, and records nothing: graph-free callers skip the wrapping.
+    """
+    data = m if isinstance(m, np.ndarray) else m.data
+    if data.ndim != 2 or 0 in data.shape:
+        raise ShapeError(f"softmax_rows requires a non-empty matrix, got shape {data.shape}")
     # The ufunc reductions skip ndarray.max/sum's Python wrappers; same numbers.
-    shifted = m.data - np.maximum.reduce(m.data, axis=1, keepdims=True)
+    shifted = data - np.maximum.reduce(data, axis=1, keepdims=True)
     e = np.exp(shifted)
     s = e / np.add.reduce(e, axis=1, keepdims=True)
+    if m is data:
+        return s
 
     def _bw(g, acc):
         acc(m, s * (g - (g * s).sum(axis=1, keepdims=True)))

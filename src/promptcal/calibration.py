@@ -134,6 +134,14 @@ def join_prompted(t_llm: TokenSequence, t_org: TokenSequence, policy: str = "pro
     raise ContractError(f"unknown separator policy {policy!r}")
 
 
+def prompted_input(
+    t_llm: TokenSequence, t_org: TokenSequence, prefix: TokenSequence | None, policy: str = "prompt_first"
+) -> TokenSequence:
+    """What inference encodes for one note: the decoded soft prefix, if any, then the joined prompt and note."""
+    joined = join_prompted(t_llm, t_org, policy)
+    return joined if prefix is None else concat(prefix, joined)
+
+
 def calibration_loss(
     bare: np.ndarray, prompted: np.ndarray, soft: DiffValue, distance: str
 ) -> DiffValue:
@@ -270,9 +278,7 @@ def summarize_many(
     if not lm.frozen:
         raise ContractError("summarize requires a frozen model")
     prefix = decode_soft_prompt(*calibration, lm) if calibration is not None else None
-    joined = [join_prompted(t_llm, t_org, policy) for t_org in notes]
-    if prefix is not None:
-        joined = [concat(prefix, seq) for seq in joined]
+    joined = [prompted_input(t_llm, t_org, prefix, policy) for t_org in notes]
     return lm.decode_greedy(lm.encode_many(joined), max_len=max_len).rows
 
 

@@ -118,6 +118,26 @@ def init_params(cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> 
     return params
 
 
+class BlockWeights(NamedTuple):
+    """One block's weights laid out for a head-batched decode step."""
+
+    qkv: np.ndarray  # [d x 3*H*dh]: every head's wq, then every head's wk, then every head's wv
+    wo: np.ndarray  # [H x 1 x dh x d]: each head's wo, broadcast over the live rows
+    w1: np.ndarray
+    w2: np.ndarray
+
+
+def block_weights(params: Mapping[str, DiffValue], side: str, cfg: ModelConfig) -> list[BlockWeights]:
+    """Each block's weights for one side, with the heads' projections side by side."""
+    out = []
+    for b in range(cfg.n_blocks):
+        heads = [f"{side}b{b}.h{h}." for h in range(cfg.n_heads)]
+        qkv = np.concatenate([params[base + w].data for w in ("wq", "wk", "wv") for base in heads], axis=1)
+        wo = np.stack([params[base + "wo"].data for base in heads])[:, None]
+        out.append(BlockWeights(qkv, wo, params[f"{side}b{b}.ffn.w1"].data, params[f"{side}b{b}.ffn.w2"].data))
+    return out
+
+
 class KVCache:
     """Keys and values of every position a group of frozen causal decodes has consumed.
 
@@ -127,6 +147,9 @@ class KVCache:
     head_dim) but stored position by position, each position's rows side by
     side: a decode touches only the pages of the positions it reaches, and
     once finished rows are compacted away, only those of the rows still live.
+    A step writes every head's key and value of a block at once. The cache
+    also keeps the block_weights its steps multiply by, built on the first
+    step and rebuilt only if a step brings another parameter mapping.
     """
 
     def __init__(self, cfg: ModelConfig, rows: int = 1, positions: int | None = None):
@@ -136,6 +159,13 @@ class KVCache:
         self.values = np.empty(shape).transpose(2, 3, 1, 0, 4)
         self.rows = rows
         self.length = 0
+        self._weights: tuple[Mapping[str, DiffValue], str, list[BlockWeights]] | None = None
+
+    def weights(self, params: Mapping[str, DiffValue], side: str, cfg: ModelConfig) -> list[BlockWeights]:
+        """block_weights of params' side, built once per decode."""
+        if self._weights is None or self._weights[0] is not params or self._weights[1] != side:
+            self._weights = (params, side, block_weights(params, side, cfg))
+        return self._weights[2]
 
     def keep(self, slots: Sequence[int]) -> None:
         """Move the rows at the given ascending slots, in order, to the front; the others end."""
@@ -163,12 +193,16 @@ def sequence_forward(
 
     When neither a parameter of this side nor context requires a gradient, the
     same body runs on plain numpy arrays and builds no graph; its rows are
-    bit-identical to the graph's. With a cache, the call advances the cache's
-    rows of a frozen causal decode by one position: ids holds each live row's
-    next id, context is one d-vector for all rows or one row per live row, and
-    the result has one row per live row. Each new row attends over its own
-    cached positions, and every product runs stacked (a [rows x 1 x m]
-    operand), which rounds each row as a one-row product does.
+    bit-identical to the graph's. That body loops over the heads of each
+    block, as backward's accumulation order needs.
+
+    With a cache, the call advances the cache's rows of a frozen causal decode
+    by one position: ids holds each live row's next id, context is one
+    d-vector for all rows or one row per live row, and the result has one row
+    per live row. Each new row attends over its own cached positions. The step
+    runs every head of a block at once (see decode_step), and every product
+    runs stacked (a [rows x 1 x m] operand), which rounds each row and each
+    head as a one-row, one-head product does.
 
     With rows, the call runs that many equal-length sequences of a frozen,
     unmasked side at once: ids holds them back to back, and the result is
@@ -197,6 +231,8 @@ def sequence_forward(
             cache is None or context.shape != (cache.rows, cfg.embed_dim)):
         raise ShapeError(f"context must be a length-{cfg.embed_dim} vector or one per cached row, "
                          f"got {context.shape}")
+    if cache is not None:
+        return ad.value(decode_step(params, side, ids, cfg, context, cache))
 
     def weight(name: str) -> DiffValue | np.ndarray:
         p = params[name]
@@ -204,7 +240,7 @@ def sequence_forward(
 
     # Without a graph every op below runs on plain arrays; `@` and `+` work on
     # both, and the ops spelled twice compute the same numbers in the same order.
-    pos = params[side + "pos"].data[start:n]
+    pos = params[side + "pos"].data[:n]
     if needs_graph:
         x = ad.add(ad.rows(params[side + "embed"], ids), ad.value(pos))
     else:
@@ -213,13 +249,8 @@ def sequence_forward(
         x = (x if rows is None else x.reshape(rows, n, -1)) + pos
     if context is not None:
         x = ad.add_row_vector(x, context) if needs_graph else x + context.data
-    if cache is not None:
-        # A 2-D X @ W rounds a row differently depending on how many rows X
-        # has; the stacked [rows x 1 x d] form runs one 1-row product per row.
-        x = x[:, None, :]
     inv_sqrt_dh = 1.0 / math.sqrt(cfg.head_dim)
-    # One new query row needs no causal mask: every cached position precedes it.
-    row_softmax = ad.causal_softmax_rows if causal and cache is None else ad.softmax_rows
+    row_softmax = ad.causal_softmax_rows if causal else ad.softmax_rows
     for b in range(cfg.n_blocks):
         attn_sum = None
         for h in range(cfg.n_heads):
@@ -227,28 +258,72 @@ def sequence_forward(
             q = x @ weight(base + "wq")
             k = x @ weight(base + "wk")
             v = x @ weight(base + "wv")
-            if cache is not None:
-                live = cache.rows
-                cache.keys[b, h, :live, start:n] = k
-                cache.values[b, h, :live, start:n] = v
-                k, v = cache.keys[b, h, :live, :n], cache.values[b, h, :live, :n]
             if needs_graph:
                 probs = row_softmax(ad.scale(q @ ad.transpose(k), inv_sqrt_dh))
             else:
                 # ad.transpose copies, and BLAS can round q @ k.T differently
                 # from q @ k.T.copy(), so the copy keeps the two modes bit-identical.
                 scores = (q @ k.swapaxes(-1, -2).copy()) * inv_sqrt_dh
-                probs = row_softmax(ad.value(scores.reshape(-1, n))).data.reshape(scores.shape)
+                if causal:
+                    probs = row_softmax(ad.value(scores)).data
+                else:
+                    probs = row_softmax(scores.reshape(-1, n)).reshape(scores.shape)
             head_out = (probs @ v) @ weight(base + "wo")
             attn_sum = head_out if attn_sum is None else attn_sum + head_out
         x = x + attn_sum
         hidden = x @ weight(f"{side}b{b}.ffn.w1")
         hidden = ad.tanh(hidden) if needs_graph else np.tanh(hidden)
         x = x + hidden @ weight(f"{side}b{b}.ffn.w2")
-    if cache is not None:
-        cache.length = n
-        x = x[:, 0]
     return x if needs_graph else ad.value(x)
+
+
+def decode_step(
+    params: Mapping[str, DiffValue],
+    side: str,
+    ids: Sequence[int],
+    cfg: ModelConfig,
+    context: DiffValue | None,
+    cache: KVCache,
+) -> np.ndarray:
+    """sequence_forward's cached step, after its checks: one new row per live row, [rows x d].
+
+    Each block makes one fused projection of every head's query, key and
+    value, writes every head's key and value into the cache at once, and
+    runs the scores, the softmax, the mix of values and the output
+    projection for all heads in one stacked product each; the heads' outputs
+    are then summed in head order, as the per-head loop sums them. Every
+    stacked product runs one 1-row product per (head, row), and a column
+    block of a 1-row product rounds as the product with that block alone.
+    """
+    start, live = cache.length, cache.rows
+    n = start + 1
+    heads, dh = cfg.n_heads, cfg.head_dim
+    table = params[side + "embed"].data
+    x = table[ad.row_index(table, ids)] + params[side + "pos"].data[start:n]
+    if context is not None:
+        x = x + context.data
+    # A 2-D X @ W rounds a row differently depending on how many rows X has;
+    # the stacked [rows x 1 x d] form runs one 1-row product per row.
+    x = x[:, None, :]
+    inv_sqrt_dh = 1.0 / math.sqrt(dh)
+    for b, w in enumerate(cache.weights(params, side, cfg)):
+        # [rows x 1 x 3*H*dh] -> [3 x H x rows x dh]: query, key, value per head.
+        qkv = (x @ w.qkv).reshape(live, 3, heads, dh).transpose(1, 2, 0, 3)
+        cache.keys[b, :, :live, start] = qkv[1]
+        cache.values[b, :, :live, start] = qkv[2]
+        keys, values = cache.keys[b, :, :live, :n], cache.values[b, :, :live, :n]
+        # One new query row needs no causal mask: every cached position
+        # precedes it. The key transpose is copied, as the per-head loop does.
+        scores = (qkv[0][:, :, None, :] @ keys.swapaxes(-1, -2).copy()) * inv_sqrt_dh
+        probs = ad.softmax_rows(scores.reshape(-1, n)).reshape(scores.shape)
+        head_out = (probs @ values) @ w.wo  # [H x rows x 1 x d]
+        attn_sum = head_out[0]
+        for h in range(1, heads):
+            attn_sum = attn_sum + head_out[h]
+        x = x + attn_sum
+        x = x + np.tanh(x @ w.w1) @ w.w2
+    cache.length = n
+    return x[:, 0]
 
 
 class Encoding(NamedTuple):

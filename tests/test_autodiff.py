@@ -248,6 +248,30 @@ class TestSoftmax:
             finite_difference_check(lambda: scalar_reduce(ad.softmax(v)), [v], rng)
 
 
+class TestSoftmaxRowsOnArrays:
+    """softmax_rows on a plain array: the graph-free callers' form."""
+
+    def test_array_output_is_byte_equal_to_the_diffvalue_path(self):
+        rng = np.random.default_rng(12)
+        for rows, n in [(1, 1), (1, 7), (3, 25), (32, 96), (5, 200)]:
+            for scale in (1.0, 30.0, 1e3):
+                m = rng.uniform(-scale, scale, size=(rows, n))
+                before = m.copy()
+                out = ad.softmax_rows(m)
+                assert type(out) is np.ndarray
+                assert out.tobytes() == ad.softmax_rows(ad.value(m)).data.tobytes()
+                np.testing.assert_array_equal(m, before)
+
+    @pytest.mark.parametrize("shape", [(5,), (0, 3), (3, 0), (0,), (2, 3, 4)])
+    def test_same_shape_error_for_both_forms(self, shape):
+        m = np.zeros(shape)
+        with pytest.raises(ShapeError) as from_value:
+            ad.softmax_rows(ad.value(m))
+        with pytest.raises(ShapeError) as from_array:
+            ad.softmax_rows(m)
+        assert str(from_array.value) == str(from_value.value)
+
+
 class TestMseDistance:
     def test_zero_on_equal(self):
         rng = np.random.default_rng(6)

@@ -5,10 +5,12 @@ import csv
 import io
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from promptcal.calibration import summarize_many
 from promptcal.corpus import CorpusRecord, generate_corpus
 from promptcal.errors import ContractError
 from promptcal.harness import (
@@ -26,8 +28,10 @@ from promptcal.harness import (
     mean_deduction,
     std_deduction,
 )
+from promptcal.model import EncoderDecoderLM
 from promptcal.rouge import VARIANTS
-from promptcal.vocab import TokenSequence, tokenize
+from promptcal.vocab import EOS_ID, TokenSequence, tokenize
+from tests.conftest import TINY_MODEL
 
 
 class TestPromptEnsemble:
@@ -363,3 +367,147 @@ class TestEvaluateEnsemble:
         fwd = evaluate_ensemble(tiny_lm, None, PromptEnsemble((p1, p2)), corpus, label="a")
         rev = evaluate_ensemble(tiny_lm, None, PromptEnsemble((p2, p1)), corpus, label="b")
         assert sorted(fwd.per_prompt_scores) == sorted(rev.per_prompt_scores)
+
+
+def per_prompt_oracle(lm, calibration, ensemble, corpus, policy="prompt_first", max_len=None):
+    """The ensemble scored one prompt at a time: evaluate_prompt, which runs summarize_many per prompt."""
+    return tuple(evaluate_prompt(lm, calibration, prompt, corpus, policy=policy, max_len=max_len)
+                 for prompt in ensemble.prompts)
+
+
+def soft_calibration(lm):
+    from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT, SoftPromptToken
+
+    soft = np.random.default_rng(0).normal(size=lm.cfg.embed_dim)
+    return soft, SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, lm.vocab)
+
+
+@pytest.fixture(scope="module")
+def varied_lm(tiny_lm):
+    """A random frozen model over tiny_lm's vocabulary: its summaries differ from note
+    to note and from prompt to prompt, in tokens and in length, where tiny_lm's barely do."""
+    lm = EncoderDecoderLM.initialize(tiny_lm.vocab, replace(TINY_MODEL, embed_bias_std=0.0), seed=6)
+    lm.params["dec.out"].data[:, EOS_ID] *= 1.5
+    lm.freeze()
+    return lm
+
+
+class TestEnsembleAgainstPerPromptOracle:
+    """evaluate_ensemble's note-major blocks score exactly as evaluating each prompt alone."""
+
+    @pytest.mark.parametrize("model", ["tiny_lm", "varied_lm"])
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["baseline", "calibrated"])
+    @pytest.mark.parametrize("n_prompts, n_notes, block_rows, kwargs", [
+        pytest.param(10, 9, None, {}, id="default block, 9 notes"),
+        pytest.param(3, 7, 7, {}, id="2-note blocks, 7 notes"),
+        pytest.param(2, 3, 1, {}, id="1-note blocks"),
+        pytest.param(1, 5, None, {}, id="one prompt"),
+        pytest.param(3, 5, 7, {"max_len": 2}, id="max_len 2"),
+        pytest.param(3, 5, 7, {"policy": "notes_first"}, id="notes_first"),
+    ])
+    def test_scores_and_summaries_equal_the_per_prompt_loop(self, request, ensemble, monkeypatch, model,
+                                                            calibrated, n_prompts, n_notes, block_rows, kwargs):
+        import promptcal.harness as harness_module
+
+        lm = request.getfixturevalue(model)
+        corpus = generate_corpus(n_notes, seed=46)
+        ens = PromptEnsemble(ensemble.prompts[:n_prompts])
+        calibration = soft_calibration(lm) if calibrated else None
+        expected = per_prompt_oracle(lm, calibration, ens, corpus, **kwargs)
+        notes = [tokenize(r.findings, lm.vocab) for r in corpus]
+        expected_summaries = [summarize_many(notes, tokenize(p, lm.vocab), lm, calibration, **kwargs)
+                              for p in ens.prompts]
+        if block_rows is not None:
+            monkeypatch.setattr(harness_module, "EVALUATE_ROWS", block_rows)
+        handed = []
+        score = harness_module.evaluate_prompt
+
+        def recorded(*args, **kw):
+            handed.append(tuple(kw["summaries"]))
+            return score(*args, **kw)
+
+        monkeypatch.setattr(harness_module, "evaluate_prompt", recorded)
+        run = evaluate_ensemble(lm, calibration, ens, corpus, label="x", **kwargs)
+        assert run.per_prompt_scores == expected
+        assert handed == expected_summaries
+
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["baseline", "calibrated"])
+    def test_shared_work_runs_once_per_arm_and_block(self, tiny_lm, ensemble, monkeypatch, calibrated):
+        import promptcal.harness as harness_module
+
+        corpus = generate_corpus(7, seed=47)
+        ens = PromptEnsemble(ensemble.prompts[:3])
+        calibration = soft_calibration(tiny_lm) if calibrated else None
+        calls = {"tokenize": 0, "decode_soft_prompt": 0, "encode_many": [], "decode_greedy": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness_module, "EVALUATE_ROWS", 6)  # 2 notes x 3 prompts a block
+        monkeypatch.setattr(harness_module, "tokenize", counted("tokenize", harness_module.tokenize))
+        monkeypatch.setattr(harness_module, "decode_soft_prompt",
+                            counted("decode_soft_prompt", harness_module.decode_soft_prompt))
+        monkeypatch.setattr(EncoderDecoderLM, "decode_greedy",
+                            counted("decode_greedy", EncoderDecoderLM.decode_greedy))
+        encode_many = EncoderDecoderLM.encode_many
+
+        def recorded_encode_many(self, seqs):
+            calls["encode_many"].append(len(seqs))
+            return encode_many(self, seqs)
+
+        monkeypatch.setattr(EncoderDecoderLM, "encode_many", recorded_encode_many)
+        evaluate_ensemble(tiny_lm, calibration, ens, corpus, label="x")
+        assert calls["tokenize"] == len(ens.prompts) + len(corpus)
+        assert calls["decode_soft_prompt"] == (1 if calibrated else 0)
+        assert calls["encode_many"] == [6, 6, 6, 3]
+        assert calls["decode_greedy"] == 4
+
+    def test_empty_corpus_rejected(self, tiny_lm, ensemble):
+        with pytest.raises(ContractError, match="non-empty"):
+            evaluate_ensemble(tiny_lm, None, ensemble, [], label="x")
+
+    def test_missing_impression_names_record_before_any_decoding(self, tiny_lm, ensemble, monkeypatch):
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("decoded before checking the corpus")
+
+        monkeypatch.setattr(EncoderDecoderLM, "decode_greedy", no_decoding)
+        bad = list(generate_corpus(3, seed=48)) + [CorpusRecord(id="rec-9", findings="no edema.", impression="")]
+        with pytest.raises(ContractError, match="rec-9"):
+            evaluate_ensemble(tiny_lm, None, ensemble, bad, label="x")
+
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["baseline", "calibrated"])
+    def test_overlong_prompted_note_raises_shape_error(self, tiny_lm, ensemble, calibrated):
+        from promptcal.errors import ShapeError
+
+        # fits alone, but not after the prompt and separator (and the soft prefix)
+        words = " ".join(["edema"] * (tiny_lm.cfg.max_seq_len - 3))
+        corpus = list(generate_corpus(2, seed=49)) + [CorpusRecord(id="long", findings=words, impression="x")]
+        calibration = soft_calibration(tiny_lm) if calibrated else None
+        with pytest.raises(ShapeError, match="exceeds max_sequence_length"):
+            per_prompt_oracle(tiny_lm, calibration, ensemble, corpus)
+        with pytest.raises(ShapeError, match="exceeds max_sequence_length"):
+            evaluate_ensemble(tiny_lm, calibration, ensemble, corpus, label="x")
+
+
+class TestEvaluatePromptWithSummaries:
+    def test_given_summaries_score_as_the_summarize_fn_path(self, tiny_lm):
+        from promptcal.calibration import summarize
+
+        corpus = generate_corpus(4, seed=50)
+        prompt = "summarize the following clinical notes."
+        outputs = []
+
+        def per_note(t_org, t_llm):
+            outputs.append(summarize(t_org, t_llm, tiny_lm))
+            return outputs[-1]
+
+        expected = evaluate_prompt(tiny_lm, None, prompt, corpus, summarize_fn=per_note)
+        assert evaluate_prompt(tiny_lm, None, prompt, corpus, summaries=outputs) == expected
+
+    def test_summary_count_must_match_the_corpus(self, tiny_lm):
+        corpus = generate_corpus(3, seed=51)
+        with pytest.raises(ContractError, match="2 summaries for 3 records"):
+            evaluate_prompt(tiny_lm, None, "p", corpus, summaries=[TokenSequence(()), TokenSequence(())])

@@ -494,6 +494,53 @@ class TestStackedProducts:
                 np.testing.assert_array_equal(probs[i], row_probs)
                 np.testing.assert_array_equal(mixed[i], row_probs @ v[i])
 
+    @pytest.mark.parametrize("d, head_dim", sorted({dims[:2] for dims in PRODUCT_DIMS}))
+    def test_fused_projection_equals_each_heads_product(self, d, head_dim):
+        # as in decode_step: [rows x 1 x d] @ [d x 3*H*dh], every head's wq, then wk, then wv
+        heads = d // head_dim
+        rng = np.random.default_rng(d)
+        w = rng.normal(size=(3, heads, d, head_dim))
+        fused = np.concatenate([w[j, h] for j in range(3) for h in range(heads)], axis=1)
+        for rows in range(1, 40):
+            x = rng.normal(size=(rows, 1, d))
+            qkv = (x @ fused).reshape(rows, 3, heads, head_dim).transpose(1, 2, 0, 3)
+            for j in range(3):
+                for h in range(heads):
+                    assert qkv[j, h].tobytes() == (x @ w[j, h])[:, 0].tobytes()
+
+    @pytest.mark.parametrize("d, head_dim", sorted({dims[:2] for dims in PRODUCT_DIMS}))
+    def test_head_batched_attention_equals_the_per_head_loop(self, d, head_dim):
+        # decode_step against the per-head loop it replaced: the query a strided
+        # view of the fused projection, keys and values laid out as in KVCache,
+        # the stacked (probs @ v) @ wo[H] summed in head order
+        heads = d // head_dim
+        rng = np.random.default_rng(d + 1)
+        max_seq_len = 25
+        inv_sqrt_dh = 1.0 / np.sqrt(head_dim)
+        wq = rng.normal(size=(heads, d, head_dim))
+        wo = rng.normal(size=(heads, head_dim, d))
+        fused = np.concatenate([*wq, *wq, *wq], axis=1)
+        for rows in (1, 2, 7, LOCKSTEP_ROWS):
+            store = rng.normal(size=(2, max_seq_len, LOCKSTEP_ROWS, heads, head_dim)).transpose(0, 3, 2, 1, 4)
+            x = rng.normal(size=(rows, 1, d))
+            q = (x @ fused).reshape(rows, 3, heads, head_dim).transpose(1, 2, 0, 3)[0]
+            for n in range(1, max_seq_len + 1):
+                keys, values = store[0, :, :rows, :n], store[1, :, :rows, :n]
+                scores = (q[:, :, None, :] @ keys.swapaxes(-1, -2).copy()) * inv_sqrt_dh
+                probs = ad.softmax_rows(scores.reshape(-1, n)).reshape(scores.shape)
+                head_out = (probs @ values) @ wo[:, None]
+                summed = head_out[0]
+                for h in range(1, heads):
+                    summed = summed + head_out[h]
+                loop = None
+                for h in range(heads):
+                    one_scores = (x @ wq[h] @ keys[h].swapaxes(-1, -2).copy()) * inv_sqrt_dh
+                    one_probs = ad.softmax_rows(ad.value(one_scores.reshape(-1, n))).data.reshape(one_scores.shape)
+                    one_out = (one_probs @ values[h]) @ wo[h]
+                    loop = one_out if loop is None else loop + one_out
+                    assert probs[h].tobytes() == one_probs.tobytes()
+                assert summed.tobytes() == loop.tobytes()
+
     @pytest.mark.parametrize("d", sorted({dims[0] for dims in PRODUCT_DIMS}))
     def test_stacked_pooling_equals_per_sequence_mean_rows(self, d):
         rng = np.random.default_rng(d)
@@ -604,6 +651,14 @@ class TestLockstepDecode:
             sequence_forward(lm.params, "dec", [token], lm.cfg, causal=True, cache=cache)
         with pytest.raises(ShapeError, match="cache's 2 positions"):
             sequence_forward(lm.params, "dec", [6], lm.cfg, causal=True, cache=cache)
+
+    def test_head_batched_weights_are_built_once_per_lockstep_group(self, stopping_lm, monkeypatch):
+        lm, contexts = stopping_lm
+        built = []
+        block_weights = model_module.block_weights
+        monkeypatch.setattr(model_module, "block_weights", lambda *args: built.append(args) or block_weights(*args))
+        lm.decode_greedy(contexts[:LOCKSTEP_ROWS + 1], max_len=6)
+        assert len(built) == 2
 
     def test_compaction_keeps_the_live_rows_in_order(self, stopping_lm):
         lm, contexts = stopping_lm
