@@ -45,10 +45,6 @@ class DiffValue:
     def size(self) -> int:
         return self.data.size
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
     def __repr__(self) -> str:
         return f"DiffValue(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -490,8 +486,3 @@ def rowwise_cross_entropy(p: DiffValue, q: DiffValue) -> DiffValue:
         acc(q, coeff * (sq - sp))
 
     return _record(np.float64(per_row.mean()), (p, q), _bw)
-
-
-def zero_grads(params: Sequence[DiffValue]) -> None:
-    for p in params:
-        p.zero_grad()

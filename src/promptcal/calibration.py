@@ -255,31 +255,52 @@ def decode_soft_prompt(
     return TokenSequence(tuple(chosen), surface=surface)
 
 
+# Prompted notes summarize_many encodes and decodes together at most: whole
+# notes, each with every prompt (8 notes of the bundled 10-prompt ensemble,
+# i.e. 5 full lockstep groups). A block's contexts and summaries are live at
+# once, so memory grows with it, and larger blocks gain little: a round of
+# both evaluate arms on the bundled ensemble and test corpus took 0.843 s in
+# 40-row blocks, 0.807 s in 80, 0.806 s in 160 and 0.799 s in one 500-row
+# block, with a tracemalloc heap peak of 1,693, 2,122, 2,218 and 2,656 KiB
+# (per-prompt decoding: 1.048 s, 2,013 KiB; tools/ab_evaluate.py --blocks
+# 40,160,500, medians of 15 interleaved repeats, 1 BLAS thread;
+# BENCH_evaluate.json).
+EVALUATE_ROWS = 80
+
+
 def summarize_many(
     notes: Sequence[TokenSequence],
-    t_llm: TokenSequence,
+    prompts: Sequence[TokenSequence],
     lm: EncoderDecoderLM,
     calibration: tuple[np.ndarray, SoftPromptToken] | None = None,
-    max_len: int | None = None,
     policy: str = "prompt_first",
-) -> tuple[TokenSequence, ...]:
-    """Greedy summaries of several prompted notes, optionally with the invariant soft prefix.
+) -> tuple[tuple[TokenSequence, ...], ...]:
+    """Greedy summaries of every (prompt, note) pair, optionally with the invariant soft prefix.
 
-    calibration is (soft vector, soft token) as train_calibrator and
-    load_calibrator give them; its prefix is decoded once and goes before each
-    prompted note. One encode_many call encodes the prompted notes, stacking
-    those of equal length in chunks of at most ENCODE_ROWS (bounded, because
-    larger stacks measured slower); the pooled contexts then go to one
-    lockstep decode_greedy call. Each summary equals, token for token,
-    summarizing that note alone.
+    Returns one tuple per prompt, in prompt order, holding each note's
+    summary in input order. calibration is (soft vector, soft token) as
+    train_calibrator and load_calibrator give them; its prefix is decoded
+    once and goes before each prompted note. The notes go in blocks of whole
+    notes, EVALUATE_ROWS prompted notes at most (one note when it has more
+    prompts), each note's prompted rows side by side: a note's summaries have
+    similar lengths across prompts, so the rows of a lockstep group tend to
+    finish together. A block takes one encode_many and one decode_greedy
+    call. Each summary equals, token for token, summarizing that pair alone.
     """
     if not notes:
         raise ContractError("summarize_many requires at least one note")
+    if not prompts:
+        raise ContractError("summarize_many requires at least one prompt")
     if not lm.frozen:
         raise ContractError("summarize requires a frozen model")
     prefix = decode_soft_prompt(*calibration, lm) if calibration is not None else None
-    joined = [prompted_input(t_llm, t_org, prefix, policy) for t_org in notes]
-    return lm.decode_greedy(lm.encode_many(joined), max_len=max_len).rows
+    summaries: list[list[TokenSequence]] = [[] for _ in prompts]
+    per_block = max(1, EVALUATE_ROWS // len(prompts))
+    for lo in range(0, len(notes), per_block):
+        joined = [prompted_input(p, t, prefix, policy) for t in notes[lo:lo + per_block] for p in prompts]
+        for k, row in enumerate(lm.decode_greedy(lm.encode_many(joined)).rows):
+            summaries[k % len(prompts)].append(row)
+    return tuple(map(tuple, summaries))
 
 
 def summarize(
@@ -287,8 +308,7 @@ def summarize(
     t_llm: TokenSequence,
     lm: EncoderDecoderLM,
     calibration: tuple[np.ndarray, SoftPromptToken] | None = None,
-    max_len: int | None = None,
     policy: str = "prompt_first",
 ) -> TokenSequence:
-    """Greedy summary of prompted notes: summarize_many's one-note case."""
-    return summarize_many([t_org], t_llm, lm, calibration, max_len=max_len, policy=policy)[0]
+    """Greedy summary of prompted notes: summarize_many's one-note, one-prompt case."""
+    return summarize_many([t_org], [t_llm], lm, calibration, policy)[0][0]

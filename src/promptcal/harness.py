@@ -13,8 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calibration import (CalibrationConfig, SoftPromptToken, decode_soft_prompt, prompted_input,
-                          summarize_many, train_calibrator)
+from .calibration import CalibrationConfig, SoftPromptToken, summarize_many, train_calibrator
 from .corpus import CorpusRecord, corpus_digest, require_impressions
 from .errors import ContractError
 from .model import EncoderDecoderLM
@@ -91,37 +90,23 @@ class VarianceReport:
     rows: dict[str, VariantComparison]  # keyed by variant, iteration order R1, R2, RL
 
 
-# Prompted notes evaluate_ensemble encodes and decodes together at most: whole
-# notes, each with every prompt of the ensemble (8 notes of the bundled
-# 10-prompt ensemble, i.e. 5 full lockstep groups). A block's contexts and
-# summaries are live at once, so memory grows with it, and larger blocks gain
-# little: a round of both arms on the bundled ensemble and test corpus took
-# 0.843 s in 40-row blocks, 0.807 s in 80, 0.806 s in 160 and 0.799 s in one
-# 500-row block, with a tracemalloc heap peak of 1,693, 2,122, 2,218 and
-# 2,656 KiB (per-prompt decoding: 1.048 s, 2,013 KiB; tools/ab_evaluate.py
-# --blocks 40,160,500, medians of 15 interleaved repeats, 1 BLAS thread;
-# BENCH_evaluate.json).
-EVALUATE_ROWS = 80
-
-
 def evaluate_prompt(
     lm: EncoderDecoderLM,
     calibration: tuple[np.ndarray, SoftPromptToken] | None,
     prompt: str,
     corpus: Sequence[CorpusRecord],
     policy: str = "prompt_first",
-    max_len: int | None = None,
     summarize_fn: Callable[[TokenSequence, TokenSequence], TokenSequence] | None = None,
     summaries: Sequence[TokenSequence] | None = None,
 ) -> tuple[float, float, float]:
     """Corpus-mean F1 of each ROUGE variant for one prompt string.
 
-    By default the corpus goes through one summarize_many call, which decodes
-    the notes in lockstep. summarize_fn overrides the model pipeline with a
-    function called once per record, in corpus order (tests use it to
-    substitute a stub). summaries gives each record's summary, in corpus
-    order, already decoded (evaluate_ensemble passes them): then nothing is
-    tokenized or decoded, and only the scoring runs.
+    By default the corpus goes through summarize_many as its one prompt.
+    summarize_fn overrides the model pipeline with a function called once per
+    record, in corpus order (tests use it to substitute a stub). summaries
+    gives each record's summary, in corpus order, already decoded
+    (evaluate_ensemble passes them): then nothing is tokenized or decoded,
+    and only the scoring runs.
     """
     if not corpus:
         raise ContractError("evaluation corpus must be non-empty")
@@ -133,7 +118,7 @@ def evaluate_prompt(
         prompt_seq = tokenize(prompt, lm.vocab)
         notes = [tokenize(r.findings, lm.vocab) for r in corpus]
         if summarize_fn is None:
-            summaries = summarize_many(notes, prompt_seq, lm, calibration, max_len=max_len, policy=policy)
+            summaries = summarize_many(notes, [prompt_seq], lm, calibration, policy)[0]
         else:
             summaries = [summarize_fn(t_org, prompt_seq) for t_org in notes]
     totals = [0.0, 0.0, 0.0]
@@ -154,40 +139,25 @@ def evaluate_ensemble(
     label: str,
     seed: int = 0,
     policy: str = "prompt_first",
-    max_len: int | None = None,
 ) -> EvaluationRun:
     """One arm: evaluate_prompt's scores for every prompt of the ensemble.
 
-    Every summary equals, token for token, what evaluate_prompt decodes for
-    that prompt alone, but the work is shared across prompts: each note and
-    prompt is tokenized once and the soft prefix decoded once. The notes go
-    in blocks of whole notes, EVALUATE_ROWS prompted notes at most (one note
-    when it has more prompts), each note's prompted rows side by side; a
-    block takes one encode_many and one decode_greedy call. A note's summaries have similar lengths across
-    prompts, so the rows of a lockstep group tend to finish together. Each
-    prompt is then scored by evaluate_prompt from its summaries.
+    Each note and prompt is tokenized once, and one summarize_many call
+    summarizes every (prompt, note) pair; each prompt is then scored by
+    evaluate_prompt from its summaries.
     """
     if not corpus:
         raise ContractError("evaluation corpus must be non-empty")
     require_impressions(corpus)
-    if not lm.frozen:
-        raise ContractError("summarize requires a frozen model")
     prompts = [tokenize(p, lm.vocab) for p in ensemble.prompts]
     notes = [tokenize(r.findings, lm.vocab) for r in corpus]
-    prefix = decode_soft_prompt(*calibration, lm) if calibration is not None else None
-    summaries: list[list[TokenSequence]] = [[] for _ in prompts]
-    per_block = max(1, EVALUATE_ROWS // len(prompts))
-    for lo in range(0, len(notes), per_block):
-        joined = [prompted_input(p, t, prefix, policy) for t in notes[lo:lo + per_block] for p in prompts]
-        rows = lm.decode_greedy(lm.encode_many(joined), max_len=max_len).rows
-        for k, row in enumerate(rows):
-            summaries[k % len(prompts)].append(row)
+    summaries = summarize_many(notes, prompts, lm, calibration, policy)
     scores = tuple(
         evaluate_prompt(lm, calibration, prompt, corpus, summaries=done)
         for prompt, done in zip(ensemble.prompts, summaries)
     )
     config_digest = hashlib.sha256(
-        f"{label}|{lm.frozen_digest}|{policy}|{max_len}".encode("utf-8")
+        f"{label}|{lm.frozen_digest}|{policy}".encode("utf-8")
     ).hexdigest()
     return EvaluationRun(
         label=label,
@@ -259,7 +229,6 @@ def soft_length_ablation(
     config: CalibrationConfig,
     eval_corpus: Sequence[CorpusRecord],
     baseline: EvaluationRun,
-    max_len: int | None = None,
     log_fn: Callable[[int, float], None] | None = None,
 ) -> list[tuple[int, VarianceReport]]:
     """Retrain and evaluate with the soft token truncated to each length."""
@@ -273,7 +242,7 @@ def soft_length_ablation(
         run = evaluate_ensemble(
             lm, (soft, tok), ensemble, eval_corpus,
             label=f"soft_len_{length}", seed=config.seed,
-            policy=config.separator_policy, max_len=max_len,
+            policy=config.separator_policy,
         )
         out.append((length, compare_runs(baseline, run, label=f"soft_len_{length}")))
     return out

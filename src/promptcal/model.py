@@ -138,6 +138,9 @@ def block_weights(params: Mapping[str, DiffValue], side: str, cfg: ModelConfig) 
     return out
 
 
+_CACHE_CONTRACT = "a key/value cache extends a frozen causal decode by one id per live row"
+
+
 class KVCache:
     """Keys and values of every position a group of frozen causal decodes has consumed.
 
@@ -149,7 +152,8 @@ class KVCache:
     once finished rows are compacted away, only those of the rows still live.
     A step writes every head's key and value of a block at once. The cache
     also keeps the block_weights its steps multiply by, built on the first
-    step and rebuilt only if a step brings another parameter mapping.
+    step and rebuilt only if a step brings another parameter mapping; only a
+    frozen side is accepted, so that check runs once per build, not per step.
     """
 
     def __init__(self, cfg: ModelConfig, rows: int = 1, positions: int | None = None):
@@ -164,6 +168,8 @@ class KVCache:
     def weights(self, params: Mapping[str, DiffValue], side: str, cfg: ModelConfig) -> list[BlockWeights]:
         """block_weights of params' side, built once per decode."""
         if self._weights is None or self._weights[0] is not params or self._weights[1] != side:
+            if any(p.requires_grad and name.startswith(side) for name, p in params.items()):
+                raise ContractError(_CACHE_CONTRACT)
             self._weights = (params, side, block_weights(params, side, cfg))
         return self._weights[2]
 
@@ -212,9 +218,10 @@ def sequence_forward(
     if len(ids) == 0:
         raise ContractError("cannot embed empty input")
     side = prefix + "."
-    needs_graph = (context is not None and context.requires_grad) or any(
+    # A cached step's side is checked once per cache, by KVCache.weights.
+    needs_graph = (context is not None and context.requires_grad) or (cache is None and any(
         p.requires_grad and name.startswith(side) for name, p in params.items()
-    )
+    ))
     if rows is not None and (needs_graph or causal or cache is not None
                              or rows < 1 or len(ids) % rows != 0):
         raise ContractError(f"a stacked call runs {rows} equal-length frozen sequences "
@@ -226,7 +233,7 @@ def sequence_forward(
     if cache is not None and n > cache.positions:
         raise ShapeError(f"sequence length {n} exceeds the cache's {cache.positions} positions")
     if cache is not None and (needs_graph or not causal or len(ids) != cache.rows):
-        raise ContractError("a key/value cache extends a frozen causal decode by one id per live row")
+        raise ContractError(_CACHE_CONTRACT)
     if context is not None and context.shape != (cfg.embed_dim,) and (
             cache is None or context.shape != (cache.rows, cfg.embed_dim)):
         raise ShapeError(f"context must be a length-{cfg.embed_dim} vector or one per cached row, "
@@ -295,6 +302,7 @@ def decode_step(
     stacked product runs one 1-row product per (head, row), and a column
     block of a 1-row product rounds as the product with that block alone.
     """
+    weights = cache.weights(params, side, cfg)
     start, live = cache.length, cache.rows
     n = start + 1
     heads, dh = cfg.n_heads, cfg.head_dim
@@ -306,7 +314,7 @@ def decode_step(
     # the stacked [rows x 1 x d] form runs one 1-row product per row.
     x = x[:, None, :]
     inv_sqrt_dh = 1.0 / math.sqrt(dh)
-    for b, w in enumerate(cache.weights(params, side, cfg)):
+    for b, w in enumerate(weights):
         # [rows x 1 x 3*H*dh] -> [3 x H x rows x dh]: query, key, value per head.
         qkv = (x @ w.qkv).reshape(live, 3, heads, dh).transpose(1, 2, 0, 3)
         cache.keys[b, :, :live, start] = qkv[1]
@@ -364,10 +372,6 @@ class DecodedRows:
     """Greedy decodes of the rows of a context matrix, one TokenSequence per row."""
 
     rows: tuple[TokenSequence, ...]
-
-    @property
-    def lengths(self) -> tuple[int, ...]:
-        return tuple(len(row.ids) for row in self.rows)
 
     @property
     def ids(self) -> tuple[int, ...]:

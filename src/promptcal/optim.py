@@ -1,15 +1,14 @@
-"""Parameter update rules: plain gradient descent and the adaptive-moment rule.
+"""The parameter update rule: Adam, the adaptive-moment rule.
 
-Both operate on a fixed sequence of trainable ``DiffValue`` leaves, and an
-optimizer owns its parameters' storage: at construction it copies every
-parameter's data and gradient, in list order, into one float64 buffer each
-and rebinds ``p.data`` and ``p.grad`` to reshaped views of those buffers, so a
-step updates the whole model in a few ufunc calls. ``backward`` and
-``zero_grad`` write gradients in place and keep the views. Rebinding a
-parameter's ``.data`` or ``.grad`` afterwards detaches that parameter: the
-optimizer then neither reads its new gradient nor updates its new data. A
-step updates parameters in place from their accumulated gradients, zeroes the
-gradients, and increments the step counter.
+It operates on a fixed sequence of trainable ``DiffValue`` leaves and owns
+their storage: at construction it copies every parameter's data and gradient,
+in list order, into one float64 buffer each and rebinds ``p.data`` and
+``p.grad`` to reshaped views of those buffers, so a step updates the whole
+model in a few ufunc calls. ``backward`` writes gradients in place and keeps
+the views. Rebinding a parameter's ``.data`` or ``.grad`` afterwards detaches
+that parameter: the optimizer then neither reads its new gradient nor updates
+its new data. A step updates parameters in place from their accumulated
+gradients, zeroes the gradients, and increments the step counter.
 """
 
 from __future__ import annotations
@@ -44,14 +43,24 @@ def _check_params(params: Sequence[DiffValue]) -> tuple[DiffValue, ...]:
     return out
 
 
-class _FlatOptimizer:
-    """The shared setup: parameters and gradients become views of two flat buffers."""
+class Adam:
+    """Adaptive-moment rule with bias-corrected first and second moments (Kingma & Ba 2015)."""
 
-    def __init__(self, params: Sequence[DiffValue], learning_rate: float):
+    def __init__(
+        self,
+        params: Sequence[DiffValue],
+        learning_rate: float = 1e-3,
+        beta1: float = 0.9,
+        beta2: float = 0.999,
+        eps: float = 1e-8,
+    ):
         if learning_rate <= 0:
             raise ContractError(f"learning_rate must be positive, got {learning_rate}")
         self.params = _check_params(params)
         self.learning_rate = float(learning_rate)
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.eps = float(eps)
         self.step_count = 0
         size = sum(p.data.size for p in self.params)
         self._data = np.empty(size, dtype=np.float64)
@@ -66,32 +75,6 @@ class _FlatOptimizer:
                 grad[...] = p.grad
             p.data, p.grad = data, grad
             start = stop
-
-
-class GradientDescent(_FlatOptimizer):
-    """theta <- theta - lr * grad."""
-
-    def step(self) -> None:
-        self._data -= self.learning_rate * self._grad
-        self._grad[...] = 0.0
-        self.step_count += 1
-
-
-class Adam(_FlatOptimizer):
-    """Adaptive-moment rule with bias-corrected first and second moments (Kingma & Ba 2015)."""
-
-    def __init__(
-        self,
-        params: Sequence[DiffValue],
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
-        super().__init__(params, learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self._m = np.zeros_like(self._data)
         self._v = np.zeros_like(self._data)
         self._chunk = _CHUNK

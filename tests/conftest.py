@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import os
 import platform
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ import pytest
 from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT
 from promptcal.corpus import bundled_test_corpus, bundled_train_corpus, generate_corpus
 from promptcal.harness import load_default_ensemble
-from promptcal.model import ModelConfig, PretrainConfig, pretrain
+from promptcal.model import EncoderDecoderLM, ModelConfig, PretrainConfig, pretrain
+from promptcal.vocab import EOS_ID
 
 pytest.register_assert_rewrite("tests.test_autodiff", "tests.test_rouge", "tests.test_cli")
 
@@ -80,6 +82,17 @@ def tiny_lm(ensemble):
     corpus = generate_corpus(40, seed=11)
     cfg = PretrainConfig(max_epochs=4, seed=3, model=TINY_MODEL)
     return pretrain(corpus, cfg, extra_texts=list(ensemble.prompts) + [DEFAULT_SOFT_TOKEN_TEXT])
+
+
+@pytest.fixture(scope="session")
+def varied_lm(tiny_lm):
+    """A random frozen model over tiny_lm's vocabulary: its summaries differ from note
+    to note and from prompt to prompt, in tokens and in length, where tiny_lm's barely
+    do, so a summary handed to the wrong note or prompt changes what a test sees."""
+    lm = EncoderDecoderLM.initialize(tiny_lm.vocab, replace(TINY_MODEL, embed_bias_std=0.0), seed=6)
+    lm.params["dec.out"].data[:, EOS_ID] *= 1.5
+    lm.freeze()
+    return lm
 
 
 @pytest.fixture(scope="session")

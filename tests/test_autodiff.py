@@ -7,7 +7,7 @@ import pytest
 
 from promptcal import autodiff as ad
 from promptcal.errors import ContractError, ShapeError
-from promptcal.optim import _CHUNK, Adam, GradientDescent
+from promptcal.optim import _CHUNK, Adam
 
 
 def finite_difference_check(build_loss, params, rng, h=1e-5, rel_tol=1e-4, abs_tol=1e-8,
@@ -18,7 +18,8 @@ def finite_difference_check(build_loss, params, rng, h=1e-5, rel_tol=1e-4, abs_t
     When max_components is given, a random subset of each parameter's entries
     is probed instead of all of them.
     """
-    ad.zero_grads(params)
+    for p in params:
+        p.grad[...] = 0.0
     loss = build_loss()
     ad.backward(loss)
     for p in params:
@@ -43,7 +44,8 @@ def finite_difference_check(build_loss, params, rng, h=1e-5, rel_tol=1e-4, abs_t
             else:
                 rel = abs(got - numeric) / abs(numeric)
                 assert rel <= rel_tol, f"component {idx}: analytic {got}, numeric {numeric}, rel {rel}"
-    ad.zero_grads(params)
+    for p in params:
+        p.grad[...] = 0.0
 
 
 # Oracles for the calibration objective. The soft encoder only ever yields one
@@ -534,23 +536,6 @@ class TestDeterminism:
         assert run() == run()
 
 
-class OracleGradientDescent:
-    """The per-parameter gradient-descent loop: the flat rule must match it bit for bit."""
-
-    def __init__(self, params, learning_rate):
-        self.params = list(params)
-        self.learning_rate = float(learning_rate)
-        self.step_count = 0
-
-    def step(self):
-        for p in self.params:
-            if p.grad is None:
-                continue
-            p.data -= self.learning_rate * p.grad
-            p.grad[...] = 0.0
-        self.step_count += 1
-
-
 class OracleAdam:
     """The per-parameter Adam loop (Kingma & Ba 2015): the flat rule must match it bit for bit."""
 
@@ -603,14 +588,13 @@ def twin_params(shapes, seed, grad_none=()):
     return build(), build()
 
 
-@pytest.mark.parametrize("rule, oracle, kwargs", [
-    (Adam, OracleAdam, {"learning_rate": 2e-3}),
-    (Adam, OracleAdam, {"learning_rate": 0.3, "beta1": 0.5, "beta2": 0.9, "eps": 1e-3}),
-    (GradientDescent, OracleGradientDescent, {"learning_rate": 0.05}),
-], ids=["adam-default-betas", "adam-other-betas", "gradient-descent"])
-def test_flat_rule_equals_per_parameter_oracle(rule, oracle, kwargs):
+@pytest.mark.parametrize("kwargs", [
+    {"learning_rate": 2e-3},
+    {"learning_rate": 0.3, "beta1": 0.5, "beta2": 0.9, "eps": 1e-3},
+], ids=["adam-default-betas", "adam-other-betas"])
+def test_flat_rule_equals_per_parameter_oracle(kwargs):
     flat_params, oracle_params = twin_params(FLAT_SHAPES, seed=41)
-    flat, ref = rule(flat_params, **kwargs), oracle(oracle_params, **kwargs)
+    flat, ref = Adam(flat_params, **kwargs), OracleAdam(oracle_params, **kwargs)
     rng = np.random.default_rng(42)
     for step in range(50):
         for i, (a, b) in enumerate(zip(flat_params, oracle_params)):
@@ -645,33 +629,6 @@ def test_flat_adam_matches_oracle_on_parameters_without_gradient():
 
 
 class TestOptimizers:
-    def test_sgd_hand_arithmetic(self):
-        theta = ad.param(np.float64(1.0))
-        theta.grad[...] = 2.0
-        opt = GradientDescent([theta], learning_rate=0.1)
-        opt.step()
-        assert float(theta.data) == pytest.approx(0.8, abs=1e-15)
-        assert float(theta.grad) == 0.0
-        assert opt.step_count == 1
-
-    def test_zero_grad_is_fixed_point(self):
-        theta = ad.param(np.float64(1.5))
-        opt = GradientDescent([theta], learning_rate=0.1)
-        opt.step()
-        assert float(theta.data) == 1.5
-
-    def test_sgd_quadratic_decay(self):
-        # f(theta) = theta^2, grad 2*theta, lr 0.1: theta multiplies by 0.8 per step
-        theta = ad.param(np.float64(1.0))
-        opt = GradientDescent([theta], learning_rate=0.1)
-        for _ in range(100):
-            loss = ad.mul(theta, theta)
-            ad.backward(loss)
-            opt.step()
-        expected = 0.8**100
-        assert abs(float(theta.data)) < 1e-9
-        assert float(theta.data) == pytest.approx(expected, rel=1e-9)
-
     def test_adam_converges_on_quadratic(self):
         theta = ad.param(np.float64(1.0))
         opt = Adam([theta], learning_rate=0.05)
@@ -681,37 +638,32 @@ class TestOptimizers:
         assert abs(float(theta.data)) < 1e-3
         assert opt.step_count == 500
 
-    def test_adam_moments_exist_only_for_adaptive_rule(self):
-        sgd = GradientDescent([ad.param(np.float64(0.0))], 0.1)
+    def test_adam_keeps_one_flat_moment_per_float(self):
         adam = Adam([ad.param(np.float64(0.0)), ad.param(np.zeros((2, 3)))], 0.1)
-        assert not hasattr(sgd, "_m")
         # One flat moment per trainable float, across all parameters.
         assert adam._m.shape == adam._v.shape == (7,)
 
     def test_requires_grad_enforced(self):
         with pytest.raises(ContractError):
-            GradientDescent([ad.value(np.float64(1.0))], 0.1)
+            Adam([ad.value(np.float64(1.0))], 0.1)
 
-    @pytest.mark.parametrize("rule", [GradientDescent, Adam])
-    def test_parameter_listed_twice_rejected(self, rule):
+    def test_parameter_listed_twice_rejected(self):
         theta = ad.param(np.ones(3))
         with pytest.raises(ContractError, match="listed twice"):
-            rule([theta, ad.param(np.ones(2)), theta], 0.1)
+            Adam([theta, ad.param(np.ones(2)), theta], 0.1)
 
-    @pytest.mark.parametrize("rule", [GradientDescent, Adam])
-    def test_construction_keeps_values_and_gradients(self, rule):
+    def test_construction_keeps_values_and_gradients(self):
         a, b = ad.param(np.arange(6.0).reshape(2, 3)), ad.param(np.float64(-2.5))
         a.grad[...] = 1.5
         a_data, b_data, a_grad = a.data.copy(), b.data.copy(), a.grad.copy()
-        rule([a, b], 0.1)
+        Adam([a, b], 0.1)
         assert a.data.tobytes() == a_data.tobytes() and b.data.tobytes() == b_data.tobytes()
         assert a.grad.tobytes() == a_grad.tobytes() and float(b.grad) == 0.0
         assert a.data.shape == (2, 3) and b.data.shape == () == b.grad.shape
 
-    @pytest.mark.parametrize("rule", [GradientDescent, Adam])
-    def test_gradients_stay_the_optimizers_views(self, rule):
+    def test_gradients_stay_the_optimizers_views(self):
         w, b = ad.param(np.ones((3, 2))), ad.param(np.zeros(2))
-        opt = rule([w, b], 0.1)
+        opt = Adam([w, b], 0.1)
         views = [(p.data, p.grad) for p in (w, b)]
         for _ in range(3):
             x = ad.value(np.arange(6.0).reshape(2, 3))
@@ -719,7 +671,8 @@ class TestOptimizers:
             assert float(np.abs(b.grad).sum()) > 0.0
             opt.step()
             ad.backward(ad.sum_all(ad.mul(b, b)))
-            ad.zero_grads([w, b])
+            for p in (w, b):
+                p.grad[...] = 0.0
             for p, (data, grad) in zip((w, b), views):
                 assert p.data is data and p.grad is grad
         # The views are slices of the optimizer's flat buffers, in list order.

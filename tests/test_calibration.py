@@ -1,9 +1,12 @@
 """Soft-prompt calibration tests: copy initialization, gradient isolation,
 the alignment loss, the training loop, projection, and summarization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import promptcal.calibration as calibration_module
 from promptcal import autodiff as ad
 from promptcal.calibration import (
     DEFAULT_SOFT_TOKEN_TEXT,
@@ -21,6 +24,7 @@ from promptcal.calibration import (
     train_calibrator,
 )
 from promptcal.errors import ContractError, TrainingError
+from promptcal.model import EncoderDecoderLM
 from promptcal.vocab import SEP_ID, UNK_ID, TokenSequence, tokenize
 from tests.test_autodiff import (
     calibration_objective,
@@ -401,25 +405,40 @@ class TestSummarize:
         assert out.ids == recompute_greedy(lm, pooled, lm.cfg.decode_max_len)
 
     def test_length_bounded(self, lm):
-        out = summarize(notes(lm), prompt(lm), lm, max_len=5)
+        short = EncoderDecoderLM(lm.vocab, replace(lm.cfg, decode_max_len=5), lm.params)
+        short.freeze()
+        out = summarize(notes(lm), prompt(lm), short)
         assert len(out.ids) <= 5
 
-    @pytest.mark.parametrize("policy, max_len", [("prompt_first", None), ("notes_first", 5)])
+    @pytest.mark.parametrize("block_rows", [1, 7, None], ids=["1-row blocks", "7-row blocks", "default block"])
+    @pytest.mark.parametrize("policy", SEPARATOR_POLICIES)
     @pytest.mark.parametrize("calibrated", [False, True], ids=["baseline", "calibrated"])
-    def test_summarize_many_equals_summarize_per_note(self, lm, trained_soft, tok, tiny_corpus,
-                                                      calibrated, policy, max_len):
-        # 20 notes: one full lockstep group and a partial one
-        many_notes = [tokenize(r.findings, lm.vocab) for r in tiny_corpus[:20]]
-        t_llm = prompt(lm)
-        calibration = (trained_soft, tok) if calibrated else None
-        got = summarize_many(many_notes, t_llm, lm, calibration, max_len=max_len, policy=policy)
-        assert got == tuple(summarize(t, t_llm, lm, calibration, max_len=max_len, policy=policy)
-                            for t in many_notes)
+    def test_summarize_many_equals_summarize_on_every_pair(self, varied_lm, tiny_corpus, ensemble, monkeypatch,
+                                                          calibrated, policy, block_rows):
+        # 3 prompts x 9 notes: 1-row blocks hold one note, 7-row blocks two
+        # (the last one note), the default block all nine
+        many_notes = [tokenize(r.findings, varied_lm.vocab) for r in tiny_corpus[:9]]
+        prompts = [tokenize(p, varied_lm.vocab) for p in ensemble.prompts[:3]]
+        calibration = None
+        if calibrated:
+            soft = np.random.default_rng(0).normal(size=varied_lm.cfg.embed_dim)
+            calibration = (soft, SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, varied_lm.vocab))
+        if block_rows is not None:
+            monkeypatch.setattr(calibration_module, "EVALUATE_ROWS", block_rows)
+        got = summarize_many(many_notes, prompts, varied_lm, calibration, policy)
+        # the model tells the pairs apart, so a summary handed to the wrong one shows
+        assert len(set(got)) == len(prompts) and all(len(set(row)) > 1 for row in got)
+        assert got == tuple(tuple(summarize(t, p, varied_lm, calibration, policy) for t in many_notes)
+                            for p in prompts)
 
     @pytest.mark.parametrize("many_notes", [[], [TokenSequence(())]], ids=["no notes", "empty note"])
     def test_summarize_many_rejects_missing_notes(self, lm, many_notes):
         with pytest.raises(ContractError):
-            summarize_many(many_notes, prompt(lm), lm)
+            summarize_many(many_notes, [prompt(lm)], lm)
+
+    def test_summarize_many_rejects_no_prompts(self, lm):
+        with pytest.raises(ContractError, match="at least one prompt"):
+            summarize_many([notes(lm)], [], lm)
 
     def test_empty_notes_rejected(self, lm):
         with pytest.raises(ContractError):

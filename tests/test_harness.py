@@ -5,12 +5,12 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from promptcal.calibration import summarize_many
+import promptcal.calibration as calibration_module
+from promptcal.calibration import summarize
 from promptcal.corpus import CorpusRecord, generate_corpus
 from promptcal.errors import ContractError
 from promptcal.harness import (
@@ -30,8 +30,7 @@ from promptcal.harness import (
 )
 from promptcal.model import EncoderDecoderLM
 from promptcal.rouge import VARIANTS
-from promptcal.vocab import EOS_ID, TokenSequence, tokenize
-from tests.conftest import TINY_MODEL
+from promptcal.vocab import TokenSequence, tokenize
 
 
 class TestPromptEnsemble:
@@ -196,7 +195,6 @@ class TestEvaluatePrompt:
         assert all(0.0 <= s <= 1.0 for s in scores)
 
     def test_mean_matches_per_record_recomputation(self, tiny_lm):
-        from promptcal.calibration import summarize
         from promptcal.rouge import rouge_suite
         from promptcal.vocab import detokenize
 
@@ -213,23 +211,18 @@ class TestEvaluatePrompt:
         assert got == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("calibrated", [False, True], ids=["baseline", "calibrated"])
-    def test_default_path_equals_per_note_summarize_bit_for_bit(self, tiny_lm, calibrated):
-        from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT, SoftPromptToken, summarize
-
+    def test_default_path_equals_per_note_summarize_bit_for_bit(self, varied_lm, calibrated):
         corpus = generate_corpus(20, seed=43)
-        calibration = None
-        if calibrated:
-            soft = np.random.default_rng(0).normal(size=tiny_lm.cfg.embed_dim)
-            calibration = (soft, SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, tiny_lm.vocab))
+        calibration = soft_calibration(varied_lm) if calibrated else None
         prompt = "summarize the following clinical notes."
         calls = []
 
         def per_note(t_org, t_llm):
             calls.append(t_org)
-            return summarize(t_org, t_llm, tiny_lm, calibration)
+            return summarize(t_org, t_llm, varied_lm, calibration)
 
-        expected = evaluate_prompt(tiny_lm, calibration, prompt, corpus, summarize_fn=per_note)
-        assert evaluate_prompt(tiny_lm, calibration, prompt, corpus) == expected
+        expected = evaluate_prompt(varied_lm, calibration, prompt, corpus, summarize_fn=per_note)
+        assert evaluate_prompt(varied_lm, calibration, prompt, corpus) == expected
         assert len(calls) == len(corpus)
 
     def test_missing_impression_names_record(self, tiny_lm):
@@ -310,7 +303,7 @@ class TestEmitRun:
 
 
 class TestSoftLengthAblation:
-    def test_row_shape_and_full_length_equivalence(self, tiny_lm, tiny_corpus, ensemble):
+    def test_row_shape_and_full_length_equivalence(self, varied_lm, tiny_corpus, ensemble):
         from promptcal.calibration import (
             DEFAULT_SOFT_TOKEN_TEXT,
             CalibrationConfig,
@@ -319,21 +312,21 @@ class TestSoftLengthAblation:
         )
         from promptcal.harness import soft_length_ablation
 
-        inputs = [tokenize(r.findings, tiny_lm.vocab) for r in tiny_corpus[:6]]
+        inputs = [tokenize(r.findings, varied_lm.vocab) for r in tiny_corpus[:6]]
         prompts = PromptEnsemble(tuple(ensemble.prompts[:3]))
-        prompt_seqs = [tokenize(p, tiny_lm.vocab) for p in prompts.prompts]
+        prompt_seqs = [tokenize(p, varied_lm.vocab) for p in prompts.prompts]
         eval_corpus = tiny_corpus[6:10]
-        tok = SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, tiny_lm.vocab)
+        tok = SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, varied_lm.vocab)
         config = CalibrationConfig(max_epochs=2, seed=4)
-        baseline = evaluate_ensemble(tiny_lm, None, prompts, eval_corpus, label="baseline")
+        baseline = evaluate_ensemble(varied_lm, None, prompts, eval_corpus, label="baseline")
 
-        rows = soft_length_ablation([2, tok.length], tok, inputs, prompts, tiny_lm,
+        rows = soft_length_ablation([2, tok.length], tok, inputs, prompts, varied_lm,
                                     config, eval_corpus, baseline)
         assert [length for length, _ in rows] == [2, tok.length]
 
         # truncating to the full length reproduces the standard calibrated run
-        enc = train_calibrator(inputs, prompt_seqs, tok, tiny_lm, config)
-        standard = evaluate_ensemble(tiny_lm, (enc, tok), prompts, eval_corpus, label="x")
+        enc = train_calibrator(inputs, prompt_seqs, tok, varied_lm, config)
+        standard = evaluate_ensemble(varied_lm, (enc, tok), prompts, eval_corpus, label="x")
         expected = compare_runs(baseline, standard, label=f"soft_len_{tok.length}")
         assert rows[1][1] == expected
 
@@ -369,9 +362,9 @@ class TestEvaluateEnsemble:
         assert sorted(fwd.per_prompt_scores) == sorted(rev.per_prompt_scores)
 
 
-def per_prompt_oracle(lm, calibration, ensemble, corpus, policy="prompt_first", max_len=None):
+def per_prompt_oracle(lm, calibration, ensemble, corpus, policy="prompt_first"):
     """The ensemble scored one prompt at a time: evaluate_prompt, which runs summarize_many per prompt."""
-    return tuple(evaluate_prompt(lm, calibration, prompt, corpus, policy=policy, max_len=max_len)
+    return tuple(evaluate_prompt(lm, calibration, prompt, corpus, policy=policy)
                  for prompt in ensemble.prompts)
 
 
@@ -380,16 +373,6 @@ def soft_calibration(lm):
 
     soft = np.random.default_rng(0).normal(size=lm.cfg.embed_dim)
     return soft, SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, lm.vocab)
-
-
-@pytest.fixture(scope="module")
-def varied_lm(tiny_lm):
-    """A random frozen model over tiny_lm's vocabulary: its summaries differ from note
-    to note and from prompt to prompt, in tokens and in length, where tiny_lm's barely do."""
-    lm = EncoderDecoderLM.initialize(tiny_lm.vocab, replace(TINY_MODEL, embed_bias_std=0.0), seed=6)
-    lm.params["dec.out"].data[:, EOS_ID] *= 1.5
-    lm.freeze()
-    return lm
 
 
 class TestEnsembleAgainstPerPromptOracle:
@@ -402,7 +385,6 @@ class TestEnsembleAgainstPerPromptOracle:
         pytest.param(3, 7, 7, {}, id="2-note blocks, 7 notes"),
         pytest.param(2, 3, 1, {}, id="1-note blocks"),
         pytest.param(1, 5, None, {}, id="one prompt"),
-        pytest.param(3, 5, 7, {"max_len": 2}, id="max_len 2"),
         pytest.param(3, 5, 7, {"policy": "notes_first"}, id="notes_first"),
     ])
     def test_scores_and_summaries_equal_the_per_prompt_loop(self, request, ensemble, monkeypatch, model,
@@ -415,10 +397,10 @@ class TestEnsembleAgainstPerPromptOracle:
         calibration = soft_calibration(lm) if calibrated else None
         expected = per_prompt_oracle(lm, calibration, ens, corpus, **kwargs)
         notes = [tokenize(r.findings, lm.vocab) for r in corpus]
-        expected_summaries = [summarize_many(notes, tokenize(p, lm.vocab), lm, calibration, **kwargs)
-                              for p in ens.prompts]
+        expected_summaries = [tuple(summarize(t, tokenize(p, lm.vocab), lm, calibration, **kwargs)
+                                    for t in notes) for p in ens.prompts]
         if block_rows is not None:
-            monkeypatch.setattr(harness_module, "EVALUATE_ROWS", block_rows)
+            monkeypatch.setattr(calibration_module, "EVALUATE_ROWS", block_rows)
         handed = []
         score = harness_module.evaluate_prompt
 
@@ -446,10 +428,10 @@ class TestEnsembleAgainstPerPromptOracle:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(harness_module, "EVALUATE_ROWS", 6)  # 2 notes x 3 prompts a block
+        monkeypatch.setattr(calibration_module, "EVALUATE_ROWS", 6)  # 2 notes x 3 prompts a block
         monkeypatch.setattr(harness_module, "tokenize", counted("tokenize", harness_module.tokenize))
-        monkeypatch.setattr(harness_module, "decode_soft_prompt",
-                            counted("decode_soft_prompt", harness_module.decode_soft_prompt))
+        monkeypatch.setattr(calibration_module, "decode_soft_prompt",
+                            counted("decode_soft_prompt", calibration_module.decode_soft_prompt))
         monkeypatch.setattr(EncoderDecoderLM, "decode_greedy",
                             counted("decode_greedy", EncoderDecoderLM.decode_greedy))
         encode_many = EncoderDecoderLM.encode_many
@@ -494,8 +476,6 @@ class TestEnsembleAgainstPerPromptOracle:
 
 class TestEvaluatePromptWithSummaries:
     def test_given_summaries_score_as_the_summarize_fn_path(self, tiny_lm):
-        from promptcal.calibration import summarize
-
         corpus = generate_corpus(4, seed=50)
         prompt = "summarize the following clinical notes."
         outputs = []

@@ -357,6 +357,21 @@ class TestInferencePath:
             sequence_forward(params, "dec", ids, lm.cfg, causal=case != "not causal",
                              cache=KVCache(lm.cfg))
 
+    def test_cached_steps_check_the_side_once_per_cache(self):
+        class CountingParams(dict):
+            scans = 0
+
+            def items(self):
+                CountingParams.scans += 1
+                return super().items()
+
+        lm = small_lm(1)
+        params = CountingParams(lm.params)
+        cache = KVCache(lm.cfg)
+        for token in [BOS_ID, 5, 6, 7]:
+            sequence_forward(params, "dec", [token], lm.cfg, causal=True, cache=cache)
+        assert CountingParams.scans == 1
+
     @pytest.mark.parametrize("path", ["graph", "plain", "cached", "stacked"])
     @pytest.mark.parametrize("case, error, match", [
         ("empty", ContractError, "empty"),
@@ -602,7 +617,6 @@ class TestLockstepDecode:
         for ctx, row in zip(contexts, decoded.rows):
             assert row.ids == lm.decode_greedy(ctx, max_len=max_len).ids
             assert row.ids == recompute_greedy(lm, ctx, max_len)
-        assert decoded.lengths == tuple(len(row.ids) for row in decoded.rows)
         assert decoded.ids == sum((row.ids for row in decoded.rows), ())
 
     def test_vector_gives_a_token_sequence(self, stopping_lm):

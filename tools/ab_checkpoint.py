@@ -2,7 +2,7 @@
 
 Extracts ``src/promptcal`` at a git revision (``--parent``) into a temporary
 directory and imports it beside the checkout's own package under another
-name. Builds a frozen model with the summarize benchmark's shapes (200
+name (``tools/ab_encode.py``'s ``parent_package``). Builds a frozen model with the summarize benchmark's shapes (200
 seeded records, the bundled prompts and soft token in the vocabulary,
 default ModelConfig, seed 7) and a calibrator bound to it, saves both once,
 and times the two requests the summarize workload serves: ``load_model``
@@ -22,61 +22,20 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import importlib.util
-import io
+import importlib
 import json
 import statistics
-import subprocess
 import sys
-import tarfile
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT)]
+from ab_encode import ROOT, frozen_model, parent_package, quartiles  # also pins BLAS threads and the import path
 
 import bench_env  # noqa: E402
-
-bench_env.prepare()  # the benchmark's thread pinning and import path
-
+import promptcal  # noqa: E402
 from promptcal import checkpoint  # noqa: E402
 from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT, CalibrationConfig, SoftPromptToken  # noqa: E402
-from promptcal.corpus import generate_corpus  # noqa: E402
-from promptcal.harness import load_default_ensemble  # noqa: E402
-from promptcal.model import EncoderDecoderLM, ModelConfig  # noqa: E402
-from promptcal.vocab import Vocabulary  # noqa: E402
-
-SEED = 7
-
-
-def parent_package(rev: str, into: Path):
-    """The promptcal package at git revision rev, imported as promptcal_parent."""
-    archive = subprocess.run(["git", "archive", "--format=tar", rev, "src/promptcal"],
-                             cwd=ROOT, check=True, capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(into, filter="data")
-    package_dir = into / "src" / "promptcal"
-    spec = importlib.util.spec_from_file_location(
-        "promptcal_parent", package_dir / "__init__.py", submodule_search_locations=[str(package_dir)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return importlib.import_module("promptcal_parent.checkpoint")
-
-
-def benchmark_model() -> EncoderDecoderLM:
-    records = generate_corpus(200, SEED)
-    texts = ([r.findings for r in records] + [r.impression for r in records]
-             + list(load_default_ensemble().prompts) + [DEFAULT_SOFT_TOKEN_TEXT])
-    lm = EncoderDecoderLM.initialize(Vocabulary.from_texts(texts), ModelConfig(), SEED)
-    lm.freeze()
-    return lm
-
-
-def quartiles(xs: list[float]) -> dict[str, float]:
-    q1, q2, q3 = statistics.quantiles(xs, n=4)
-    return {"median": round(q2, 1), "q1": round(q1, 1), "q3": round(q3, 1)}
 
 
 def loaded_state(module, model_path: Path, calibrator_path: Path) -> tuple:
@@ -94,12 +53,13 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--repeats", type=int, default=400)
     ap.add_argument("--out", default=str(ROOT / "BENCH_checkpoint.json"))
     args = ap.parse_args(argv)
-    lm = benchmark_model()
+    lm = frozen_model(promptcal)
     tok = SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, lm.vocab)
     soft = lm.encode(tok.ids).pooled.data
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        variants = {"parent": parent_package(args.parent, tmp / "parent"), "change": checkpoint}
+        parent = parent_package(args.parent, tmp / "parent")
+        variants = {"parent": importlib.import_module(parent.__name__ + ".checkpoint"), "change": checkpoint}
         saved = {}
         for name, module in variants.items():
             model_path, calibrator_path = tmp / f"{name}-model.bin", tmp / f"{name}-calibrator.bin"

@@ -11,7 +11,7 @@ default ModelConfig, seed 7), and two sets of sequences are encoded:
   bundled prompts), in one ``encode_many`` call;
 - ``evaluate_arm``: the 500 sequences of one calibrated evaluate arm (the
   decoded soft prefix, a prompt and a bundled test note, for each prompt),
-  one ``encode_many`` call per prompt, as ``summarize_many`` makes them.
+  one ``encode_many`` call per prompt.
 
 The parent encodes each sequence on its own with ``encode(seq).pooled``.
 Every pooled row of the change must be bit-identical to the parent's. Each
@@ -72,13 +72,18 @@ def parent_package(rev: str, into: Path):
     return module
 
 
-def frozen_model(package):
-    """The benchmark-shaped frozen model, built by the given package."""
+def benchmark_model(package):
+    """The benchmark-shaped model, untrained and trainable, built by the given package."""
     records = generate_corpus(200, SEED)
     texts = ([r.findings for r in records] + [r.impression for r in records]
              + list(load_default_ensemble().prompts) + [DEFAULT_SOFT_TOKEN_TEXT])
-    lm = package.model.EncoderDecoderLM.initialize(
+    return package.model.EncoderDecoderLM.initialize(
         package.vocab.Vocabulary.from_texts(texts), package.model.ModelConfig(), SEED)
+
+
+def frozen_model(package):
+    """The benchmark-shaped model, frozen."""
+    lm = benchmark_model(package)
     lm.freeze()
     return lm
 

@@ -17,7 +17,7 @@ built on first use) and time two things:
 
 Each repeat times every variant, starting the rotation at the next one, so
 drift in machine load falls on all alike. ``--blocks`` adds variants of the
-change with ``harness.EVALUATE_ROWS`` set to each listed value, to size that
+change with ``calibration.EVALUATE_ROWS`` set to each listed value, to size that
 bound; every variant also reports the tracemalloc heap peak of one round.
 
 Run from the repository root, before committing a change (``--parent HEAD``)
@@ -87,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", default=str(ROOT / "BENCH_evaluate.json"))
     args = ap.parse_args(argv)
     blocks = [int(b) for b in args.blocks.split(",") if b]
-    shipped = harness.EVALUATE_ROWS
+    shipped = promptcal.calibration.EVALUATE_ROWS
     artifacts = frozen_model.ensure()
     prompts = harness.load_default_ensemble().prompts
     corpus = bundled_test_corpus()
@@ -98,11 +98,11 @@ def main(argv: list[str] | None = None) -> int:
     same_weights = parent_lm.frozen_digest == lm.frozen_digest
 
     def change_round(rows=shipped):
-        harness.EVALUATE_ROWS = rows
+        promptcal.calibration.EVALUATE_ROWS = rows
         try:
             return evaluate_round(promptcal, lm, calibration, prompts, corpus)
         finally:
-            harness.EVALUATE_ROWS = shipped
+            promptcal.calibration.EVALUATE_ROWS = shipped
 
     variants = {"parent": lambda: evaluate_round(parent, parent_lm, parent_calibration, prompts, corpus),
                 "change": change_round}

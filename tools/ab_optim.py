@@ -24,34 +24,17 @@ import sys
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT)]
+from ab_encode import ROOT, SEED, benchmark_model, quartiles  # also pins BLAS threads and the import path
 
 import bench_env  # noqa: E402
-
-bench_env.prepare()  # the benchmark's thread pinning and import path
-
 import numpy as np  # noqa: E402
-
+import promptcal  # noqa: E402
 from promptcal import autodiff as ad  # noqa: E402
 from promptcal import optim  # noqa: E402
-from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT  # noqa: E402
-from promptcal.corpus import generate_corpus  # noqa: E402
-from promptcal.harness import load_default_ensemble  # noqa: E402
-from promptcal.model import EncoderDecoderLM, ModelConfig  # noqa: E402
-from promptcal.vocab import Vocabulary  # noqa: E402
 from tests.test_autodiff import OracleAdam  # noqa: E402
 
-SEED = 7
 LEARNING_RATE = 2e-3  # PretrainConfig's default
 GRADIENT_SETS = 8  # distinct seeded gradients, cycled over the steps
-
-
-def benchmark_model() -> EncoderDecoderLM:
-    records = generate_corpus(200, SEED)
-    texts = ([r.findings for r in records] + [r.impression for r in records]
-             + list(load_default_ensemble().prompts) + [DEFAULT_SOFT_TOKEN_TEXT])
-    return EncoderDecoderLM.initialize(Vocabulary.from_texts(texts), ModelConfig(), SEED)
 
 
 def variants(chunks: list[int]):
@@ -66,11 +49,6 @@ def variants(chunks: list[int]):
                 optim._CHUNK = saved
         out.append((f"flat_chunk_{chunk}", flat))
     return out
-
-
-def quartiles(xs: list[float]) -> dict[str, float]:
-    q1, q2, q3 = statistics.quantiles(xs, n=4)
-    return {"median": round(q2, 2), "q1": round(q1, 2), "q3": round(q3, 2)}
 
 
 def ab_one_set(values: list[np.ndarray], steps: int, chunks: list[int]) -> dict:
@@ -93,7 +71,7 @@ def ab_one_set(values: list[np.ndarray], steps: int, chunks: list[int]) -> dict:
     oracle_us = statistics.median(runs[0][3])
     result = {"floats": int(sum(v.size for v in values)), "parameters": len(values), "steps": steps}
     for name, params, _, times in runs:
-        row = {"step_us": quartiles(times)}
+        row = {"step_us": quartiles(times, 2)}
         if name != "oracle":
             row["speedup_vs_oracle"] = round(oracle_us / statistics.median(times), 3)
             row["faster_than_oracle_pct"] = round(
@@ -113,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", default=str(ROOT / "BENCH_optim.json"))
     args = ap.parse_args(argv)
     chunks = [int(c) for c in args.chunks.split(",")]
-    lm = benchmark_model()
+    lm = benchmark_model(promptcal)
     sets = {
         "whole_model": [p.data for p in lm.trainable()],
         "decoder_only": [p.data for name, p in lm.params.items()
