@@ -5,6 +5,7 @@ import csv
 import io
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -380,18 +381,23 @@ class TestEnsembleAgainstPerPromptOracle:
 
     @pytest.mark.parametrize("model", ["tiny_lm", "varied_lm"])
     @pytest.mark.parametrize("calibrated", [False, True], ids=["baseline", "calibrated"])
-    @pytest.mark.parametrize("n_prompts, n_notes, block_rows, kwargs", [
-        pytest.param(10, 9, None, {}, id="default block, 9 notes"),
-        pytest.param(3, 7, 7, {}, id="2-note blocks, 7 notes"),
-        pytest.param(2, 3, 1, {}, id="1-note blocks"),
-        pytest.param(1, 5, None, {}, id="one prompt"),
-        pytest.param(3, 5, 7, {"policy": "notes_first"}, id="notes_first"),
+    @pytest.mark.parametrize("n_prompts, n_notes, block_rows, max_len, kwargs", [
+        pytest.param(10, 9, None, None, {}, id="default block, 9 notes"),
+        pytest.param(3, 7, 7, None, {}, id="2-note blocks, 7 notes"),
+        pytest.param(2, 3, 1, None, {}, id="1-note blocks"),
+        pytest.param(1, 5, None, None, {}, id="one prompt"),
+        pytest.param(3, 5, 7, 2, {}, id="max_len 2"),
+        pytest.param(3, 5, 7, None, {"policy": "notes_first"}, id="notes_first"),
     ])
-    def test_scores_and_summaries_equal_the_per_prompt_loop(self, request, ensemble, monkeypatch, model,
-                                                            calibrated, n_prompts, n_notes, block_rows, kwargs):
+    def test_scores_and_summaries_equal_the_per_prompt_loop(self, request, ensemble, monkeypatch, model, calibrated,
+                                                            n_prompts, n_notes, block_rows, max_len, kwargs):
         import promptcal.harness as harness_module
 
         lm = request.getfixturevalue(model)
+        if max_len is not None:
+            # the same weights, every decode cut at max_len tokens
+            lm = EncoderDecoderLM(lm.vocab, replace(lm.cfg, decode_max_len=max_len), lm.params)
+            lm.freeze()
         corpus = generate_corpus(n_notes, seed=46)
         ens = PromptEnsemble(ensemble.prompts[:n_prompts])
         calibration = soft_calibration(lm) if calibrated else None
@@ -412,6 +418,8 @@ class TestEnsembleAgainstPerPromptOracle:
         run = evaluate_ensemble(lm, calibration, ens, corpus, label="x", **kwargs)
         assert run.per_prompt_scores == expected
         assert handed == expected_summaries
+        if max_len is not None:
+            assert max(len(s.ids) for row in handed for s in row) == max_len
 
     @pytest.mark.parametrize("calibrated", [False, True], ids=["baseline", "calibrated"])
     def test_shared_work_runs_once_per_arm_and_block(self, tiny_lm, ensemble, monkeypatch, calibrated):
