@@ -340,7 +340,11 @@ class Encoding(NamedTuple):
 
 
 def params_digest(params: Mapping[str, DiffValue]) -> str:
-    """sha256 over names, shapes, and little-endian float64 bytes, name-sorted."""
+    """sha256 over names, shapes, and little-endian float64 bytes, name-sorted.
+
+    For a subset of a model's parameters, such as its encoder; a whole model's
+    digest is EncoderDecoderLM.weight_digest().
+    """
     h = hashlib.sha256()
     for name in sorted(params):
         arr = params[name].data
@@ -396,30 +400,43 @@ class EncoderDecoderLM:
     def trainable(self) -> list[DiffValue]:
         return [p for p in self.params.values() if p.requires_grad]
 
-    def freeze(self) -> None:
-        """Stop training for good: every weight array becomes read-only."""
+    def freeze(self, digest: str | None = None) -> None:
+        """Stop training for good: every weight array becomes read-only.
+
+        digest, if given, is the model's digest as the caller has just computed
+        it: load_model passes the seal it verified.
+        """
         for p in self.params.values():
             p.requires_grad = False
             p.grad = None
             p.data.flags.writeable = False
         self.frozen = True
-        self._frozen_digest = None
+        self._frozen_digest = digest
 
     def weight_digest(self) -> str:
-        """params_digest of the weights as they are now; always recomputed."""
-        return params_digest(self.params)
+        """sha256 of the model file body save_model writes for the model as it is now; always recomputed.
+
+        The body (vocabulary, config, weights) is streamed into the hash through
+        checkpoint's one writer, never built in memory.
+        """
+        from .checkpoint import write_model_body  # checkpoint imports this module
+
+        h = hashlib.sha256()
+        write_model_body(self, h.update)
+        return h.hexdigest()
 
     @property
     def frozen_digest(self) -> str:
-        """params_digest at the freeze, computed on first use and then cached.
+        """The digest at the freeze: load_model's verified seal, else weight_digest() on first use; cached.
 
         Caching is sound because freeze() made every weight array read-only,
-        so no in-place write can change the weights afterwards.
+        so no in-place write can change the weights afterwards, and the
+        vocabulary and config are immutable.
         """
         if not self.frozen:
             raise ContractError("model is not frozen")
         if self._frozen_digest is None:
-            self._frozen_digest = params_digest(self.params)
+            self._frozen_digest = self.weight_digest()
         return self._frozen_digest
 
     def _require_frozen(self, op: str) -> None:

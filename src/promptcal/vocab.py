@@ -44,13 +44,11 @@ class Vocabulary:
     """token <-> id bijection; ids 0-4 are the fixed special tokens."""
 
     def __init__(self, words: Sequence[str]):
-        seen: dict[str, None] = {}
-        for w in words:
-            if w in SPECIAL_TOKENS:
-                continue
-            seen.setdefault(w, None)
+        seen = dict.fromkeys(words)  # first occurrences, in order
+        for token in SPECIAL_TOKENS:
+            seen.pop(token, None)
         self._words: tuple[str, ...] = tuple(seen)
-        self._ids = {w: i + len(SPECIAL_TOKENS) for i, w in enumerate(self._words)}
+        self._ids = dict(zip(self._words, range(len(SPECIAL_TOKENS), self.size)))
 
     @classmethod
     def from_texts(cls, texts: Iterable[str]) -> "Vocabulary":

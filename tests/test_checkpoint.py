@@ -1,15 +1,16 @@
 """Binary checkpoint round trips, integrity hashing, digest binding, and atomic writes."""
 
 import hashlib
+import io
 import os
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from promptcal import model as model_module
 from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT, CalibrationConfig, SoftPromptToken
-from promptcal.checkpoint import load_calibrator, load_model, save_calibrator, save_model
+from promptcal.checkpoint import load_calibrator, load_model, save_calibrator, save_model, write_model_body
 from promptcal.corpus import generate_corpus, save_corpus
 from promptcal.errors import CheckpointError, CheckpointMismatchError
 from tests.test_model import assert_weights_read_only, one_bit_edited
@@ -27,7 +28,7 @@ def model_layout(lm) -> dict[str, int]:
 
 
 def calibrator_layout(token_text: str, dim: int) -> dict[str, int]:
-    """Byte length of each section of a version-2 calibrator file, in file order."""
+    """Byte length of each section of a version-3 calibrator file, in file order."""
     token = 2 + len(token_text.encode("utf-8"))
     return dict(zip(CALIBRATOR_SECTIONS, (1, 32, token, 34, 4, 8 * dim, 32)))
 
@@ -83,6 +84,31 @@ def set_distance_code(path, token_text, code):
     raw = bytearray(path.read_bytes())
     raw[1 + 32 + 2 + len(token_text.encode("utf-8"))] = code
     path.write_bytes(reseal(bytes(raw)))
+
+
+def count_sha256(monkeypatch) -> list[int]:
+    """Patch hashlib.sha256; the returned list gets each hash's byte count, in the order they start."""
+    real = hashlib.sha256
+    fed = []
+
+    class Counted:
+        def __init__(self, data=b""):
+            self._hash, self._index = real(), len(fed)
+            fed.append(0)
+            self.update(data)
+
+        def update(self, data):
+            fed[self._index] += memoryview(data).nbytes
+            self._hash.update(data)
+
+        def digest(self):
+            return self._hash.digest()
+
+        def hexdigest(self):
+            return self._hash.hexdigest()
+
+    monkeypatch.setattr(hashlib, "sha256", Counted)
+    return fed
 
 
 class TestModelCheckpoint:
@@ -167,20 +193,50 @@ class TestModelCheckpoint:
         with pytest.raises(CheckpointError, match="marks parameter 'enc.pos' trainable"):
             load_model(path)
 
-    def test_load_hashes_the_weights_once_with_a_calibrator(self, tiny_lm, tmp_path, monkeypatch):
+    def test_model_and_two_calibrators_hash_the_model_body_once(self, tiny_lm, tmp_path, monkeypatch):
         path, calib_path = tmp_path / "model.bin", tmp_path / "calib.bin"
         save_model(tiny_lm, path)
         tok = SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, tiny_lm.vocab)
         save_calibrator(tiny_lm.encode(tok.ids).pooled.data, tok, CalibrationConfig(),
                         tiny_lm.frozen_digest, calib_path)
-        calls = []
-        digest = model_module.params_digest
-        monkeypatch.setattr(model_module, "params_digest", lambda params: calls.append(1) or digest(params))
+        fed = count_sha256(monkeypatch)
         loaded = load_model(path)
-        assert calls == []
         load_calibrator(calib_path, loaded)
         load_calibrator(calib_path, loaded)
-        assert len(calls) == 1
+        model_body, calibrator_body = path.stat().st_size - 32, calib_path.stat().st_size - 32
+        assert fed == [model_body, calibrator_body, calibrator_body]
+
+    def test_digest_is_the_seal_of_the_saved_file(self, tiny_lm, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(tiny_lm, path)
+        seal = hashlib.sha256(path.read_bytes()[:-32]).hexdigest()
+        assert tiny_lm.weight_digest() == seal == load_model(path).frozen_digest
+
+    def test_parameters_out_of_name_order_rejected(self, tiny_lm, tmp_path):
+        # two records of one shape, their names swapped: a valid model, but not as save_model writes it
+        path = tmp_path / "model.bin"
+        save_model(tiny_lm, path)
+        raw = path.read_bytes()
+        wk, wq = b"\x0c\x00enc.b0.h0.wk", b"\x0c\x00enc.b0.h0.wq"
+        assert raw.count(wk) == raw.count(wq) == 1
+        swapped = bytearray(raw)
+        swapped[raw.index(wk):raw.index(wk) + len(wk)] = wq
+        swapped[raw.index(wq):raw.index(wq) + len(wq)] = wk
+        path.write_bytes(reseal(bytes(swapped)))
+        with pytest.raises(CheckpointError, match="holds parameter 'enc.b0.h0.wq' out of name order"):
+            load_model(path)
+
+    @pytest.mark.parametrize("extra_word", ["a", "<unk>"], ids=["repeated", "special"])
+    def test_word_list_save_model_would_not_write_rejected(self, tiny_lm, tmp_path, extra_word):
+        # the weights fit the vocabulary without the extra word, so only the word list can refuse it
+        assert "a" in tiny_lm.vocab
+        vocab = SimpleNamespace(words=(*tiny_lm.vocab.words, extra_word))
+        buf = io.BytesIO()
+        write_model_body(SimpleNamespace(vocab=vocab, cfg=tiny_lm.cfg, params=tiny_lm.params), buf.write)
+        path = tmp_path / "model.bin"
+        path.write_bytes(reseal(buf.getvalue() + bytes(32)))
+        with pytest.raises(CheckpointError, match="repeats a vocabulary word or holds a special token"):
+            load_model(path)
 
     def test_resealed_non_utf8_word_rejected(self, tiny_lm, tmp_path):
         path = tmp_path / "model.bin"
@@ -248,6 +304,54 @@ class TestCalibratorCheckpoint:
         path = tmp_path / "calib.bin"
         save_calibrator(soft[:8], tok, CalibrationConfig(), tiny_lm.weight_digest(), path)
         with pytest.raises(CheckpointError, match="8-vector for a 16-dim model"):
+            load_calibrator(path, tiny_lm)
+
+
+    @pytest.mark.parametrize("section, offset, fmt, change", [
+        ("vocabulary", 6, "<B", lambda b: ord("~")),  # the first byte of the first word
+        ("config", 40, "<d", lambda scale: 2 * scale),  # pos_scale
+    ], ids=["vocabulary-word", "config-scale"])
+    def test_resealed_model_edit_breaks_the_binding(self, tiny_lm, calibrator, tmp_path,
+                                                    section, offset, fmt, change):
+        soft, tok = calibrator
+        model_path, calib_path = tmp_path / "model.bin", tmp_path / "calib.bin"
+        save_model(tiny_lm, model_path)
+        save_calibrator(soft, tok, CalibrationConfig(), tiny_lm.weight_digest(), calib_path)
+        raw = model_path.read_bytes()
+        model_path.write_bytes(damaged(raw, model_layout(tiny_lm), section, (offset, fmt, change)))
+        edited = load_model(model_path)  # a valid model, so only the binding can refuse it
+        with pytest.raises(CheckpointMismatchError):
+            load_calibrator(calib_path, edited)
+
+    def test_version_2_refused_with_a_reason(self, tiny_lm, calibrator, tmp_path):
+        soft, tok = calibrator
+        path = tmp_path / "calib.bin"
+        save_calibrator(soft, tok, CalibrationConfig(), tiny_lm.weight_digest(), path)
+        assert path.read_bytes()[0] == 3
+        path.write_bytes(b"\x02" + path.read_bytes()[1:])
+        with pytest.raises(CheckpointError, match="version 2: it is bound to the old weights-only model "
+                                                  "digest; recalibrate it against the model"):
+            load_calibrator(path, tiny_lm)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_soft_vector_rejected(self, tiny_lm, calibrator, tmp_path, value):
+        soft, tok = calibrator
+        path = tmp_path / "calib.bin"
+        save_calibrator(soft, tok, CalibrationConfig(), tiny_lm.weight_digest(), path)
+        layout = calibrator_layout(tok.text, len(soft))
+        path.write_bytes(damaged(path.read_bytes(), layout, "soft", (8, "<d", lambda x: value)))
+        with pytest.raises(CheckpointError, match="non-finite soft vector"):
+            load_calibrator(path, tiny_lm)
+
+    def test_resealed_empty_soft_token_is_a_checkpoint_error(self, tiny_lm, calibrator, tmp_path):
+        soft, tok = calibrator
+        path = tmp_path / "calib.bin"
+        save_calibrator(soft, tok, CalibrationConfig(), tiny_lm.weight_digest(), path)
+        raw = path.read_bytes()
+        token = struct.pack("<H", len(tok.text)) + tok.text.encode("utf-8")
+        assert raw.count(token) == 1
+        path.write_bytes(reseal(raw.replace(token, struct.pack("<H", 1) + b" ")))
+        with pytest.raises(CheckpointError, match="invalid soft token: soft prompt token must contain"):
             load_calibrator(path, tiny_lm)
 
 

@@ -14,6 +14,7 @@ from tests.test_checkpoint import (
     CALIBRATOR_SECTIONS,
     MODEL_SECTIONS,
     calibrator_layout,
+    count_sha256,
     damaged,
     model_layout,
     set_distance_code,
@@ -273,6 +274,14 @@ class TestSummarizeCommand:
         tmp_path, cfg = pipeline
         assert main(["summarize", "--config", str(cfg), "--input", "   ", "--prompt", "x"]) == 2
 
+    def test_calibrated_request_hashes_the_model_body_once(self, pipeline, monkeypatch):
+        tmp_path, cfg = pipeline
+        model_body = (tmp_path / "out" / "model.bin").stat().st_size - 32
+        fed = count_sha256(monkeypatch)
+        assert main(["summarize", "--config", str(cfg), "--input", "no pneumothorax is identified.",
+                     "--calibrated"]) == 0
+        assert [n for n in fed if n >= model_body] == [model_body]
+
     def test_unknown_distance_code_exits_4(self, pipeline, tmp_path):
         src_tmp, cfg = pipeline
         calib = tmp_path / "calibrator.bin"
@@ -306,10 +315,13 @@ def overlong_evaluation_record(src_tmp, cfg, tmp_path):
             "--set", f"test_corpus={test}", "--set", f"report_dir={tmp_path / 'reports'}"]
 
 
-def calibrator_version_1(src_tmp, cfg, tmp_path):
-    calib = tmp_path / "calibrator.bin"
-    calib.write_bytes(b"\x01" + (src_tmp / "out" / "calibrator.bin").read_bytes()[1:])
-    return summarize_argv(cfg, "no edema.", "--calibrated", "--set", f"calibrator_checkpoint={calib}")
+def calibrator_version(version):
+    def build(src_tmp, cfg, tmp_path):
+        calib = tmp_path / "calibrator.bin"
+        calib.write_bytes(bytes([version]) + (src_tmp / "out" / "calibrator.bin").read_bytes()[1:])
+        return summarize_argv(cfg, "no edema.", "--calibrated", "--set", f"calibrator_checkpoint={calib}")
+
+    return build
 
 
 def damaged_checkpoint(kind, section, how):
@@ -388,8 +400,10 @@ EXIT_CODE_CASES = [
                  id="summarize-note-over-max-sequence-length"),
     pytest.param(overlong_evaluation_record, 2, "exceeds max_sequence_length",
                  id="evaluate-record-over-max-sequence-length"),
-    pytest.param(calibrator_version_1, 4, "unsupported calibrator checkpoint version 1",
+    pytest.param(calibrator_version(1), 4, "unsupported calibrator checkpoint version 1",
                  id="calibrator-version-1"),
+    pytest.param(calibrator_version(2), 4, "version 2: it is bound to the old weights-only model digest; "
+                 "recalibrate it against the model", id="calibrator-version-2"),
     *(pytest.param(damaged_checkpoint(kind, section, how), 4, "checkpoint error",
                    id=f"{kind}-{section}-{how}")
       for kind, sections in (("model", MODEL_SECTIONS), ("calibrator", CALIBRATOR_SECTIONS))
@@ -408,6 +422,17 @@ EXIT_CODE_CASES = [
                  "invalid config", id="model-resealed-three-heads"),
     pytest.param(damaged_checkpoint("model", "frozen_flag", (0, "<B", lambda f: 0)), 4,
                  "frozen flag 0", id="model-resealed-not-frozen"),
+    *(pytest.param(damaged_checkpoint("calibrator", "config", (offset, fmt, lambda x, v=value: v)), 4,
+                   f"has an invalid config: {message}", id=f"calibrator-resealed-{name}")
+      for name, offset, fmt, value, message in (
+          ("learning-rate-negative", 1, "<d", -1.0, "learning_rate -1.0"),
+          ("learning-rate-nan", 1, "<d", float("nan"), "learning_rate nan"),
+          ("max-epochs-0", 9, "<I", 0, "max_epochs 0"),
+          ("stall-window-0", 21, "<I", 0, "stall_window 0"),
+          ("seed-negative", 25, "<q", -5, "seed -5"))),
+    *(pytest.param(damaged_checkpoint("calibrator", "soft", (0, "<d", lambda x, v=value: v)), 4,
+                   "non-finite soft vector", id=f"calibrator-resealed-{name}-in-soft-vector")
+      for name, value in (("nan", float("nan")), ("inf", float("inf")))),
 ]
 
 

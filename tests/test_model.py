@@ -3,6 +3,7 @@ and the freeze contract."""
 
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from promptcal import autodiff as ad
+from promptcal import checkpoint as checkpoint_module
 from promptcal import model as model_module
 from promptcal.corpus import generate_corpus
 from promptcal.errors import ContractError, ShapeError
@@ -952,12 +954,22 @@ class TestDigest:
             edited = one_bit_edited(lm, name)
             assert edited.frozen_digest == edited.weight_digest() != lm.weight_digest()
 
-    def test_digest_hashes_the_little_endian_bytes(self, lm):
-        # the in-place hash reads the same bytes as the documented tobytes() form
+    def test_digest_is_the_sha256_of_the_documented_model_body(self, lm):
+        # the documented version-2 body, field by field: version, vocabulary,
+        # config, frozen flag, then the name-sorted parameter records
         h = hashlib.sha256()
+        words = [w.encode("utf-8") for w in lm.vocab.words]
+        h.update(struct.pack("<BI", 2, len(words)))
+        for w in words:
+            h.update(struct.pack("<H", len(w)) + w)
+        c = lm.cfg
+        h.update(struct.pack("<6I3d", c.embed_dim, c.n_blocks, c.n_heads, c.ffn_dim, c.max_seq_len,
+                             c.decode_max_len, c.embed_bias_std, c.embed_noise_std, c.pos_scale))
+        h.update(struct.pack("<BI", 1, len(lm.params)))
         for name in sorted(lm.params):
             arr = lm.params[name].data
-            h.update(name.encode("utf-8") + b"\x00" + str(arr.shape).encode("ascii") + b"\x00")
+            h.update(struct.pack("<H", len(name)) + name.encode("utf-8"))
+            h.update(struct.pack(f"<2B{arr.ndim}I", 0, arr.ndim, *arr.shape))
             h.update(arr.astype("<f8").tobytes())
         assert lm.weight_digest() == h.hexdigest()
 
@@ -975,18 +987,19 @@ class TestFreeze:
 
     def test_frozen_digest_is_computed_once_on_first_use(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(model_module, "params_digest",
-                            lambda params: calls.append(1) or "digest")
+        write = checkpoint_module.write_model_body
+        monkeypatch.setattr(checkpoint_module, "write_model_body",
+                            lambda lm, out: calls.append(1) or write(lm, out))
         lm = EncoderDecoderLM.initialize(Vocabulary(["a"]), ModelConfig(embed_dim=8, n_blocks=0, n_heads=1,
                                                                          ffn_dim=8), seed=1)
         with pytest.raises(ContractError, match="not frozen"):
             lm.frozen_digest
         lm.freeze()
         assert calls == []
-        assert lm.frozen_digest == lm.frozen_digest == "digest"
-        assert len(calls) == 1
-        lm.weight_digest()  # the explicit recompute
-        assert len(calls) == 2
+        assert lm.frozen_digest == lm.frozen_digest == lm.weight_digest()
+        assert len(calls) == 2  # the first frozen_digest, then the explicit recompute
+        lm.weight_digest()
+        assert len(calls) == 3
 
     def test_pretrained_encoder_owns_its_weights(self, lm):
         # a view would keep the encoder-phase optimizer's whole buffer alive

@@ -4,13 +4,16 @@ Extracts ``src/promptcal`` at a git revision (``--parent``) into a temporary
 directory and imports it beside the checkout's own package under another
 name (``tools/ab_encode.py``'s ``parent_package``). Builds a frozen model with the summarize benchmark's shapes (200
 seeded records, the bundled prompts and soft token in the vocabulary,
-default ModelConfig, seed 7) and a calibrator bound to it, saves both once,
-and times the two requests the summarize workload serves: ``load_model``
-alone (uncalibrated) and ``load_model`` then ``load_calibrator``
-(calibrated). Each repeat times every variant, starting the rotation at the
-next one, so drift in machine load falls on both alike. Both variants must
-save byte-identical files and load bit-identical weights, digest and soft
-vector.
+default ModelConfig, seed 7); each package saves it and a calibrator bound to
+the digest its own load computes, and times the two requests the summarize
+workload serves on its own files: ``load_model`` alone (uncalibrated) and
+``load_model`` then ``load_calibrator`` (calibrated). Each repeat times every
+variant, starting the rotation at the next one, so drift in machine load
+falls on both alike. Both variants must save byte-identical model files and
+load bit-identical weights, vocabulary, config, soft vector, token and
+calibration config, and each package's loaded digest must equal its own
+``weight_digest()``. Calibrator files may differ, since the digest a
+calibrator records is defined by its format version.
 
 Run from the repository root, before committing a change (``--parent HEAD``)
 or after it (``--parent HEAD~1``):
@@ -30,7 +33,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from ab_encode import ROOT, frozen_model, parent_package, quartiles  # also pins BLAS threads and the import path
+from ab_encode import (ROOT, frozen_model, model_state_digest,  # also pins BLAS threads and the import path
+                       parent_package, quartiles)
 
 import bench_env  # noqa: E402
 import promptcal  # noqa: E402
@@ -38,13 +42,13 @@ from promptcal import checkpoint  # noqa: E402
 from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT, CalibrationConfig, SoftPromptToken  # noqa: E402
 
 
-def loaded_state(module, model_path: Path, calibrator_path: Path) -> tuple:
-    """Everything a calibrated request gets from the files, as plain values (the packages' classes differ)."""
+def loaded_state(module, model_path: Path, calibrator_path: Path) -> tuple[tuple, bool]:
+    """What a calibrated request gets from the files, as plain values (the packages' classes differ),
+    and whether the package's loaded digest equals its own weight_digest()."""
     lm = module.load_model(model_path)
     soft, tok, config = module.load_calibrator(calibrator_path, lm)
-    weights = tuple((name, p.data.tobytes()) for name, p in sorted(lm.params.items()))
-    return (weights, lm.frozen_digest, lm.vocab.words, dataclasses.astuple(lm.cfg), soft.tobytes(),
-            tok.text, dataclasses.astuple(config))
+    state = (model_state_digest(lm), soft.tobytes(), tok.text, dataclasses.astuple(config))
+    return state, lm.frozen_digest == lm.weight_digest()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -60,30 +64,31 @@ def main(argv: list[str] | None = None) -> int:
         tmp = Path(tmp)
         parent = parent_package(args.parent, tmp / "parent")
         variants = {"parent": importlib.import_module(parent.__name__ + ".checkpoint"), "change": checkpoint}
-        saved = {}
+        saved, states = {}, {}
         for name, module in variants.items():
             model_path, calibrator_path = tmp / f"{name}-model.bin", tmp / f"{name}-calibrator.bin"
             module.save_model(lm, model_path)
-            module.save_calibrator(soft, tok, CalibrationConfig(), lm.weight_digest(), calibrator_path)
+            bound = module.load_model(model_path).frozen_digest
+            module.save_calibrator(soft, tok, CalibrationConfig(), bound, calibrator_path)
             saved[name] = (model_path, calibrator_path)
-        files_identical = all(saved["parent"][i].read_bytes() == saved["change"][i].read_bytes()
-                              for i in range(2))
-        model_path, calibrator_path = saved["change"]
-        loads_identical = (loaded_state(variants["parent"], model_path, calibrator_path)
-                           == loaded_state(checkpoint, model_path, calibrator_path))
+            states[name] = loaded_state(module, model_path, calibrator_path)
+        model_files_identical = saved["parent"][0].read_bytes() == saved["change"][0].read_bytes()
+        loads_identical = states["parent"][0] == states["change"][0]
+        digests_consistent = all(consistent for _, consistent in states.values())
 
         times = {name: {"model_us": [], "model_and_calibrator_us": []} for name in variants}
         order = list(variants.items())
         for i in range(args.repeats):
             for k in range(len(order)):
                 name, module = order[(i + k) % len(order)]
+                model_path, calibrator_path = saved[name]
                 start = time.perf_counter_ns()
                 module.load_model(model_path)
                 times[name]["model_us"].append((time.perf_counter_ns() - start) / 1e3)
                 start = time.perf_counter_ns()
                 module.load_calibrator(calibrator_path, module.load_model(model_path))
                 times[name]["model_and_calibrator_us"].append((time.perf_counter_ns() - start) / 1e3)
-        model_bytes, calibrator_bytes = model_path.stat().st_size, calibrator_path.stat().st_size
+        model_bytes, calibrator_bytes = (path.stat().st_size for path in saved["change"])
 
     requests = {}
     for request in ("model_us", "model_and_calibrator_us"):
@@ -101,17 +106,18 @@ def main(argv: list[str] | None = None) -> int:
         "model_file_bytes": model_bytes,
         "calibrator_file_bytes": calibrator_bytes,
         "repeats": args.repeats,
-        "saved_files_byte_identical": files_identical,
+        "saved_model_files_byte_identical": model_files_identical,
         "loaded_state_identical": loads_identical,
+        "digests_equal_own_weight_digest": digests_consistent,
         "requests": requests,
     }
     Path(args.out).write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     for request, row in requests.items():
         print(f"{request}: parent {row['parent']['median']:.0f} us, change {row['change']['median']:.0f} us, "
               f"speedup {row['speedup']}, change faster in {row['change_faster_pct']}% of repeats")
-    print(f"wrote {args.out}; saved files byte-identical: {files_identical}; "
-          f"loaded state identical: {loads_identical}")
-    return 0 if files_identical and loads_identical else 1
+    print(f"wrote {args.out}; saved model files byte-identical: {model_files_identical}; "
+          f"loaded state identical: {loads_identical}; digests equal own weight_digest(): {digests_consistent}")
+    return 0 if model_files_identical and loads_identical and digests_consistent else 1
 
 
 if __name__ == "__main__":

@@ -28,6 +28,8 @@ or after it (``--parent HEAD~1``):
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import hashlib
 import importlib.util
 import io
 import json
@@ -101,6 +103,16 @@ def sequence_sets(lm) -> dict[str, list[list]]:
     }
 
 
+def model_state_digest(lm) -> str:
+    """sha256 of a model's name-sorted weights, vocabulary and config, taken here, so that two
+    packages' models compare equal even where their revisions define the model digest differently."""
+    h = hashlib.sha256()
+    for name in sorted(lm.params):
+        h.update(name.encode("utf-8") + b"\x00" + lm.params[name].data.astype("<f8").tobytes())
+    h.update(repr((lm.vocab.words, dataclasses.astuple(lm.cfg))).encode("utf-8"))
+    return h.hexdigest()
+
+
 def quartiles(xs: list[float], digits: int = 1) -> dict[str, float]:
     q1, q2, q3 = statistics.quantiles(xs, n=4)
     return {"median": round(q2, digits), "q1": round(q1, digits), "q3": round(q3, digits)}
@@ -118,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     lm = frozen_model(sys.modules["promptcal"])
     with tempfile.TemporaryDirectory() as tmp:
         parent_lm = frozen_model(parent_package(args.parent, Path(tmp)))
-    same_weights = parent_lm.weight_digest() == lm.weight_digest()
+    same_weights = model_state_digest(parent_lm) == model_state_digest(lm)
     sets = sequence_sets(lm)
 
     def parent_encode(groups):

@@ -3,8 +3,10 @@
 Extracts ``src/promptcal`` at a git revision (``--parent``) into a temporary
 directory and imports it beside the checkout's own package under another
 name (``tools/ab_encode.py``'s ``parent_package``). Both packages load the
-evaluate benchmark's frozen model and calibrator (``perfbench/frozen_model.py``,
-built on first use) and time two things:
+evaluate benchmark's frozen model (``perfbench/frozen_model.py``, built on
+first use) and must load bit-identical weights, vocabulary and config, each
+with a digest equal to its own ``weight_digest()``; both use the soft vector
+and token of its calibrator, which the checkout reads. They time two things:
 
 - ``round``: both arms of ``evaluate_ensemble`` (baseline, then calibrated)
   over the bundled 10-prompt ensemble and 50-note test corpus, then
@@ -38,25 +40,37 @@ import time
 import tracemalloc
 from pathlib import Path
 
-from ab_encode import ROOT, parent_package, quartiles  # also pins BLAS threads and the import path
+from ab_encode import (ROOT, model_state_digest, parent_package,  # also pins BLAS threads and the import path
+                       quartiles)
 
 import bench_env  # noqa: E402
 import frozen_model  # noqa: E402
 import numpy as np  # noqa: E402
 import promptcal  # noqa: E402
-from promptcal import harness  # noqa: E402
+from promptcal import checkpoint, harness  # noqa: E402
 from promptcal.corpus import bundled_test_corpus  # noqa: E402
 
 STEP_ROWS = (1, 16)
 STEPS = 24  # the default decode_max_len
 
 
-def load(package, artifacts):
-    """The frozen model and the (soft vector, soft token) calibration, loaded by the given package."""
-    importlib.import_module(package.__name__ + ".checkpoint")
-    lm = package.checkpoint.load_model(artifacts.model_path)
-    soft, tok, _ = package.checkpoint.load_calibrator(artifacts.calibrator_path, lm)
-    return lm, (soft, tok)
+def load_parent(parent, artifacts, calibration):
+    """The frozen model, loaded by the parent package, and the checkout's calibration in its types.
+
+    The parent does not read the calibrator file: the model digest a
+    calibrator records depends on its format version.
+    """
+    importlib.import_module(parent.__name__ + ".checkpoint")
+    lm = parent.checkpoint.load_model(artifacts.model_path)
+    soft, tok = calibration
+    return lm, (soft, parent.calibration.SoftPromptToken.from_text(tok.text, lm.vocab))
+
+
+def same_model(a, b) -> bool:
+    """Whether two packages loaded bit-identical weights, vocabulary and config, and each
+    package's loaded digest equals its own weight_digest()."""
+    return (model_state_digest(a) == model_state_digest(b)
+            and all(lm.frozen_digest == lm.weight_digest() for lm in (a, b)))
 
 
 def evaluate_round(package, lm, calibration, prompts, corpus):
@@ -91,11 +105,12 @@ def main(argv: list[str] | None = None) -> int:
     artifacts = frozen_model.ensure()
     prompts = harness.load_default_ensemble().prompts
     corpus = bundled_test_corpus()
-    lm, calibration = load(promptcal, artifacts)
+    lm = checkpoint.load_model(artifacts.model_path)
+    calibration = checkpoint.load_calibrator(artifacts.calibrator_path, lm)[:2]
     with tempfile.TemporaryDirectory() as tmp:
         parent = parent_package(args.parent, Path(tmp))
-        parent_lm, parent_calibration = load(parent, artifacts)
-    same_weights = parent_lm.frozen_digest == lm.frozen_digest
+        parent_lm, parent_calibration = load_parent(parent, artifacts, calibration)
+    same_weights = same_model(parent_lm, lm)
 
     def change_round(rows=shipped):
         promptcal.calibration.EVALUATE_ROWS = rows

@@ -8,8 +8,9 @@ bundled prompts and soft token in the vocabulary and the default config (3
 encoder-training epochs, then decoder-only ones). Runs alternate between the
 two packages, and each repeat starts with the side the previous one ended
 with, so drift in machine load falls on both alike. Every run must give the
-parent's weight digest and loss-curve bytes. Per side it reports the call's
-seconds and the median encoder-training and decoder-only epoch seconds.
+parent's weights, vocabulary and config (``ab_encode.model_state_digest``)
+and loss-curve bytes. Per side it reports the call's seconds and the median
+encoder-training and decoder-only epoch seconds.
 
 ``--full`` also runs the 60-epoch recipe the acceptance suite and the
 benchmark's frozen model use (200 records, seed 7) once on each side and
@@ -39,7 +40,7 @@ import bench_env  # noqa: E402
 bench_env.prepare()  # the benchmark's thread pinning and import path
 
 import numpy as np  # noqa: E402
-from ab_encode import parent_package, quartiles  # noqa: E402
+from ab_encode import model_state_digest, parent_package, quartiles  # noqa: E402
 from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT  # noqa: E402
 from promptcal.corpus import generate_corpus  # noqa: E402
 from promptcal.harness import load_default_ensemble  # noqa: E402
@@ -70,7 +71,7 @@ def run(package, seed: int, epochs: int) -> dict:
         "seconds": seconds,
         "encoder_epoch_s": float(np.median(epoch_s[:warm])),
         "decoder_epoch_s": float(np.median(epoch_s[warm:])),
-        "weights": lm.weight_digest(),
+        "weights": model_state_digest(lm),
         "losses": np.asarray(losses, dtype="<f8").tobytes(),
     }
 
