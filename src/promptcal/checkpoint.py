@@ -2,9 +2,13 @@
 
 Both files start with a version byte and end with a sha256 of every byte
 before it (the body); loading re-hashes and refuses corrupted files, then
-parses the verified bytes in place, copying each weight array out once. A
-model file must be marked frozen and hold exactly the parameters its config
-and vocabulary make, none marked trainable, and nothing after them.
+parses the verified bytes in place. A model body is the version byte, the
+word list, the config and then every weight's float64 values back to back in
+model.param_shapes order. The config and vocabulary fix every parameter's
+name and shape, so the file restates none of them: a body too short for its
+config is a truncated file and one too long has bytes after its last field.
+The file is read into one aligned buffer, and the weights are views of it,
+never copies.
 
 A model's digest is the sha256 of the body save_model writes for it, so it
 covers the vocabulary and config as well as the weights. write_model_body is
@@ -18,13 +22,13 @@ different model), the soft token text and the calibration config.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import io
 import math
+import os
 import struct
 from pathlib import Path
-from typing import Callable, NoReturn
+from typing import Callable
 
 import numpy as np
 
@@ -35,15 +39,21 @@ from .errors import CheckpointError, CheckpointMismatchError, ConfigError, Contr
 from .model import EncoderDecoderLM, ModelConfig, param_shapes
 from .vocab import Vocabulary
 
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 # Version 3 binds a calibrator to the model's whole-body digest; version 2
 # bound it to a digest of the weights alone.
 CALIBRATOR_VERSION = 3
 
 # Why a file of an older version is refused, beyond its number.
 _RETIRED_VERSIONS = {
+    ("model", 2): "it holds the per-parameter records version 3 dropped; re-run pretrain and calibrate",
     ("calibrator", 2): "it is bound to the old weights-only model digest; recalibrate it against the model",
 }
+
+_MODEL_CONFIG = "<6I3d"  # ModelConfig's fields in order: six dimensions, then three scales
+# A calibrator's fields after its token: distance, learning rate, max epochs,
+# tolerance, stall window, seed, separator policy, soft vector length.
+_CALIBRATOR_FIELDS = "<BdIdIqBI"
 
 # A calibrator stores its distance and separator policy as indices into these.
 _DISTANCE_NAMES = tuple(DISTANCES)
@@ -64,7 +74,7 @@ class _SealedReader:
     is the body's sha256 as the load computed it.
     """
 
-    def __init__(self, raw: bytes, digest: str, where: str):
+    def __init__(self, raw: memoryview, digest: str, where: str):
         self.raw = raw
         self.size = len(raw) - 32
         self.digest = digest
@@ -81,17 +91,9 @@ class _SealedReader:
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack_from(fmt, self.raw, self._advance(struct.calcsize(fmt)))
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         start = self._advance(n)
         return self.raw[start:self.pos]
-
-    def skip(self, expected: bytes) -> bool:
-        """Step past the next bytes if they are exactly expected; otherwise stay put."""
-        end = self.pos + len(expected)
-        if end <= self.size and self.raw[self.pos:end] == expected:
-            self.pos = end
-            return True
-        return False
 
     def strings(self, count: int) -> list[str]:
         """The next count strings, each a little-endian u16 byte length and UTF-8 bytes."""
@@ -106,7 +108,7 @@ class _SealedReader:
             if pos > size:
                 raise CheckpointError("truncated checkpoint file")
             try:
-                out.append(raw[start:pos].decode("utf-8"))
+                out.append(str(raw[start:pos], "utf-8"))
             except UnicodeDecodeError as exc:
                 raise CheckpointError(f"checkpoint string is not UTF-8: {exc}") from None
         self.pos = pos
@@ -116,10 +118,10 @@ class _SealedReader:
         return self.strings(1)[0]
 
     def floats(self, shape: tuple[int, ...]) -> np.ndarray:
-        """A fresh, aligned copy of the next little-endian float64 array of this shape."""
+        """The next little-endian float64 array of this shape, as a view of raw, not a copy."""
         count = math.prod(shape)
         start = self._advance(8 * count)
-        return np.frombuffer(self.raw, dtype="<f8", count=count, offset=start).reshape(shape).copy()
+        return np.frombuffer(self.raw, dtype="<f8", count=count, offset=start).reshape(shape)
 
     def end(self) -> None:
         extra = self.size - self.pos
@@ -127,16 +129,29 @@ class _SealedReader:
             raise CheckpointError(f"{self.where} has {extra} bytes after its last field")
 
 
+def _read_aligned(path: str | Path) -> memoryview:
+    """The file's bytes, placed so that its body (all but the 32-byte seal) ends on an 8-byte boundary.
+
+    Both kinds of file end their body with float64 values, which thus start
+    aligned in a file of the right length and load as views, not copies.
+    """
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        pad = -(size - 32) % 8
+        raw = memoryview(np.empty((pad + size + 7) // 8, dtype="<f8")).cast("B")[pad:pad + size]
+        return raw[:f.readinto(raw)]
+
+
 def _open_sealed(path: str | Path, version: int, kind: str) -> _SealedReader:
     """A reader after the file's version byte, once the version and trailing sha256 check out."""
-    raw = Path(path).read_bytes()
+    raw = _read_aligned(path)
     if not raw:
         raise CheckpointError("truncated checkpoint file")
     if raw[0] != version:
         why = _RETIRED_VERSIONS.get((kind, raw[0]))
         raise CheckpointError(f"unsupported {kind} checkpoint version {raw[0]}" + (f": {why}" if why else ""))
-    digest = hashlib.sha256(memoryview(raw)[:-32]).digest()  # in place; slicing raw would copy it
-    if digest != raw[-32:]:
+    digest = hashlib.sha256(raw[:-32]).digest()
+    if raw[-32:] != digest:
         raise CheckpointError(f"{kind} checkpoint {path} failed its integrity hash")
     return _SealedReader(raw, digest.hex(), f"{kind} checkpoint {path}")
 
@@ -144,12 +159,6 @@ def _open_sealed(path: str | Path, version: int, kind: str) -> _SealedReader:
 def _write_str(write: Write, s: str) -> None:
     raw = s.encode("utf-8")
     write(struct.pack("<H", len(raw)) + raw)
-
-
-def _param_head(name: str, shape: tuple[int, ...]) -> bytes:
-    """A parameter record up to its floats: name, trainable flag (a frozen model has none), rank, dims."""
-    raw = name.encode("utf-8")
-    return struct.pack(f"<H{len(raw)}s2B{len(shape)}I", len(raw), raw, 0, len(shape), *shape)
 
 
 def write_model_body(lm: EncoderDecoderLM, write: Write) -> None:
@@ -164,62 +173,29 @@ def write_model_body(lm: EncoderDecoderLM, write: Write) -> None:
         _write_str(write, w)
     cfg = lm.cfg
     write(struct.pack(
-        "<6I3dBI", cfg.embed_dim, cfg.n_blocks, cfg.n_heads, cfg.ffn_dim, cfg.max_seq_len,
+        _MODEL_CONFIG, cfg.embed_dim, cfg.n_blocks, cfg.n_heads, cfg.ffn_dim, cfg.max_seq_len,
         cfg.decode_max_len, cfg.embed_bias_std, cfg.embed_noise_std, cfg.pos_scale,
-        1, len(lm.params),  # frozen flag, parameter count
     ))
-    for name in sorted(lm.params):
-        data = lm.params[name].data
-        write(_param_head(name, data.shape))
-        write(memoryview(np.ascontiguousarray(data, dtype="<f8")))
-
-
-@functools.lru_cache(maxsize=8)
-def _param_records(cfg: ModelConfig, vocab_size: int) -> tuple[tuple[str, bytes, tuple[int, ...]], ...]:
-    """Each parameter's name, record bytes before its floats and shape, in the order save_model writes them."""
-    shapes = param_shapes(cfg, vocab_size)
-    return tuple((name, _param_head(name, shapes[name]), shapes[name]) for name in sorted(shapes))
-
-
-def _refuse_param(reader: _SealedReader, expected: dict[str, tuple[int, ...]],
-                  params: dict[str, DiffValue]) -> NoReturn:
-    """Say, field by field, why the parameter record at the reader is not the one save_model writes there."""
-    name = reader.string()
-    trainable, ndim = reader.unpack("<2B")
-    shape = reader.unpack(f"<{ndim}I")
-    if trainable:
-        raise CheckpointError(f"{reader.where} marks parameter {name!r} trainable")
-    if name not in expected or name in params:
-        raise CheckpointError(f"{reader.where} holds an unknown or repeated parameter {name!r}")
-    if shape != expected[name]:
-        raise CheckpointError(f"{reader.where} parameter {name} has shape {shape}, "
-                              f"its config needs {expected[name]}")
-    raise CheckpointError(f"{reader.where} holds parameter {name!r} out of name order")
+    for name in param_shapes(cfg, lm.vocab.size):
+        write(memoryview(np.ascontiguousarray(lm.params[name].data, dtype="<f8")))
 
 
 def _read_params(reader: _SealedReader, cfg: ModelConfig, vocab_size: int) -> dict[str, DiffValue]:
-    """The parameters, which must be exactly the names and shapes the config and vocabulary make.
-
-    Each record must open with the bytes save_model writes at its place, so
-    one comparison checks its name, flag and shape.
-    """
-    records = _param_records(cfg, vocab_size)
-    (count,) = reader.unpack("<I")
-    if count != len(records):
-        raise CheckpointError(f"{reader.where} holds {count} parameters, its config needs {len(records)}")
+    """The weights the config and vocabulary make: one run of floats, split into per-parameter views."""
+    shapes = param_shapes(cfg, vocab_size)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    flat = reader.floats((sum(sizes),))
     params: dict[str, DiffValue] = {}
-    for name, head, shape in records:
-        if not reader.skip(head):
-            _refuse_param(reader, {n: s for n, _, s in records}, params)
-        params[name] = DiffValue(reader.floats(shape))
+    start = 0
+    for (name, shape), size in zip(shapes.items(), sizes):
+        params[name] = DiffValue(flat[start:start + size].reshape(shape))
+        start += size
     return params
 
 
 def _read_model_config(reader: _SealedReader) -> ModelConfig:
-    dims = reader.unpack("<6I")
-    scales = reader.unpack("<3d")
     try:
-        return ModelConfig(*dims, *scales)
+        return ModelConfig(*reader.unpack(_MODEL_CONFIG))
     except ConfigError as exc:
         raise CheckpointError(f"{reader.where} has an invalid config: {exc}") from None
 
@@ -233,7 +209,7 @@ def save_model(lm: EncoderDecoderLM, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> EncoderDecoderLM:
-    """The frozen model in the file, once its parameters match what its config and vocabulary make.
+    """The frozen model in the file, once its body is exactly what its config and vocabulary make.
 
     Only a body that save_model would write for the model it holds is
     accepted, so the seal this load verified is the model's digest: it
@@ -243,9 +219,6 @@ def load_model(path: str | Path) -> EncoderDecoderLM:
     (n_words,) = reader.unpack("<I")
     vocab = Vocabulary(reader.strings(n_words))
     cfg = _read_model_config(reader)
-    (frozen_flag,) = reader.unpack("<B")
-    if frozen_flag != 1:  # save_model writes frozen models only
-        raise CheckpointError(f"{reader.where} has frozen flag {frozen_flag}, not 1")
     params = _read_params(reader, cfg, vocab.size)
     reader.end()
     if len(vocab.words) != n_words:  # then save_model would write another body for this model
@@ -266,14 +239,11 @@ def save_calibrator(
     buf.write(struct.pack("<B", CALIBRATOR_VERSION))
     buf.write(bytes.fromhex(lm_digest))
     _write_str(buf.write, tok.text)
-    buf.write(struct.pack("<B", _DISTANCE_NAMES.index(config.distance)))
-    buf.write(struct.pack("<d", config.learning_rate))
-    buf.write(struct.pack("<I", config.max_epochs))
-    buf.write(struct.pack("<d", config.convergence_tol))
-    buf.write(struct.pack("<I", config.stall_window))
-    buf.write(struct.pack("<q", config.seed))
-    buf.write(struct.pack("<B", SEPARATOR_POLICIES.index(config.separator_policy)))
-    buf.write(struct.pack("<I", len(soft)))
+    buf.write(struct.pack(
+        _CALIBRATOR_FIELDS, _DISTANCE_NAMES.index(config.distance), config.learning_rate,
+        config.max_epochs, config.convergence_tol, config.stall_window, config.seed,
+        SEPARATOR_POLICIES.index(config.separator_policy), len(soft),
+    ))
     buf.write(np.ascontiguousarray(soft, dtype="<f8").tobytes())
     _write_sealed(buf, path)
 
@@ -289,9 +259,8 @@ def load_calibrator(
     reader = _open_sealed(path, CALIBRATOR_VERSION, "calibrator")
     lm_digest = reader.take(32).hex()
     token_text = reader.string()
-    # distance, learning rate, max epochs, tolerance, stall window, seed, policy, dim
     distance_code, learning_rate, max_epochs, tol, window, seed, policy_code, dim = (
-        reader.unpack("<BdIdIqBI"))
+        reader.unpack(_CALIBRATOR_FIELDS))
     soft = reader.floats((dim,))
     soft.flags.writeable = False
     reader.end()

@@ -381,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "summarize":
             return cmd_summarize(args, cfg, calib_cfg)
         parser.error(f"unknown command {args.command!r}")
-    except (FileNotFoundError, ContractError, ShapeError) as exc:
+    except (FileNotFoundError, UnicodeDecodeError, ContractError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TrainingError as exc:

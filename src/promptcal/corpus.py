@@ -172,18 +172,30 @@ def save_corpus(records: Sequence[CorpusRecord], path: str | Path) -> None:
 
 
 def load_corpus(path: str | Path) -> list[CorpusRecord]:
+    """One record per non-blank line: a JSON object whose id, findings and impression are strings.
+
+    The impression may be left out (inference-only records); training paths
+    refuse such records with require_impressions.
+    """
     records = []
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
+        where = f"{path}:{line_no}: malformed corpus record"
         try:
             obj = json.loads(line)
-            records.append(
-                CorpusRecord(id=str(obj["id"]), findings=str(obj["findings"]),
-                             impression=str(obj.get("impression", "")))
-            )
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise ContractError(f"{path}:{line_no}: malformed corpus record: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ContractError(f"{where}: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise ContractError(f"{where}: not a JSON object")
+        fields = {"impression": "", **obj}
+        for key in ("id", "findings", "impression"):
+            if key not in fields:
+                raise ContractError(f"{where}: no {key!r}")
+            if not isinstance(fields[key], str):
+                raise ContractError(f"{where}: {key!r} is not a string")
+        records.append(CorpusRecord(id=fields["id"], findings=fields["findings"],
+                                    impression=fields["impression"]))
     return records
 
 

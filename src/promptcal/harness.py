@@ -170,16 +170,25 @@ def evaluate_ensemble(
 
 
 def ensemble_stats(values: Sequence[float]) -> tuple[float, float]:
-    """Arithmetic mean and sample standard deviation (n-1 divisor)."""
+    """Arithmetic mean and sample standard deviation (n-1 divisor).
+
+    Both sums add left to right in plain loops: sum() of floats compensates
+    from Python 3.12 on, so it would give other bits on other interpreters.
+    """
     if not values:
         raise ContractError("ensemble_stats requires at least one value")
     n = len(values)
-    mean = sum(values) / n
+    total = 0.0
+    for v in values:
+        total += v
+    mean = total / n
     if n == 1:
         warnings.warn("ensemble_stats of a single value has zero std", stacklevel=2)
         return mean, 0.0
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, math.sqrt(var)
+    squares = 0.0
+    for v in values:
+        squares += (v - mean) ** 2
+    return mean, math.sqrt(squares / (n - 1))
 
 
 def std_deduction(baseline_std: float, calibrated_std: float) -> float:

@@ -85,7 +85,11 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
 
 
 def param_shapes(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
-    """Every parameter's name and shape: encoder side, then decoder side, in init_params' draw order."""
+    """Every parameter's name and shape: encoder side, then decoder side, in init_params' draw order.
+
+    This is also the model file's weight order: a checkpoint holds the floats
+    alone, and its config and vocabulary give back every name and shape.
+    """
     d, dh, f = cfg.embed_dim, cfg.head_dim, cfg.ffn_dim
     shapes: dict[str, tuple[int, ...]] = {}
     for prefix in ("enc", "dec"):

@@ -315,11 +315,11 @@ def overlong_evaluation_record(src_tmp, cfg, tmp_path):
             "--set", f"test_corpus={test}", "--set", f"report_dir={tmp_path / 'reports'}"]
 
 
-def calibrator_version(version):
+def checkpoint_version(kind, version):
     def build(src_tmp, cfg, tmp_path):
-        calib = tmp_path / "calibrator.bin"
-        calib.write_bytes(bytes([version]) + (src_tmp / "out" / "calibrator.bin").read_bytes()[1:])
-        return summarize_argv(cfg, "no edema.", "--calibrated", "--set", f"calibrator_checkpoint={calib}")
+        target = tmp_path / f"{kind}.bin"
+        target.write_bytes(bytes([version]) + (src_tmp / "out" / f"{kind}.bin").read_bytes()[1:])
+        return summarize_argv(cfg, "no edema.", "--calibrated", "--set", f"{kind}_checkpoint={target}")
 
     return build
 
@@ -394,34 +394,70 @@ BAD_VALUE_CASES = [
 ]
 
 
+def with_file(content, argv):
+    """The argv argv(cfg, path, tmp_path) builds, once path (a file under tmp_path) holds content."""
+    def build(src_tmp, cfg, tmp_path):
+        path = tmp_path / "input.txt"
+        path.write_bytes(content)
+        return argv(cfg, path, tmp_path)
+
+    return build
+
+
+def pretrain_reading(key):
+    """pretrain with key set to the file, its model redirected under tmp_path/out."""
+    return lambda cfg, path, tmp_path: ["pretrain", "--config", str(cfg), "--set", f"{key}={path}",
+                                        "--set", f"model_checkpoint={tmp_path / 'out' / 'model.bin'}"]
+
+
+NOT_UTF8 = b"no edema \xff.\n"
+VALID_RECORD = b'{"id": "a", "findings": "no edema.", "impression": "no edema."}\n'
+
+BAD_FILE_CASES = [
+    pytest.param(with_file(b"[1, 2]\n", pretrain_reading("corpus")), 2,
+                 "input.txt:1: malformed corpus record: not a JSON object", id="corpus-line-not-an-object"),
+    pytest.param(with_file(VALID_RECORD + b'{"id": "b", "findings": "no edema.", "impression": null}\n',
+                           pretrain_reading("corpus")), 2,
+                 "input.txt:2: malformed corpus record: 'impression' is not a string", id="corpus-null-impression"),
+    pytest.param(with_file(NOT_UTF8, pretrain_reading("corpus")), 2, "can't decode byte 0xff",
+                 id="corpus-not-utf8"),
+    pytest.param(with_file(NOT_UTF8, pretrain_reading("prompts")), 2, "can't decode byte 0xff",
+                 id="prompts-not-utf8"),
+    pytest.param(with_file(NOT_UTF8, lambda cfg, path, tmp_path: ["pretrain", "--config", str(path)]), 2,
+                 "can't decode byte 0xff", id="config-not-utf8"),
+    pytest.param(with_file(NOT_UTF8, lambda cfg, path, tmp_path: summarize_argv(cfg, str(path))), 2,
+                 "can't decode byte 0xff", id="summarize-input-not-utf8"),
+]
+
+
 EXIT_CODE_CASES = [
     pytest.param(long_literal, 0, "", id="summarize-literal-over-255-bytes"),
     pytest.param(overlong_note, 2, "exceeds max_sequence_length",
                  id="summarize-note-over-max-sequence-length"),
     pytest.param(overlong_evaluation_record, 2, "exceeds max_sequence_length",
                  id="evaluate-record-over-max-sequence-length"),
-    pytest.param(calibrator_version(1), 4, "unsupported calibrator checkpoint version 1",
+    pytest.param(checkpoint_version("calibrator", 1), 4, "unsupported calibrator checkpoint version 1",
                  id="calibrator-version-1"),
-    pytest.param(calibrator_version(2), 4, "version 2: it is bound to the old weights-only model digest; "
-                 "recalibrate it against the model", id="calibrator-version-2"),
+    pytest.param(checkpoint_version("calibrator", 2), 4, "version 2: it is bound to the old weights-only "
+                 "model digest; recalibrate it against the model", id="calibrator-version-2"),
+    pytest.param(checkpoint_version("model", 2), 4, "unsupported model checkpoint version 2: it holds the "
+                 "per-parameter records version 3 dropped; re-run pretrain and calibrate", id="model-version-2"),
     *(pytest.param(damaged_checkpoint(kind, section, how), 4, "checkpoint error",
                    id=f"{kind}-{section}-{how}")
       for kind, sections in (("model", MODEL_SECTIONS), ("calibrator", CALIBRATOR_SECTIONS))
       for section in sections
       for how in ("flip", "truncate")),
     # Resealed edits: the file passes its hash, so its structure must be checked on its own.
-    pytest.param(damaged_checkpoint("model", "params", (0, "<I", lambda n: n + 1)), 4,
-                 "parameters, its config needs", id="model-resealed-one-parameter-too-many"),
     pytest.param(damaged_checkpoint("model", "seal", "insert"), 4, "16 bytes after its last field",
                  id="model-resealed-junk-after-parameters"),
     pytest.param(damaged_checkpoint("calibrator", "seal", "insert"), 4, "16 bytes after its last field",
                  id="calibrator-resealed-junk-after-vector"),
     pytest.param(damaged_checkpoint("model", "config", (0, "<I", lambda d: d // 2)), 4,
-                 "its config needs", id="model-resealed-embed-dim-halved"),
+                 "bytes after its last field", id="model-resealed-embed-dim-halved"),
+    pytest.param(damaged_checkpoint("model", "config", (0, "<I", lambda d: d * 2)), 4,
+                 "truncated checkpoint file", id="model-resealed-embed-dim-doubled"),
     pytest.param(damaged_checkpoint("model", "config", (8, "<I", lambda h: 3)), 4,
                  "invalid config", id="model-resealed-three-heads"),
-    pytest.param(damaged_checkpoint("model", "frozen_flag", (0, "<B", lambda f: 0)), 4,
-                 "frozen flag 0", id="model-resealed-not-frozen"),
     *(pytest.param(damaged_checkpoint("calibrator", "config", (offset, fmt, lambda x, v=value: v)), 4,
                    f"has an invalid config: {message}", id=f"calibrator-resealed-{name}")
       for name, offset, fmt, value, message in (
@@ -439,7 +475,7 @@ EXIT_CODE_CASES = [
 class TestExitCodes:
     """One row per failure the CLI must map to its documented exit code, never a traceback."""
 
-    @pytest.mark.parametrize("build, code, message", EXIT_CODE_CASES + BAD_VALUE_CASES)
+    @pytest.mark.parametrize("build, code, message", EXIT_CODE_CASES + BAD_VALUE_CASES + BAD_FILE_CASES)
     def test_exit_code(self, pipeline, tmp_path, capsys, build, code, message):
         src_tmp, cfg = pipeline
         assert main(build(src_tmp, cfg, tmp_path)) == code

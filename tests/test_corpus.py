@@ -69,6 +69,19 @@ class TestJsonl:
         with pytest.raises(ContractError, match="bad.jsonl:2"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("[1, 2]", "not a JSON object"),
+        ('"text"', "not a JSON object"),
+        ('{"id": "x", "findings": null, "impression": "i"}', "'findings' is not a string"),
+        ('{"id": "x", "findings": "f", "impression": 3}', "'impression' is not a string"),
+        ('{"findings": "f"}', "no 'id'"),
+    ], ids=["array", "string", "null-findings", "number-impression", "no-id"])
+    def test_line_that_is_not_an_object_of_strings_rejected(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "x", "findings": "f", "impression": "i"}\n' + line + "\n")
+        with pytest.raises(ContractError, match=f"bad.jsonl:2: malformed corpus record: {message}"):
+            load_corpus(path)
+
     def test_missing_impression_tolerated_at_load(self, tmp_path):
         # inference-only records may omit the impression; training paths reject them
         path = tmp_path / "c.jsonl"

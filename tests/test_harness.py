@@ -79,6 +79,13 @@ class TestEnsembleStats:
             assert mean == pytest.approx(m, abs=1e-12)
             assert std == pytest.approx(s, abs=1e-12)
 
+    def test_sums_left_to_right_on_every_interpreter(self):
+        # left to right, 1e16 + 1.0 rounds back to 1e16; a compensated sum
+        # (math.fsum, or sum() from Python 3.12) keeps the 1.0 and gives mean 1/3
+        values = [1e16, 1.0, -1e16]
+        assert math.fsum(values) == 1.0
+        assert ensemble_stats(values) == (0.0, 1e16)
+
     def test_single_value_warns_and_returns_zero_std(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -955,22 +955,18 @@ class TestDigest:
             assert edited.frozen_digest == edited.weight_digest() != lm.weight_digest()
 
     def test_digest_is_the_sha256_of_the_documented_model_body(self, lm):
-        # the documented version-2 body, field by field: version, vocabulary,
-        # config, frozen flag, then the name-sorted parameter records
+        # the documented version-3 body, field by field: version, vocabulary,
+        # config, then every weight's floats in param_shapes order
         h = hashlib.sha256()
         words = [w.encode("utf-8") for w in lm.vocab.words]
-        h.update(struct.pack("<BI", 2, len(words)))
+        h.update(struct.pack("<BI", 3, len(words)))
         for w in words:
             h.update(struct.pack("<H", len(w)) + w)
         c = lm.cfg
         h.update(struct.pack("<6I3d", c.embed_dim, c.n_blocks, c.n_heads, c.ffn_dim, c.max_seq_len,
                              c.decode_max_len, c.embed_bias_std, c.embed_noise_std, c.pos_scale))
-        h.update(struct.pack("<BI", 1, len(lm.params)))
-        for name in sorted(lm.params):
-            arr = lm.params[name].data
-            h.update(struct.pack("<H", len(name)) + name.encode("utf-8"))
-            h.update(struct.pack(f"<2B{arr.ndim}I", 0, arr.ndim, *arr.shape))
-            h.update(arr.astype("<f8").tobytes())
+        for name in param_shapes(c, lm.vocab.size):
+            h.update(lm.params[name].data.astype("<f8").tobytes())
         assert lm.weight_digest() == h.hexdigest()
 
 
