@@ -27,16 +27,16 @@ from .calibration import (
     train_calibrator,
 )
 from .checkpoint import load_calibrator, load_model, save_calibrator, save_model
-from .corpus import atomic_write, generate_corpus, load_corpus, save_corpus
+from .corpus import atomic_write, generate_corpus, load_corpus, read_utf8, save_corpus
 from .errors import CheckpointError, ConfigError, ContractError, ShapeError, TrainingError
 from .harness import (
+    Arm,
     PromptEnsemble,
     compare_runs,
     default_prompt_file,
     emit_report,
     emit_run,
-    evaluate_ensemble,
-    soft_length_ablation,
+    run_arms,
 )
 from .model import ModelConfig, PretrainConfig, pretrain
 from .vocab import detokenize, tokenize
@@ -119,7 +119,7 @@ def load_pipeline_config(
     """Parse the file, then the --set flags, and build every config so bad values fail here."""
     entries: list[tuple[str, str]] = []  # (where it came from, "key=value")
     if path is not None:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = read_utf8(path).splitlines()
         entries = [(f"{path}:{n}", line.strip()) for n, line in enumerate(lines, 1)
                    if line.strip() and not line.strip().startswith("#")]
     entries += [("--set", item) for item in overrides]
@@ -232,76 +232,46 @@ def _parse_lengths(text: str) -> list[int]:
 
 
 def cmd_evaluate(args, cfg: PipelineConfig, calib_cfg: CalibrationConfig) -> int:
+    # Every input is read and checked before the first decode.
     lengths = _parse_lengths(args.soft_lengths) if args.soft_lengths else []
+    ablating = bool(lengths or args.ood_token)
     lm = load_model(_require_file(cfg.model_checkpoint, "model checkpoint"))
-    soft_token_text = args.soft_token or cfg.soft_token
-    if lengths:
-        base_tok = SoftPromptToken.from_text(soft_token_text, lm.vocab)
-        if max(lengths) > base_tok.length:
-            raise ContractError(f"soft token length {max(lengths)} out of range 1..{base_tok.length}")
     eval_corpus = load_corpus(_require_file(cfg.test_corpus, "test corpus"))
     ensemble = PromptEnsemble.from_file(_prompt_path(cfg))
-    if lengths or args.ood_token:
-        train_records = load_corpus(_require_file(cfg.corpus, "corpus"))
-        inputs = [tokenize(r.findings, lm.vocab) for r in train_records]
-    policy = calib_cfg.separator_policy
-    report_dir = Path(cfg.report_dir)
-    report_dir.mkdir(parents=True, exist_ok=True)
-
-    need_baseline = args.arm in ("baseline", "both") or lengths or args.ood_token
-    need_calibrated = args.arm in ("calibrated", "both") or args.ood_token
-    baseline_run = None
-    if need_baseline:
-        baseline_run = evaluate_ensemble(
-            lm, None, ensemble, eval_corpus, label="baseline", seed=cfg.seed, policy=policy
-        )
-        atomic_write(report_dir / "run_baseline.csv", emit_run(baseline_run, ensemble))
-
-    calibration = None
-    if need_calibrated:
+    baseline = Arm("baseline") if args.arm != "calibrated" or ablating else None
+    calibrated = None
+    if args.arm != "baseline" or args.ood_token:
         soft, tok, _saved_cfg = load_calibrator(
             _require_file(cfg.calibrator_checkpoint, "calibrator checkpoint"), lm
         )
-        calibration = (soft, tok)
-        calibrated_run = evaluate_ensemble(
-            lm, calibration, ensemble, eval_corpus, label="calibrated", seed=cfg.seed, policy=policy
-        )
-        atomic_write(report_dir / "run_calibrated.csv", emit_run(calibrated_run, ensemble))
-
-    if args.arm == "both":
-        report = compare_runs(baseline_run, calibrated_run, label="default")
-        for path in _write_reports(cfg, "variance_report", report):
-            print(f"wrote {path}")
-
-    if lengths:
-        rows = soft_length_ablation(
-            lengths, base_tok, inputs, ensemble, lm, calib_cfg, eval_corpus, baseline_run,
-        )
-        for path in _write_reports(cfg, "ablation_lengths", [r for _, r in rows]):
-            print(f"wrote {path}")
-
+        calibrated = Arm("calibrated", tok, soft)
+    # Each report lists its rows as (label, arm); a row compares its arm with the baseline.
+    reports = {"variance_report": [("default", calibrated)] if args.arm == "both" else []}
+    if ablating:
+        base = SoftPromptToken.from_text(cfg.soft_token, lm.vocab)
+        reports["ablation_lengths"] = [
+            (f"soft_len_{n}", Arm(f"soft_len_{n}", base.truncated(n, lm.vocab))) for n in lengths
+        ]
     if args.ood_token:
-        prompt_seqs = [tokenize(p, lm.vocab) for p in ensemble.prompts]
-        cases = []
-        soft_in, tok_in = calibration
-        if tok_in.text != soft_token_text:
-            tok_in = SoftPromptToken.from_text(soft_token_text, lm.vocab)
-            soft_in = train_calibrator(inputs, prompt_seqs, tok_in, lm, calib_cfg)
-        run_in = evaluate_ensemble(
-            lm, (soft_in, tok_in), ensemble, eval_corpus,
-            label="in_distribution", seed=cfg.seed, policy=policy,
-        )
-        cases.append(compare_runs(baseline_run, run_in, label="in_distribution"))
-        tok_out = SoftPromptToken.from_text(args.ood_token, lm.vocab)
-        soft_out = train_calibrator(inputs, prompt_seqs, tok_out, lm, calib_cfg)
-        run_out = evaluate_ensemble(
-            lm, (soft_out, tok_out), ensemble, eval_corpus,
-            label="out_of_distribution", seed=cfg.seed, policy=policy,
-        )
-        cases.append(compare_runs(baseline_run, run_out, label="out_of_distribution"))
-        for path in _write_reports(cfg, "ablation_tokens", cases):
-            print(f"wrote {path}")
+        ood = SoftPromptToken.from_text(args.ood_token, lm.vocab)
+        in_dist = calibrated if calibrated.token.text == base.text else Arm("in_distribution", base)
+        reports["ablation_tokens"] = [("in_distribution", in_dist),
+                                      ("out_of_distribution", Arm("out_of_distribution", ood))]
+    arms = [arm for arm in (baseline, calibrated) if arm is not None]
+    arms += [arm for rows in reports.values() for _, arm in rows]
+    # Every ablation arm trains a calibrator; the loaded one never does.
+    train_corpus = load_corpus(_require_file(cfg.corpus, "corpus")) if ablating else []
 
+    runs = run_arms(arms, lm, ensemble, eval_corpus, train_corpus, calib_cfg)
+    Path(cfg.report_dir).mkdir(parents=True, exist_ok=True)
+    for arm in (baseline, calibrated):
+        if arm is not None:
+            atomic_write(Path(cfg.report_dir) / f"run_{arm.label}.csv", emit_run(runs[arm], ensemble))
+    for stem, rows in reports.items():
+        if rows:
+            compared = [compare_runs(runs[baseline], runs[arm], label=label) for label, arm in rows]
+            for path in _write_reports(cfg, stem, compared):
+                print(f"wrote {path}")
     return EXIT_OK
 
 
@@ -314,7 +284,7 @@ def cmd_summarize(args, cfg: PipelineConfig, calib_cfg: CalibrationConfig) -> in
     except OSError:  # e.g. a literal longer than a file name may be
         is_file = False
     if is_file:
-        text = maybe_file.read_text(encoding="utf-8")
+        text = read_utf8(maybe_file)
     if not text.strip():
         print("error: empty input", file=sys.stderr)
         return EXIT_INPUT
@@ -354,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.choices["evaluate"]
     p_eval.add_argument("--arm", choices=("baseline", "calibrated", "both"), default="both")
     p_eval.add_argument("--soft-lengths", help="comma-separated soft token lengths to ablate")
-    p_eval.add_argument("--soft-token", help="in-distribution soft token text override")
     p_eval.add_argument("--ood-token", help="out-of-distribution token text; adds the two-case report")
 
     p_sum = sub.choices["summarize"]
@@ -381,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "summarize":
             return cmd_summarize(args, cfg, calib_cfg)
         parser.error(f"unknown command {args.command!r}")
-    except (FileNotFoundError, UnicodeDecodeError, ContractError, ShapeError) as exc:
+    except (FileNotFoundError, ContractError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TrainingError as exc:

@@ -178,7 +178,7 @@ def load_corpus(path: str | Path) -> list[CorpusRecord]:
     refuse such records with require_impressions.
     """
     records = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_utf8(path).splitlines(), 1):
         if not line.strip():
             continue
         where = f"{path}:{line_no}: malformed corpus record"
@@ -213,6 +213,14 @@ def require_impressions(records: Sequence[CorpusRecord]) -> None:
     for r in records:
         if not r.impression.strip():
             raise ContractError(f"record {r.id!r} has no impression")
+
+
+def read_utf8(path: str | Path) -> str:
+    """The whole of a UTF-8 text file; bytes that are not UTF-8 are a ContractError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def atomic_write(path: str | Path, data: bytes) -> None:

@@ -1,5 +1,5 @@
 """Prompt-ensemble evaluation: per-prompt ROUGE means, variance statistics,
-baseline-vs-calibrated comparison, ablations, and report serialization."""
+baseline-vs-calibrated comparison, evaluation arms, and report serialization."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .calibration import CalibrationConfig, SoftPromptToken, summarize_many, train_calibrator
-from .corpus import CorpusRecord, corpus_digest, require_impressions
+from .corpus import CorpusRecord, corpus_digest, read_utf8, require_impressions
 from .errors import ContractError
 from .model import EncoderDecoderLM
 from .rouge import VARIANTS, rouge_suite
@@ -41,7 +41,7 @@ class PromptEnsemble:
     @classmethod
     def from_file(cls, path: str | Path, source_label: str | None = None) -> "PromptEnsemble":
         prompts = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for line in read_utf8(path).splitlines():
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -229,38 +229,41 @@ def compare_runs(baseline: EvaluationRun, calibrated: EvaluationRun, label: str 
     return VarianceReport(label=label, rows=rows)
 
 
-def soft_length_ablation(
-    lengths: Sequence[int],
-    base_token: SoftPromptToken,
-    corpus_inputs: Sequence[TokenSequence],
-    ensemble: PromptEnsemble,
-    lm: EncoderDecoderLM,
-    config: CalibrationConfig,
-    eval_corpus: Sequence[CorpusRecord],
-    baseline: EvaluationRun,
-    log_fn: Callable[[int, float], None] | None = None,
-) -> list[tuple[int, VarianceReport]]:
-    """Retrain and evaluate with the soft token truncated to each length."""
-    if not lengths:
-        raise ContractError("soft_length_ablation requires at least one length")
+@dataclass(frozen=True, eq=False)
+class Arm:
+    """One evaluation arm: the baseline (no token), a trained calibration (token
+    and soft), or a token whose soft vector run_arms trains first (no soft)."""
+
+    label: str
+    token: SoftPromptToken | None = None
+    soft: np.ndarray | None = None
+
+
+def run_arms(arms: Sequence[Arm], lm: EncoderDecoderLM, ensemble: PromptEnsemble,
+             eval_corpus: Sequence[CorpusRecord], train_corpus: Sequence[CorpusRecord],
+             config: CalibrationConfig) -> dict[Arm, EvaluationRun]:
+    """One evaluate_ensemble run per distinct arm, in order of first appearance.
+
+    An arm without a soft vector gets one trained on train_corpus first, as
+    the calibrate command trains it; an arm listed twice is trained and run once.
+    """
+    inputs = [tokenize(r.findings, lm.vocab) for r in train_corpus]
     prompt_seqs = [tokenize(p, lm.vocab) for p in ensemble.prompts]
-    out: list[tuple[int, VarianceReport]] = []
-    for length in lengths:
-        tok = base_token.truncated(length, lm.vocab)
-        soft = train_calibrator(corpus_inputs, prompt_seqs, tok, lm, config, log_fn=log_fn)
-        run = evaluate_ensemble(
-            lm, (soft, tok), ensemble, eval_corpus,
-            label=f"soft_len_{length}", seed=config.seed,
-            policy=config.separator_policy,
-        )
-        out.append((length, compare_runs(baseline, run, label=f"soft_len_{length}")))
-    return out
+    runs: dict[Arm, EvaluationRun] = {}
+    for arm in dict.fromkeys(arms):
+        soft = arm.soft
+        if arm.token is not None and soft is None:
+            soft = train_calibrator(inputs, prompt_seqs, arm.token, lm, config)
+        calibration = None if arm.token is None else (soft, arm.token)
+        runs[arm] = evaluate_ensemble(lm, calibration, ensemble, eval_corpus, label=arm.label,
+                                      seed=config.seed, policy=config.separator_policy)
+    return runs
 
 
-_CSV_HEADER = (
-    "label,variant,baseline_mean,baseline_std,calibrated_mean,calibrated_std,"
-    "mean_deduction_pct,std_deduction_pct"
-)
+_REPORT_HEADER = [
+    "label", "variant", "baseline_mean", "baseline_std", "calibrated_mean", "calibrated_std",
+    "mean_deduction_pct", "std_deduction_pct",
+]
 
 
 def _report_cells(label: str, variant: str, row: VariantComparison) -> list[str]:
@@ -280,25 +283,16 @@ def emit_report(reports: VarianceReport | Sequence[VarianceReport], fmt: str) ->
     """Serialize reports: scores at 4 decimals, percentages at 1 decimal."""
     if isinstance(reports, VarianceReport):
         reports = [reports]
+    rows = [_REPORT_HEADER] + [_report_cells(report.label, variant, report.rows[variant])
+                               for report in reports for variant in VARIANTS]
     if fmt == "csv":
-        lines = [_CSV_HEADER]
-        for report in reports:
-            for variant in VARIANTS:
-                lines.append(",".join(_report_cells(report.label, variant, report.rows[variant])))
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    if fmt == "markdown":
-        header_cells = _CSV_HEADER.split(",")
-        lines = [
-            "| " + " | ".join(header_cells) + " |",
-            "|" + "|".join(["---"] * len(header_cells)) + "|",
-        ]
-        for report in reports:
-            for variant in VARIANTS:
-                lines.append(
-                    "| " + " | ".join(_report_cells(report.label, variant, report.rows[variant])) + " |"
-                )
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    raise ContractError(f"unknown report format {fmt!r} (expected 'csv' or 'markdown')")
+        lines = [",".join(cells) for cells in rows]
+    elif fmt == "markdown":
+        lines = ["| " + " | ".join(cells) + " |" for cells in rows]
+        lines.insert(1, "|" + "|".join(["---"] * len(_REPORT_HEADER)) + "|")
+    else:
+        raise ContractError(f"unknown report format {fmt!r} (expected 'csv' or 'markdown')")
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def emit_run(run: EvaluationRun, ensemble: PromptEnsemble) -> bytes:

@@ -203,6 +203,19 @@ class TestEvaluateCommand:
             cells = line.split(",")
             assert cells[-1] and cells[-2]  # deduction columns populated
 
+    def test_in_distribution_reuses_the_calibrated_run(self, pipeline, tmp_path, monkeypatch):
+        from promptcal.harness import compare_runs, emit_report
+
+        src_tmp, cfg = pipeline
+        runs = count_evaluate_ensemble(monkeypatch)
+        assert main(["evaluate", "--config", str(cfg), "--arm", "both", "--ood-token", "##1 ##2",
+                     "--set", f"report_dir={tmp_path}"]) == 0
+        assert [run.label for run in runs] == ["baseline", "calibrated", "out_of_distribution"]
+        baseline, calibrated, _ = runs
+        expected = emit_report(compare_runs(baseline, calibrated, "in_distribution"), "csv").decode()
+        lines = (tmp_path / "ablation_tokens.csv").read_text().splitlines()
+        assert lines[:4] == expected.splitlines()
+
     def test_tampered_model_exits_4(self, pipeline, tmp_path):
         src_tmp, _ = pipeline
         model = tmp_path / "model.bin"
@@ -411,6 +424,8 @@ def pretrain_reading(key):
 
 
 NOT_UTF8 = b"no edema \xff.\n"
+# The file's path, then the decode reason; {tmp} is the test's tmp_path.
+NOT_UTF8_MESSAGE = "{tmp}/input.txt is not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 9"
 VALID_RECORD = b'{"id": "a", "findings": "no edema.", "impression": "no edema."}\n'
 
 BAD_FILE_CASES = [
@@ -419,14 +434,14 @@ BAD_FILE_CASES = [
     pytest.param(with_file(VALID_RECORD + b'{"id": "b", "findings": "no edema.", "impression": null}\n',
                            pretrain_reading("corpus")), 2,
                  "input.txt:2: malformed corpus record: 'impression' is not a string", id="corpus-null-impression"),
-    pytest.param(with_file(NOT_UTF8, pretrain_reading("corpus")), 2, "can't decode byte 0xff",
+    pytest.param(with_file(NOT_UTF8, pretrain_reading("corpus")), 2, NOT_UTF8_MESSAGE,
                  id="corpus-not-utf8"),
-    pytest.param(with_file(NOT_UTF8, pretrain_reading("prompts")), 2, "can't decode byte 0xff",
+    pytest.param(with_file(NOT_UTF8, pretrain_reading("prompts")), 2, NOT_UTF8_MESSAGE,
                  id="prompts-not-utf8"),
     pytest.param(with_file(NOT_UTF8, lambda cfg, path, tmp_path: ["pretrain", "--config", str(path)]), 2,
-                 "can't decode byte 0xff", id="config-not-utf8"),
+                 NOT_UTF8_MESSAGE, id="config-not-utf8"),
     pytest.param(with_file(NOT_UTF8, lambda cfg, path, tmp_path: summarize_argv(cfg, str(path))), 2,
-                 "can't decode byte 0xff", id="summarize-input-not-utf8"),
+                 NOT_UTF8_MESSAGE, id="summarize-input-not-utf8"),
 ]
 
 
@@ -479,8 +494,49 @@ class TestExitCodes:
     def test_exit_code(self, pipeline, tmp_path, capsys, build, code, message):
         src_tmp, cfg = pipeline
         assert main(build(src_tmp, cfg, tmp_path)) == code
-        assert message in capsys.readouterr().err
+        assert message.format(tmp=tmp_path) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # a bad value is refused before any work
+
+
+def count_evaluate_ensemble(monkeypatch) -> list:
+    """The runs evaluate_ensemble returns from now on, in call order."""
+    import promptcal.harness as harness_module
+
+    runs, evaluate = [], harness_module.evaluate_ensemble
+
+    def recorded(*args, **kwargs):
+        runs.append(evaluate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(harness_module, "evaluate_ensemble", recorded)
+    return runs
+
+
+CHECKED_BEFORE_DECODING_CASES = [
+    pytest.param(bad_value("evaluate", "report_dir", "--arm", "both", "--ood-token", "   "),
+                 "soft prompt token must contain at least one token", id="evaluate-blank-ood-token"),
+    pytest.param(bad_value("evaluate", "report_dir", "--arm", "both", "--set",
+                           "calibrator_checkpoint=no/such/calibrator.bin"),
+                 "calibrator checkpoint not found", id="evaluate-missing-calibrator"),
+]
+
+
+class TestEvaluateChecksInputsFirst:
+    @pytest.mark.parametrize("build, message", CHECKED_BEFORE_DECODING_CASES)
+    def test_refused_before_any_arm_runs(self, pipeline, tmp_path, capsys, monkeypatch, build, message):
+        src_tmp, cfg = pipeline
+        runs = count_evaluate_ensemble(monkeypatch)
+        assert main(build(src_tmp, cfg, tmp_path)) == 2
+        assert message in capsys.readouterr().err
+        assert runs == []
+        assert not (tmp_path / "out").exists()  # no report directory, so no report
+
+    def test_soft_token_flag_is_gone(self, pipeline, capsys):
+        _, cfg = pipeline
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--config", str(cfg), "--soft-token", "x"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --soft-token x" in capsys.readouterr().err
 
 
 # Today's keys: the CLI-only ones with their defaults, and a valid non-default

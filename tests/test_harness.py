@@ -15,6 +15,7 @@ from promptcal.calibration import summarize
 from promptcal.corpus import CorpusRecord, generate_corpus
 from promptcal.errors import ContractError
 from promptcal.harness import (
+    Arm,
     EvaluationRun,
     PromptEnsemble,
     VarianceReport,
@@ -27,6 +28,7 @@ from promptcal.harness import (
     evaluate_prompt,
     load_default_ensemble,
     mean_deduction,
+    run_arms,
     std_deduction,
 )
 from promptcal.model import EncoderDecoderLM
@@ -310,45 +312,62 @@ class TestEmitRun:
         assert len(lines) == 3
 
 
-class TestSoftLengthAblation:
-    def test_row_shape_and_full_length_equivalence(self, varied_lm, tiny_corpus, ensemble):
-        from promptcal.calibration import (
-            DEFAULT_SOFT_TOKEN_TEXT,
-            CalibrationConfig,
-            SoftPromptToken,
-            train_calibrator,
-        )
-        from promptcal.harness import soft_length_ablation
+class TestRunArms:
+    """run_arms, the one calibrate -> evaluate loop behind every arm of the evaluate command."""
 
-        inputs = [tokenize(r.findings, varied_lm.vocab) for r in tiny_corpus[:6]]
+    def setup_inputs(self, lm, tiny_corpus, ensemble):
+        from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT, CalibrationConfig, SoftPromptToken
+
+        tok = SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, lm.vocab)
         prompts = PromptEnsemble(tuple(ensemble.prompts[:3]))
+        return tok, prompts, tiny_corpus[:6], tiny_corpus[6:10], CalibrationConfig(max_epochs=2, seed=4)
+
+    def test_full_length_truncation_equals_the_standard_calibrated_run(self, varied_lm, tiny_corpus, ensemble):
+        from promptcal.calibration import train_calibrator
+
+        tok, prompts, train, eval_corpus, config = self.setup_inputs(varied_lm, tiny_corpus, ensemble)
+        baseline, short, full = (Arm("baseline"), Arm("soft_len_2", tok.truncated(2, varied_lm.vocab)),
+                                 Arm(f"soft_len_{tok.length}", tok.truncated(tok.length, varied_lm.vocab)))
+        runs = run_arms([baseline, short, full], varied_lm, prompts, eval_corpus, train, config)
+        assert list(runs) == [baseline, short, full]
+
+        inputs = [tokenize(r.findings, varied_lm.vocab) for r in train]
         prompt_seqs = [tokenize(p, varied_lm.vocab) for p in prompts.prompts]
-        eval_corpus = tiny_corpus[6:10]
-        tok = SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, varied_lm.vocab)
-        config = CalibrationConfig(max_epochs=2, seed=4)
-        baseline = evaluate_ensemble(varied_lm, None, prompts, eval_corpus, label="baseline")
-
-        rows = soft_length_ablation([2, tok.length], tok, inputs, prompts, varied_lm,
-                                    config, eval_corpus, baseline)
-        assert [length for length, _ in rows] == [2, tok.length]
-
-        # truncating to the full length reproduces the standard calibrated run
-        enc = train_calibrator(inputs, prompt_seqs, tok, varied_lm, config)
-        standard = evaluate_ensemble(varied_lm, (enc, tok), prompts, eval_corpus, label="x")
-        expected = compare_runs(baseline, standard, label=f"soft_len_{tok.length}")
-        assert rows[1][1] == expected
+        soft = train_calibrator(inputs, prompt_seqs, tok, varied_lm, config)
+        standard = evaluate_ensemble(varied_lm, (soft, tok), prompts, eval_corpus, label="x")
+        assert runs[full].per_prompt_scores == standard.per_prompt_scores
+        assert runs[baseline].per_prompt_scores == evaluate_ensemble(
+            varied_lm, None, prompts, eval_corpus, label="x").per_prompt_scores
 
     def test_overlong_length_rejected(self, tiny_lm, tiny_corpus, ensemble):
-        from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT, CalibrationConfig, SoftPromptToken
-        from promptcal.harness import soft_length_ablation
+        tok, *_ = self.setup_inputs(tiny_lm, tiny_corpus, ensemble)
+        with pytest.raises(ContractError, match=f"soft token length {tok.length + 1} out of range"):
+            tok.truncated(tok.length + 1, tiny_lm.vocab)
 
-        tok = SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, tiny_lm.vocab)
-        inputs = [tokenize(tiny_corpus[0].findings, tiny_lm.vocab)]
-        prompts = PromptEnsemble((ensemble.prompts[0],))
-        baseline = evaluate_ensemble(tiny_lm, None, prompts, tiny_corpus[:2], label="b")
-        with pytest.raises(ContractError):
-            soft_length_ablation([tok.length + 1], tok, inputs, prompts, tiny_lm,
-                                 CalibrationConfig(max_epochs=1), tiny_corpus[:2], baseline)
+    def test_trained_arm_is_not_retrained_and_an_arm_listed_twice_runs_once(
+            self, varied_lm, tiny_corpus, ensemble, monkeypatch):
+        import promptcal.harness as harness_module
+
+        tok, prompts, train, eval_corpus, config = self.setup_inputs(varied_lm, tiny_corpus, ensemble)
+        soft = soft_calibration(varied_lm)[0]
+        calls = {"train_calibrator": 0, "evaluate_ensemble": 0}
+
+        def counted(name):
+            fn = getattr(harness_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(harness_module, name, counted(name))
+        baseline, loaded = Arm("baseline"), Arm("calibrated", tok, soft)
+        runs = run_arms([baseline, loaded, loaded, baseline], varied_lm, prompts, eval_corpus, [], config)
+        assert calls == {"train_calibrator": 0, "evaluate_ensemble": 2}
+        assert list(runs) == [baseline, loaded]
+        assert runs[loaded].per_prompt_scores == evaluate_ensemble(
+            varied_lm, (soft, tok), prompts, eval_corpus, label="x").per_prompt_scores
 
 
 class TestEvaluateEnsemble:

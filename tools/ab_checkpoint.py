@@ -7,13 +7,17 @@ seeded records, the bundled prompts and soft token in the vocabulary,
 default ModelConfig, seed 7); each package saves it and a calibrator bound to
 the digest its own load computes, and times the two requests the summarize
 workload serves on its own files: ``load_model`` alone (uncalibrated) and
-``load_model`` then ``load_calibrator`` (calibrated). Each repeat times every
-variant, starting the rotation at the next one, so drift in machine load
-falls on both alike. Both variants must save byte-identical model files and
-load bit-identical weights, vocabulary, config, soft vector, token and
-calibration config, and each package's loaded digest must equal its own
-``weight_digest()``. Calibrator files may differ, since the digest a
-calibrator records is defined by its format version.
+``load_model`` then ``load_calibrator`` (calibrated). As in the workload, each
+loaded model stays alive until the next load has returned, so every load runs
+beside a live 1.15 MB model and the previous one is freed inside the next
+timed request; a model dropped at once would leave glibc's heap trimming, not
+the loader, to set the median. Each repeat times every variant, starting the
+rotation at the next one, so drift in machine load falls on both alike. Both
+variants must save byte-identical model files and load bit-identical weights,
+vocabulary, config, soft vector, token and calibration config, and each
+package's loaded digest must equal its own ``weight_digest()``. Calibrator
+files may differ, since the digest a calibrator records is defined by its
+format version.
 
 Run from the repository root, before committing a change (``--parent HEAD``)
 or after it (``--parent HEAD~1``):
@@ -78,15 +82,17 @@ def main(argv: list[str] | None = None) -> int:
 
         times = {name: {"model_us": [], "model_and_calibrator_us": []} for name in variants}
         order = list(variants.items())
+        held = None  # the last loaded model, released when the next load returns
         for i in range(args.repeats):
             for k in range(len(order)):
                 name, module = order[(i + k) % len(order)]
                 model_path, calibrator_path = saved[name]
                 start = time.perf_counter_ns()
-                module.load_model(model_path)
+                held = module.load_model(model_path)
                 times[name]["model_us"].append((time.perf_counter_ns() - start) / 1e3)
                 start = time.perf_counter_ns()
-                module.load_calibrator(calibrator_path, module.load_model(model_path))
+                held = module.load_model(model_path)
+                module.load_calibrator(calibrator_path, held)
                 times[name]["model_and_calibrator_us"].append((time.perf_counter_ns() - start) / 1e3)
         model_bytes, calibrator_bytes = (path.stat().st_size for path in saved["change"])
 
