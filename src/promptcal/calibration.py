@@ -22,7 +22,7 @@ from .errors import ContractError, TrainingError
 from .model import (ConvergenceRule, EncoderDecoderLM, at_least_one, check_fields, non_negative,
                     positive, sequence_forward)
 from .optim import Adam
-from .vocab import UNK_ID, TokenSequence, Vocabulary, concat, sep_sequence, tokenize
+from .vocab import UNK_ID, TokenSequence, Vocabulary, concat, sep_sequence, tokenize, word_tokens
 
 DEFAULT_SOFT_TOKEN_TEXT = "radiologist describe stable normality and abnormality exam"
 OOD_SOFT_TOKEN_TEXT = "##1 ##2"
@@ -61,12 +61,12 @@ class SoftPromptToken:
         )
 
     def truncated(self, length: int, vocab: Vocabulary) -> "SoftPromptToken":
+        """This token cut to its first `length` tokens; a punctuation mark counts as one."""
         if not 1 <= length <= self.length:
             raise ContractError(
                 f"soft token length {length} out of range 1..{self.length}"
             )
-        words = self.text.split()
-        return SoftPromptToken.from_text(" ".join(words[:length]), vocab)
+        return SoftPromptToken.from_text(" ".join(word_tokens(self.text)[:length]), vocab)
 
 
 @dataclass(frozen=True)

@@ -228,7 +228,21 @@ def _parse_lengths(text: str) -> list[int]:
     except ValueError:
         raise ContractError(f"--soft-lengths expects comma-separated positive integers, "
                             f"got {text!r}") from None
+    if len(set(lengths)) < len(lengths):
+        raise ContractError(f"--soft-lengths lists a length more than once: {text!r}")
     return lengths
+
+
+def _load_calibration(cfg: PipelineConfig, calib_cfg: CalibrationConfig, lm):
+    """The saved soft vector and token, refused unless they were trained under this run's
+    separator policy, which decides where the soft prompt goes in every input."""
+    soft, tok, saved_cfg = load_calibrator(
+        _require_file(cfg.calibrator_checkpoint, "calibrator checkpoint"), lm
+    )
+    if saved_cfg.separator_policy != calib_cfg.separator_policy:
+        raise ContractError(f"calibrator was trained with separator_policy={saved_cfg.separator_policy}, "
+                            f"but this run uses separator_policy={calib_cfg.separator_policy}")
+    return soft, tok
 
 
 def cmd_evaluate(args, cfg: PipelineConfig, calib_cfg: CalibrationConfig) -> int:
@@ -241,9 +255,7 @@ def cmd_evaluate(args, cfg: PipelineConfig, calib_cfg: CalibrationConfig) -> int
     baseline = Arm("baseline") if args.arm != "calibrated" or ablating else None
     calibrated = None
     if args.arm != "baseline" or args.ood_token:
-        soft, tok, _saved_cfg = load_calibrator(
-            _require_file(cfg.calibrator_checkpoint, "calibrator checkpoint"), lm
-        )
+        soft, tok = _load_calibration(cfg, calib_cfg, lm)
         calibrated = Arm("calibrated", tok, soft)
     # Each report lists its rows as (label, arm); a row compares its arm with the baseline.
     reports = {"variance_report": [("default", calibrated)] if args.arm == "both" else []}
@@ -292,9 +304,7 @@ def cmd_summarize(args, cfg: PipelineConfig, calib_cfg: CalibrationConfig) -> in
     prompt = tokenize(args.prompt, lm.vocab)
     calibration = None
     if args.calibrated:
-        soft, tok, _saved_cfg = load_calibrator(
-            _require_file(cfg.calibrator_checkpoint, "calibrator checkpoint"), lm
-        )
+        soft, tok = _load_calibration(cfg, calib_cfg, lm)
         calibration = (soft, tok)
         soft_text = detokenize(decode_soft_prompt(soft, tok, lm), lm.vocab)
         print(f"soft-prompt: {soft_text}")

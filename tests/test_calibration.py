@@ -81,6 +81,14 @@ class TestSoftPromptToken:
         with pytest.raises(ContractError):
             tok.truncated(8, lm.vocab)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_truncation_counts_punctuation_as_tokens(self, lm, n):
+        base = SoftPromptToken.from_text("stable, normal exam.", lm.vocab)
+        short = base.truncated(n, lm.vocab)
+        assert base.length == 5
+        assert short.length == n
+        assert short.ids.ids == base.ids.ids[:n]
+
 
 class TestCalibrationConfig:
     @pytest.mark.parametrize("field, value", [

@@ -351,6 +351,35 @@ def damaged_checkpoint(kind, section, how):
     return build
 
 
+def notes_first_calibrator(build_argv):
+    """The argv build_argv(cfg, calibrator, tmp_path) builds, once calibrator (under tmp_path)
+    holds a calibrator trained with separator_policy=notes_first."""
+    def build(src_tmp, cfg, tmp_path):
+        calibrator = tmp_path / "notes_first.bin"
+        assert main(["calibrate", "--config", str(cfg), "--set", "separator_policy=notes_first",
+                     "--set", f"calibrator_checkpoint={calibrator}"]) == 0
+        return build_argv(cfg, calibrator, tmp_path)
+
+    return build
+
+
+def evaluate_with(*extra):
+    """evaluate --arm both against the given calibrator, its reports under tmp_path/out."""
+    return lambda cfg, calibrator, tmp_path: [
+        "evaluate", "--config", str(cfg), "--arm", "both", "--set", f"calibrator_checkpoint={calibrator}",
+        "--set", f"report_dir={tmp_path / 'out' / 'reports'}", *extra]
+
+
+def summarize_with(*extra):
+    """summarize --calibrated against the given calibrator."""
+    return lambda cfg, calibrator, tmp_path: summarize_argv(
+        cfg, "no edema.", "--calibrated", "--set", f"calibrator_checkpoint={calibrator}", *extra)
+
+
+POLICY_MISMATCH = ("calibrator was trained with separator_policy=notes_first, "
+                   "but this run uses separator_policy=prompt_first")
+
+
 def bad_value(command, output_key, *extra):
     """`command` on the pipeline's inputs, with its output redirected under tmp_path/out."""
     def build(src_tmp, cfg, tmp_path):
@@ -377,6 +406,8 @@ BAD_VALUE_CASES = [
                  "--soft-lengths", id="evaluate-soft-length-not-an-integer"),
     pytest.param(bad_value("evaluate", "report_dir", "--soft-lengths", "2,,3"), 2,
                  "--soft-lengths", id="evaluate-soft-length-empty-entry"),
+    pytest.param(bad_value("evaluate", "report_dir", "--soft-lengths", "2,2"), 2,
+                 "--soft-lengths lists a length more than once: '2,2'", id="evaluate-soft-length-repeated"),
     pytest.param(bad_value("evaluate", "report_dir", "--soft-lengths", "99"), 2,
                  "soft token length 99 out of range", id="evaluate-soft-length-over-token"),
     pytest.param(bad_value("pretrain", "model_checkpoint", "--set", "embed_noise_std=-1"), 2,
@@ -447,6 +478,10 @@ BAD_FILE_CASES = [
 
 EXIT_CODE_CASES = [
     pytest.param(long_literal, 0, "", id="summarize-literal-over-255-bytes"),
+    pytest.param(notes_first_calibrator(summarize_with()), 2, POLICY_MISMATCH,
+                 id="summarize-calibrator-separator-policy-mismatch"),
+    pytest.param(notes_first_calibrator(summarize_with("--set", "separator_policy=notes_first")), 0,
+                 "", id="summarize-calibrator-separator-policy-match"),
     pytest.param(overlong_note, 2, "exceeds max_sequence_length",
                  id="summarize-note-over-max-sequence-length"),
     pytest.param(overlong_evaluation_record, 2, "exceeds max_sequence_length",
@@ -518,6 +553,8 @@ CHECKED_BEFORE_DECODING_CASES = [
     pytest.param(bad_value("evaluate", "report_dir", "--arm", "both", "--set",
                            "calibrator_checkpoint=no/such/calibrator.bin"),
                  "calibrator checkpoint not found", id="evaluate-missing-calibrator"),
+    pytest.param(notes_first_calibrator(evaluate_with()), POLICY_MISMATCH,
+                 id="evaluate-calibrator-separator-policy-mismatch"),
 ]
 
 
@@ -530,6 +567,12 @@ class TestEvaluateChecksInputsFirst:
         assert message in capsys.readouterr().err
         assert runs == []
         assert not (tmp_path / "out").exists()  # no report directory, so no report
+
+    def test_matching_separator_policy_runs(self, pipeline, tmp_path):
+        src_tmp, cfg = pipeline
+        argv = notes_first_calibrator(evaluate_with("--set", "separator_policy=notes_first"))
+        assert main(argv(src_tmp, cfg, tmp_path)) == 0
+        assert (tmp_path / "out" / "reports" / "variance_report.csv").exists()
 
     def test_soft_token_flag_is_gone(self, pipeline, capsys):
         _, cfg = pipeline

@@ -1,0 +1,59 @@
+"""Smoke tests of the A/B tools' shared frame (tools/abkit.py), each tool run as a script.
+
+The tools run in subprocesses: importing the frame pins BLAS threads through
+environment variables and rewrites sys.path, which must not leak into the
+test process.
+"""
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+pytestmark = pytest.mark.skipif(shutil.which("git") is None or not (ROOT / ".git").exists(),
+                                reason="the tools extract the parent package with git")
+
+
+def run_tool(tmp_path, script, *args) -> dict:
+    """The report a tool writes, after asserting that it exits 0 (every identity check held)."""
+    out = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, f"tools/{script}", *args, "--out", str(out)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["command"] == " ".join(["python3", f"tools/{script}", *args, "--out", str(out)])
+    assert {"what", "platform"} <= report.keys()
+    return report
+
+
+def assert_compared(rows: dict) -> None:
+    """Every variant after the first carries the frame's comparison keys."""
+    _, *others = rows.values()
+    assert others
+    for row in others:
+        assert {"median", "q1", "q3", "speedup", "faster_pct"} <= row.keys()
+
+
+def test_ab_checkpoint_against_head(tmp_path):
+    report = run_tool(tmp_path, "ab_checkpoint.py", "--parent", "HEAD", "--repeats", "4")
+    assert report["saved_model_files_byte_identical"]
+    assert report["loaded_state_identical"]
+    assert report["digests_equal_own_weight_digest"]
+    assert report["requests"].keys() == {"model_us", "model_and_calibrator_us"}
+    for rows in report["requests"].values():
+        assert list(rows) == ["parent", "change"]
+        assert_compared(rows)
+
+
+def test_ab_optim_few_steps(tmp_path):
+    report = run_tool(tmp_path, "ab_optim.py", "--steps", "4", "--chunks", "8192,1048576")
+    assert report["sets"].keys() == {"whole_model", "decoder_only"}
+    for result in report["sets"].values():
+        assert result["bit_identical_to_oracle"] == {"flat_chunk_8192": True, "flat_chunk_1048576": True}
+        assert list(result["step_us"]) == ["oracle", "flat_chunk_8192", "flat_chunk_1048576"]
+        assert_compared(result["step_us"])
