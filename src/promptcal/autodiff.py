@@ -97,6 +97,15 @@ def _record(data: Array, parents: tuple[DiffValue, ...], backward_fn: _BackwardF
     return out
 
 
+def record(data: Array, parents: Sequence[DiffValue], backward_fn: _BackwardFn) -> DiffValue:
+    """The output of an operation defined outside this module.
+
+    backward_fn(g, acc) receives the output's gradient g and calls
+    acc(parent, contribution) once per parent that gets a gradient.
+    """
+    return _record(data, tuple(parents), backward_fn)
+
+
 def _topological_order(root: DiffValue) -> list[DiffValue]:
     order: list[DiffValue] = []
     # DiffValue hashes by identity, so nodes key the sets and dicts directly.
@@ -338,19 +347,24 @@ def log_softmax(v: DiffValue) -> DiffValue:
     return _record(out_data, (v,), _bw)
 
 
-def softmax_rows(m: DiffValue | Array) -> DiffValue | Array:
+def softmax_rows(m: DiffValue | Array, out: Array | None = None) -> DiffValue | Array:
     """Row-wise stabilized softmax of a matrix.
 
     A plain array gives a plain array with the same numbers as the DiffValue
     path's .data, and records nothing: graph-free callers skip the wrapping.
+    Such a caller may pass out=m to have the softmax written over m's own
+    entries, with the same numbers; any other out raises ContractError.
     """
     data = m if isinstance(m, np.ndarray) else m.data
+    if out is not None and (out is not m or m is not data):
+        raise ContractError("softmax_rows writes in place only over its own plain-array input (out=m)")
     if data.ndim != 2 or 0 in data.shape:
         raise ShapeError(f"softmax_rows requires a non-empty matrix, got shape {data.shape}")
     # The ufunc reductions skip ndarray.max/sum's Python wrappers; same numbers.
-    shifted = data - np.maximum.reduce(data, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / np.add.reduce(e, axis=1, keepdims=True)
+    # Without out, the subtraction makes the one new array the later steps reuse.
+    s = np.subtract(data, np.maximum.reduce(data, axis=1, keepdims=True), out=out)
+    np.exp(s, out=s)
+    s /= np.add.reduce(s, axis=1, keepdims=True)
     if m is data:
         return s
 
@@ -439,6 +453,59 @@ def token_cross_entropy(logits: DiffValue, target_ids: Sequence[int]) -> DiffVal
     return _record(np.float64(loss), (logits,), _bw)
 
 
+# The row-wise distances' math. rowwise_mse and rowwise_cross_entropy use
+# these helpers on new arrays; the calibration objective (calibration.py)
+# uses them in place, on B x d buffers it owns, and gets the same numbers.
+
+def log_softmax_rows_into(x: Array, work: Array) -> Array:
+    """Row-wise log_softmax of x, written over x; work, of x's shape, is scratch."""
+    x -= np.maximum.reduce(x, axis=1, keepdims=True)
+    x -= np.log(np.add.reduce(np.exp(x, out=work), axis=1, keepdims=True))
+    return x
+
+
+def softmax_targets(p: Array) -> Array:
+    """rowwise_cross_entropy's target side as a new array: the softmax of each row of p, as exp(log_softmax).
+
+    Each row's numbers depend on that row alone, so gathering rows of the
+    result equals computing it on the gathered rows.
+    """
+    out = np.array(p, dtype=np.float64)
+    return np.exp(log_softmax_rows_into(out, np.empty_like(out)), out=out)
+
+
+def mse_value(diff: Array, work: Array | None = None) -> np.float64:
+    """rowwise_mse from diff = p - q; work, of diff's shape (it may be diff), receives the squares.
+
+    Without work the squares go to a new array.
+    """
+    return np.float64(np.multiply(diff, diff, out=work).mean())
+
+
+def mse_grad_q(diff: Array, g, out: Array | None = None) -> Array:
+    """rowwise_mse's gradient with respect to q, for upstream gradient g, from diff = p - q."""
+    return np.multiply(diff, -(2.0 * float(g) / diff.size), out=out)
+
+
+def cross_entropy_value(sp: Array, lsq: Array, work: Array | None = None) -> np.float64:
+    """rowwise_cross_entropy from the target rows sp = softmax(p) and lsq = log_softmax(q).
+
+    work, of their shape (it may be either of them), receives sp * lsq;
+    without it the products go to a new array.
+    """
+    return np.float64((-np.add.reduce(np.multiply(sp, lsq, out=work), axis=1)).mean())
+
+
+def cross_entropy_grad_q(sq: Array, sp: Array, g, out: Array | None = None) -> Array:
+    """rowwise_cross_entropy's gradient with respect to q, for upstream gradient g: (sq - sp) * g / B.
+
+    sq = softmax(q) and sp = softmax(p); out may be sq.
+    """
+    out = np.subtract(sq, sp, out=out)
+    out *= float(g) / sq.shape[0]
+    return out
+
+
 def rowwise_mse(p: DiffValue, q: DiffValue) -> DiffValue:
     """Mean over rows of the per-row mse_distance of two B x d matrices.
 
@@ -450,11 +517,11 @@ def rowwise_mse(p: DiffValue, q: DiffValue) -> DiffValue:
     diff = p.data - q.data
 
     def _bw(g, acc):
-        coeff = 2.0 * float(g) / diff.size
-        acc(p, coeff * diff)
-        acc(q, -coeff * diff)
+        grad_q = mse_grad_q(diff, g)
+        acc(p, -grad_q)
+        acc(q, grad_q)
 
-    return _record(np.float64((diff * diff).mean()), (p, q), _bw)
+    return _record(mse_value(diff), (p, q), _bw)
 
 
 def rowwise_cross_entropy(p: DiffValue, q: DiffValue) -> DiffValue:
@@ -469,20 +536,13 @@ def rowwise_cross_entropy(p: DiffValue, q: DiffValue) -> DiffValue:
             f"rowwise_cross_entropy requires equal-shape matrices, got {p.shape} and {q.shape}"
         )
     b = p.shape[0]
-
-    def _log_softmax_rows(x: Array) -> Array:
-        shifted = x - x.max(axis=1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-    sp = np.exp(_log_softmax_rows(p.data))
-    lsq = _log_softmax_rows(q.data)
-    sq = np.exp(lsq)
-    per_row = -(sp * lsq).sum(axis=1)
+    sp = softmax_targets(p.data)
+    lsq = log_softmax_rows_into(q.data.copy(), np.empty_like(sp))
 
     def _bw(g, acc):
         coeff = float(g) / b
         inner = (sp * lsq).sum(axis=1, keepdims=True)
         acc(p, coeff * sp * (inner - lsq))
-        acc(q, coeff * (sq - sp))
+        acc(q, cross_entropy_grad_q(np.exp(lsq), sp, g))
 
-    return _record(np.float64(per_row.mean()), (p, q), _bw)
+    return _record(cross_entropy_value(sp, lsq), (p, q), _bw)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DiffValue
-from .errors import ContractError, TrainingError
+from .errors import ContractError, ShapeError, TrainingError
 from .model import (ConvergenceRule, EncoderDecoderLM, at_least_one, check_fields, non_negative,
                     positive, sequence_forward)
 from .optim import Adam
@@ -142,17 +142,77 @@ def prompted_input(
     return joined if prefix is None else concat(prefix, joined)
 
 
-def calibration_loss(
-    bare: np.ndarray, prompted: np.ndarray, soft: DiffValue, distance: str
-) -> DiffValue:
-    """The calibration objective over B (input, prompt) pairs.
+class CalibrationObjective:
+    """The calibration loss over B (input, prompt) pairs, as one autodiff node per evaluation.
 
-    Mean over rows of the distance between the frozen bare-notes embedding
-    and the element-wise mean of the frozen prompted embedding and the soft
-    vector. bare and prompted are B x d constants; gradient reaches only soft.
+    bare holds the frozen embeddings of the n inputs and prompted those of
+    the B = n * n_prompts prompted pairs, row k pairing input k // n_prompts
+    with prompt k % n_prompts. Called with a permutation of the pairs, which
+    sets only the summation order, and the soft vector, it returns the mean
+    over the pairs of the distance between the frozen bare embedding and the
+    element-wise mean of the frozen prompted embedding and the soft vector:
+    DISTANCES[distance](value(bare[order // n_prompts]),
+    scale(add_row_vector(value(prompted[order]), soft), 0.5)), bit for bit,
+    and so is the gradient its backward sends to soft, the node's only
+    parent. The constant sides get no gradient.
+
+    Every step runs in two B x d buffers the objective owns, so an
+    evaluation allocates no B x d array. cross_entropy's target softmax of
+    the n bare rows is computed once, here. The gradient is formed in the
+    buffers too, so a loss's backward must run before the next evaluation;
+    a stale loss's backward raises ContractError.
     """
-    fused = ad.scale(ad.add_row_vector(ad.value(prompted), soft), 0.5)
-    return DISTANCES[distance](ad.value(bare), fused)
+
+    def __init__(self, bare: np.ndarray, prompted: np.ndarray, distance: str):
+        if distance not in DISTANCES:
+            raise ContractError(f"unknown distance {distance!r}")
+        paired = bare.ndim == prompted.ndim == 2 and bare.shape[1] == prompted.shape[1]
+        if not paired or len(bare) == 0 or len(prompted) == 0 or len(prompted) % len(bare) != 0:
+            raise ShapeError(f"calibration objective needs n x d bare and (n * prompts) x d prompted rows, "
+                             f"got {bare.shape} and {prompted.shape}")
+        self.distance = distance
+        self.prompted = prompted
+        self.n_prompts = len(prompted) // len(bare)
+        self.target = ad.softmax_targets(bare) if distance == "cross_entropy" else bare
+        self.fused = np.empty_like(prompted)
+        self.work = np.empty_like(prompted)
+        self.target_rows = np.empty(len(prompted), dtype=np.intp)
+        self.evaluations = 0
+
+    def _gather_targets(self) -> np.ndarray:
+        # mode="clip": the rows are always in range, and the default mode
+        # ("raise") would copy through a new buffer of out's size.
+        return np.take(self.target, self.target_rows, axis=0, out=self.work, mode="clip")
+
+    def __call__(self, order: np.ndarray, soft: DiffValue) -> DiffValue:
+        fused, work = self.fused, self.work
+        np.take(self.prompted, order, axis=0, out=fused, mode="clip")
+        fused += soft.data
+        fused *= 0.5
+        np.floor_divide(order, self.n_prompts, out=self.target_rows)
+        if self.distance == "mse":
+            self._gather_targets()
+            work -= fused  # the diff bare - fused
+            loss = ad.mse_value(work, fused)
+        else:
+            ad.log_softmax_rows_into(fused, work)
+            loss = ad.cross_entropy_value(self._gather_targets(), fused, work)
+        self.evaluations += 1
+        evaluation = self.evaluations
+
+        def _bw(g, acc):
+            if evaluation != self.evaluations:
+                raise ContractError("a calibration loss's gradient is gone once its objective runs again")
+            if self.distance == "mse":
+                grad = ad.mse_grad_q(work, g, out=fused)
+            else:
+                np.exp(fused, out=fused)  # softmax of the fused rows, from their log_softmax
+                # The forward left sp * lsq in work, so the targets are gathered again.
+                grad = ad.cross_entropy_grad_q(fused, self._gather_targets(), g, out=fused)
+            grad *= 0.5
+            acc(soft, np.add.reduce(grad, axis=0))
+
+        return ad.record(loss, (soft,), _bw)
 
 
 def alignment_loss(
@@ -165,8 +225,9 @@ def alignment_loss(
     policy: str = "prompt_first",
 ) -> DiffValue:
     """The calibration objective for one (notes, prompt) pair: its B = 1 case."""
-    bare, prompted = lm.encode_many([t_org, join_prompted(t_llm, t_org, policy)])
-    return calibration_loss(bare[None, :], prompted[None, :], enc.encode_pooled(tok.ids.ids), distance)
+    pooled = lm.encode_many([t_org, join_prompted(t_llm, t_org, policy)])
+    objective = CalibrationObjective(pooled[:1], pooled[1:], distance)
+    return objective(np.zeros(1, dtype=np.intp), enc.encode_pooled(tok.ids.ids))
 
 
 def train_calibrator(
@@ -184,10 +245,10 @@ def train_calibrator(
     optimization, so they are computed once up front by one encode_many call
     over the bare inputs and every prompted pair: sequences of equal length
     are encoded stacked, at most ENCODE_ROWS at a time, each row bit-identical
-    to encoding it alone. Each epoch takes one full-batch step on
-    calibration_loss over all pairs. The result is the read-only d-vector the
-    encoder copy maps tok to after the last epoch; frozen weights are
-    untouched.
+    to encoding it alone. Each epoch takes one full-batch step on the
+    CalibrationObjective over all pairs, which the call builds once. The
+    result is the read-only d-vector the encoder copy maps tok to after the
+    last epoch; frozen weights are untouched.
     """
     if not corpus_inputs:
         raise ContractError("train_calibrator requires at least one input")
@@ -203,15 +264,15 @@ def train_calibrator(
     # Row k of prompted is the pair (input k // n_prompts, prompt k % n_prompts).
     pooled = lm.encode_many([*corpus_inputs, *(join_prompted(p, t, config.separator_policy)
                                                 for t in corpus_inputs for p in prompts)])
-    bare, prompted = pooled[:len(corpus_inputs)], pooled[len(corpus_inputs):]
+    objective = CalibrationObjective(pooled[:len(corpus_inputs)], pooled[len(corpus_inputs):], config.distance)
 
     rng = np.random.default_rng(config.seed)
     rule = ConvergenceRule(config.convergence_tol, config.stall_window)
     for epoch in range(1, config.max_epochs + 1):
         # The shuffle only sets the summation order; kept so trained vectors match earlier runs bit for bit.
-        order = rng.permutation(len(prompted))
+        order = rng.permutation(len(objective.prompted))
         soft = enc.encode_pooled(tok.ids.ids)
-        loss = calibration_loss(bare[order // len(prompts)], prompted[order], soft, config.distance)
+        loss = objective(order, soft)
         mean_loss = float(loss.data)
         if not np.isfinite(mean_loss):
             raise TrainingError(f"non-finite calibration loss at epoch {epoch}")

@@ -249,17 +249,24 @@ def sequence_forward(
         p = params[name]
         return p if needs_graph else p.data
 
-    # Without a graph every op below runs on plain arrays; `@` and `+` work on
+    # Without a graph every op below runs on plain arrays; `@` and `+=` work on
     # both, and the ops spelled twice compute the same numbers in the same order.
+    # DiffValue has no in-place add, so on it `x += y` is `x = x + y`, a new
+    # node; on an array it writes over x, always an array this call made.
     pos = params[side + "pos"].data[:n]
     if needs_graph:
         x = ad.add(ad.rows(params[side + "embed"], ids), ad.value(pos))
     else:
         table = params[side + "embed"].data
         x = table[ad.row_index(table, ids)]
-        x = (x if rows is None else x.reshape(rows, n, -1)) + pos
+        if rows is not None:
+            x = x.reshape(rows, n, -1)
+        x += pos
     if context is not None:
-        x = ad.add_row_vector(x, context) if needs_graph else x + context.data
+        if needs_graph:
+            x = ad.add_row_vector(x, context)
+        else:
+            x += context.data
     inv_sqrt_dh = 1.0 / math.sqrt(cfg.head_dim)
     row_softmax = ad.causal_softmax_rows if causal else ad.softmax_rows
     for b in range(cfg.n_blocks):
@@ -274,17 +281,22 @@ def sequence_forward(
             else:
                 # ad.transpose copies, and BLAS can round q @ k.T differently
                 # from q @ k.T.copy(), so the copy keeps the two modes bit-identical.
-                scores = (q @ k.swapaxes(-1, -2).copy()) * inv_sqrt_dh
+                scores = q @ k.swapaxes(-1, -2).copy()
+                scores *= inv_sqrt_dh
                 if causal:
                     probs = row_softmax(ad.value(scores)).data
                 else:
-                    probs = row_softmax(scores.reshape(-1, n)).reshape(scores.shape)
+                    flat = scores.reshape(-1, n)
+                    probs = row_softmax(flat, out=flat).reshape(scores.shape)
             head_out = (probs @ v) @ weight(base + "wo")
-            attn_sum = head_out if attn_sum is None else attn_sum + head_out
-        x = x + attn_sum
+            if attn_sum is None:
+                attn_sum = head_out
+            else:
+                attn_sum += head_out
+        x += attn_sum
         hidden = x @ weight(f"{side}b{b}.ffn.w1")
-        hidden = ad.tanh(hidden) if needs_graph else np.tanh(hidden)
-        x = x + hidden @ weight(f"{side}b{b}.ffn.w2")
+        hidden = ad.tanh(hidden) if needs_graph else np.tanh(hidden, out=hidden)
+        x += hidden @ weight(f"{side}b{b}.ffn.w2")
     return x if needs_graph else ad.value(x)
 
 

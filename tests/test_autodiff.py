@@ -264,6 +264,25 @@ class TestSoftmaxRowsOnArrays:
                 assert out.tobytes() == ad.softmax_rows(ad.value(m)).data.tobytes()
                 np.testing.assert_array_equal(m, before)
 
+    def test_out_writes_the_same_numbers_over_the_input(self):
+        rng = np.random.default_rng(13)
+        for rows, n in [(1, 1), (3, 25), (32, 96)]:
+            m = rng.uniform(-30.0, 30.0, size=(rows, n))
+            expected = ad.softmax_rows(m)
+            assert ad.softmax_rows(m, out=m) is m
+            assert m.tobytes() == expected.tobytes()
+
+    def test_out_other_than_the_plain_input_rejected(self):
+        m = np.random.default_rng(14).normal(size=(3, 4))
+        before = m.copy()
+        for args in [(m, m.copy()), (m, np.empty_like(m)), (m, m[:]), (ad.value(m), m)]:
+            with pytest.raises(ContractError):
+                ad.softmax_rows(args[0], out=args[1])
+        value = ad.value(m)
+        with pytest.raises(ContractError):
+            ad.softmax_rows(value, out=value)
+        assert m.tobytes() == before.tobytes()
+
     @pytest.mark.parametrize("shape", [(5,), (0, 3), (3, 0), (0,), (2, 3, 4)])
     def test_same_shape_error_for_both_forms(self, shape):
         m = np.zeros(shape)

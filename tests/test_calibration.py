@@ -1,6 +1,8 @@
 """Soft-prompt calibration tests: copy initialization, gradient isolation,
-the alignment loss, the training loop, projection, and summarization."""
+the alignment loss, the calibration objective against the graph it replaced,
+the training loop and its heap peak, projection, and summarization."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +13,10 @@ from promptcal import autodiff as ad
 from promptcal.calibration import (
     DEFAULT_SOFT_TOKEN_TEXT,
     OOD_SOFT_TOKEN_TEXT,
+    DISTANCES,
     SEPARATOR_POLICIES,
     CalibrationConfig,
+    CalibrationObjective,
     SoftPromptEncoder,
     SoftPromptToken,
     alignment_loss,
@@ -23,9 +27,12 @@ from promptcal.calibration import (
     summarize_many,
     train_calibrator,
 )
-from promptcal.errors import ContractError, TrainingError
-from promptcal.model import EncoderDecoderLM
-from promptcal.vocab import SEP_ID, UNK_ID, TokenSequence, tokenize
+from promptcal.corpus import generate_corpus
+from promptcal.errors import ContractError, ShapeError, TrainingError
+from promptcal.harness import load_default_ensemble
+from promptcal.model import EncoderDecoderLM, ModelConfig
+from promptcal.optim import Adam
+from promptcal.vocab import SEP_ID, UNK_ID, TokenSequence, Vocabulary, tokenize
 from tests.test_autodiff import (
     calibration_objective,
     calibration_problem,
@@ -289,6 +296,106 @@ class TestTrainCalibrator:
         _, prompts = train_inputs_prompts
         with pytest.raises(AttributeError):
             train_calibrator([record], prompts, tok, lm, CalibrationConfig(max_epochs=1))
+
+
+def composed_loss(bare, prompted, order, soft, distance):
+    """The calibration loss as the graph CalibrationObjective replaces composes it."""
+    fused = ad.scale(ad.add_row_vector(ad.value(prompted[order]), soft), 0.5)
+    return DISTANCES[distance](ad.value(bare[order // (len(prompted) // len(bare))]), fused)
+
+
+class TestCalibrationObjective:
+    @pytest.mark.parametrize("distance", ["mse", "cross_entropy"])
+    def test_equals_the_composed_graph_bit_for_bit(self, distance):
+        rng = np.random.default_rng(31)
+        bare, prompted = rng.normal(size=(4, 16)), rng.normal(size=(12, 16))
+        objective = CalibrationObjective(bare, prompted, distance)
+        for _ in range(3):  # the buffers are reused from one evaluation to the next
+            order = rng.permutation(12)
+            start = rng.normal(size=16)
+            soft, reference_soft = ad.param(start.copy()), ad.param(start.copy())
+            loss = objective(order, soft)
+            expected = composed_loss(bare, prompted, order, reference_soft, distance)
+            assert loss.data.tobytes() == expected.data.tobytes()
+            ad.backward(loss)
+            ad.backward(expected)
+            assert soft.grad.tobytes() == reference_soft.grad.tobytes()
+
+    @pytest.mark.parametrize("distance", ["mse", "cross_entropy"])
+    def test_training_equals_a_loop_over_the_composed_graph(self, lm, tok, train_inputs_prompts, distance):
+        inputs, prompts = train_inputs_prompts
+        config = CalibrationConfig(distance=distance, max_epochs=5, seed=3)
+        losses = []
+        soft = train_calibrator(inputs, prompts, tok, lm, config, log_fn=lambda e, l: losses.append(l))
+
+        enc = SoftPromptEncoder.from_frozen(lm)
+        opt = Adam(enc.trainable(), learning_rate=config.learning_rate)
+        pooled = lm.encode_many([*inputs, *(join_prompted(p, t) for t in inputs for p in prompts)])
+        bare, prompted = pooled[:len(inputs)], pooled[len(inputs):]
+        rng = np.random.default_rng(config.seed)
+        expected_losses = []
+        for epoch in range(1, config.max_epochs + 1):
+            order = rng.permutation(len(prompted))
+            expected_soft = enc.encode_pooled(tok.ids.ids)
+            loss = composed_loss(bare, prompted, order, expected_soft, distance)
+            expected_losses.append(float(loss.data))
+            if epoch == config.max_epochs:
+                break
+            ad.backward(loss)
+            opt.step()
+        assert losses == expected_losses
+        assert soft.tobytes() == expected_soft.data.tobytes()
+
+    def test_a_stale_loss_has_no_gradient(self):
+        rng = np.random.default_rng(32)
+        objective = CalibrationObjective(rng.normal(size=(2, 8)), rng.normal(size=(4, 8)), "mse")
+        soft = ad.param(rng.normal(size=8))
+        stale = objective(np.arange(4), soft)
+        objective(np.arange(4), soft)
+        with pytest.raises(ContractError):
+            ad.backward(stale)
+
+    @pytest.mark.parametrize("bare_shape, prompted_shape", [
+        ((2, 8), (5, 8)), ((2, 8), (4, 6)), ((0, 8), (4, 8)), ((2, 8), (0, 8)), ((8,), (4, 8)),
+    ])
+    def test_unpaired_tables_rejected(self, bare_shape, prompted_shape):
+        with pytest.raises(ShapeError):
+            CalibrationObjective(np.zeros(bare_shape), np.zeros(prompted_shape), "mse")
+
+    def test_unknown_distance_rejected(self):
+        with pytest.raises(ContractError):
+            CalibrationObjective(np.zeros((2, 8)), np.zeros((4, 8)), "cosine")
+
+
+@pytest.fixture(scope="module")
+def benchmark_shaped():
+    """A frozen model, inputs, prompts and soft token of the calibrate benchmark's shapes:
+    200 seeded inputs, the 10 bundled prompts and the default ModelConfig (d = 64)."""
+    records = generate_corpus(200, 7)
+    prompt_texts = list(load_default_ensemble().prompts)
+    texts = ([r.findings for r in records] + [r.impression for r in records]
+             + prompt_texts + [DEFAULT_SOFT_TOKEN_TEXT])
+    lm = EncoderDecoderLM.initialize(Vocabulary.from_texts(texts), ModelConfig(), 7)
+    lm.freeze()
+    inputs = [tokenize(r.findings, lm.vocab) for r in records]
+    prompts = [tokenize(p, lm.vocab) for p in prompt_texts]
+    return lm, inputs, prompts, SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, lm.vocab)
+
+
+@pytest.mark.parametrize("distance", ["mse", "cross_entropy"])
+def test_calibration_heap_peak_is_bounded(benchmark_shaped, distance):
+    """No epoch allocates a B x d array: beyond the pooled table, a call's heap peak stays within a few
+    B x d arrays (about 5 at this shape, mostly the frozen encodes; 13 to 17 when each epoch built a graph)."""
+    lm, inputs, prompts, tok = benchmark_shaped
+    pairs, d = len(inputs) * len(prompts), lm.cfg.embed_dim
+    pooled_bytes = (len(inputs) + pairs) * d * 8
+    tracemalloc.start()
+    try:
+        train_calibrator(inputs, prompts, tok, lm, CalibrationConfig(distance=distance, max_epochs=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < pooled_bytes + 6 * pairs * d * 8
 
 
 class TestCalibrationOptimum:

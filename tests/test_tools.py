@@ -57,3 +57,17 @@ def test_ab_optim_few_steps(tmp_path):
         assert result["bit_identical_to_oracle"] == {"flat_chunk_8192": True, "flat_chunk_1048576": True}
         assert list(result["step_us"]) == ["oracle", "flat_chunk_8192", "flat_chunk_1048576"]
         assert_compared(result["step_us"])
+
+
+def test_ab_calibrate_few_inputs(tmp_path):
+    report = run_tool(tmp_path, "ab_calibrate.py", "--parent", "HEAD", "--repeats", "2", "--inputs", "4")
+    assert report["same_weights"]
+    assert report["inputs"] == 4
+    for distance in ("mse", "cross_entropy"):
+        identical = report["bit_identical"][distance]
+        assert identical["soft_vector"] and identical["loss_curve"] and identical["epochs"] >= 1
+    assert list(report["op_ms"]) == ["parent", "change"]
+    assert_compared(report["op_ms"])
+    for row in report["op_ms"].values():
+        assert row["minor_faults_median"] >= 0
+        assert row["heap_peak_kib"].keys() == {"mse", "cross_entropy"}
