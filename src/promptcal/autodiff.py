@@ -490,19 +490,22 @@ def mse_grad_q(diff: Array, g, out: Array | None = None) -> Array:
 def cross_entropy_value(sp: Array, lsq: Array, work: Array | None = None) -> np.float64:
     """rowwise_cross_entropy from the target rows sp = softmax(p) and lsq = log_softmax(q).
 
-    work, of their shape (it may be either of them), receives sp * lsq;
-    without it the products go to a new array.
+    The rows lie along the last axis, and sp may broadcast against lsq (the
+    calibration objective passes n x 1 x d targets for n x P x d rows). work,
+    of lsq's shape (it may be lsq), receives sp * lsq; without it the
+    products go to a new array.
     """
-    return np.float64((-np.add.reduce(np.multiply(sp, lsq, out=work), axis=1)).mean())
+    return np.float64((-np.add.reduce(np.multiply(sp, lsq, out=work), axis=-1)).mean())
 
 
 def cross_entropy_grad_q(sq: Array, sp: Array, g, out: Array | None = None) -> Array:
     """rowwise_cross_entropy's gradient with respect to q, for upstream gradient g: (sq - sp) * g / B.
 
-    sq = softmax(q) and sp = softmax(p); out may be sq.
+    sq = softmax(q) and sp = softmax(p), rows along the last axis; sp may
+    broadcast against sq, and B counts sq's rows. out may be sq.
     """
     out = np.subtract(sq, sp, out=out)
-    out *= float(g) / sq.shape[0]
+    out *= float(g) / (sq.size // sq.shape[-1])
     return out
 
 

@@ -19,8 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DiffValue
 from .errors import ContractError, ShapeError, TrainingError
-from .model import (ConvergenceRule, EncoderDecoderLM, at_least_one, check_fields, non_negative,
-                    positive, sequence_forward)
+from .model import (STALL_WINDOW, ConvergenceRule, EncoderDecoderLM, at_least_one, check_fields, positive,
+                    sequence_forward)
 from .optim import Adam
 from .vocab import UNK_ID, TokenSequence, Vocabulary, concat, sep_sequence, tokenize, word_tokens
 
@@ -30,11 +30,8 @@ OOD_SOFT_TOKEN_TEXT = "##1 ##2"
 # Decoded-prefix length cap; see decode_soft_prompt.
 DEFAULT_SOFT_PREFIX_LEN = 2
 
-# Row-wise distances over B x d batches of (target, fused) embedding pairs.
-DISTANCES: dict[str, Callable[[DiffValue, DiffValue], DiffValue]] = {
-    "mse": ad.rowwise_mse,
-    "cross_entropy": ad.rowwise_cross_entropy,
-}
+# The calibration distances: ad.rowwise_mse and ad.rowwise_cross_entropy, by name.
+DISTANCES = ("mse", "cross_entropy")
 
 SEPARATOR_POLICIES = ("prompt_first", "notes_first")
 
@@ -75,8 +72,6 @@ class CalibrationConfig:
     learning_rate: float = 1e-3
     max_epochs: int = 200
     convergence_tol: float = 1e-4
-    stall_window: int = 10
-    seed: int = 7
     separator_policy: str = "prompt_first"
 
     def __post_init__(self):
@@ -85,8 +80,7 @@ class CalibrationConfig:
         if self.separator_policy not in SEPARATOR_POLICIES:
             raise ContractError(f"unknown separator policy {self.separator_policy!r}")
         check_fields(self, positive, "must be positive and finite", "learning_rate", "convergence_tol")
-        check_fields(self, at_least_one, "must be >= 1", "max_epochs", "stall_window")
-        check_fields(self, non_negative, "must be >= 0", "seed")
+        check_fields(self, at_least_one, "must be >= 1", "max_epochs")
 
 
 class SoftPromptEncoder:
@@ -146,21 +140,22 @@ class CalibrationObjective:
     """The calibration loss over B (input, prompt) pairs, as one autodiff node per evaluation.
 
     bare holds the frozen embeddings of the n inputs and prompted those of
-    the B = n * n_prompts prompted pairs, row k pairing input k // n_prompts
-    with prompt k % n_prompts. Called with a permutation of the pairs, which
-    sets only the summation order, and the soft vector, it returns the mean
-    over the pairs of the distance between the frozen bare embedding and the
+    the B = n * n_prompts prompted pairs in input-major order, row k pairing
+    input k // n_prompts with prompt k % n_prompts. Called with the soft
+    vector, it returns the mean over the pairs of the distance (ad.rowwise_mse
+    or ad.rowwise_cross_entropy) between the frozen bare embedding and the
     element-wise mean of the frozen prompted embedding and the soft vector:
-    DISTANCES[distance](value(bare[order // n_prompts]),
-    scale(add_row_vector(value(prompted[order]), soft), 0.5)), bit for bit,
-    and so is the gradient its backward sends to soft, the node's only
-    parent. The constant sides get no gradient.
+    rowwise_<distance>(value(np.repeat(bare, n_prompts, 0)),
+    scale(add_row_vector(value(prompted), soft), 0.5)), bit for bit, and so
+    is the gradient its backward sends to soft, the node's only parent. The
+    constant sides get no gradient.
 
-    Every step runs in two B x d buffers the objective owns, so an
-    evaluation allocates no B x d array. cross_entropy's target softmax of
-    the n bare rows is computed once, here. The gradient is formed in the
-    buffers too, so a loss's backward must run before the next evaluation;
-    a stale loss's backward raises ContractError.
+    Every step runs in two B x d buffers the objective owns, viewed as
+    n x n_prompts x d so that each input's target row is broadcast over its
+    prompts, never copied; an evaluation allocates no B x d array.
+    cross_entropy's target softmax of the n bare rows is computed once, here.
+    The gradient is formed in the buffers too, so a loss's backward must run
+    before the next evaluation; a stale loss's backward raises ContractError.
     """
 
     def __init__(self, bare: np.ndarray, prompted: np.ndarray, distance: str):
@@ -172,31 +167,23 @@ class CalibrationObjective:
                              f"got {bare.shape} and {prompted.shape}")
         self.distance = distance
         self.prompted = prompted
-        self.n_prompts = len(prompted) // len(bare)
-        self.target = ad.softmax_targets(bare) if distance == "cross_entropy" else bare
+        target = ad.softmax_targets(bare) if distance == "cross_entropy" else bare
+        self.target = target[:, None, :]  # n x 1 x d, against the buffers' n x n_prompts x d views
         self.fused = np.empty_like(prompted)
         self.work = np.empty_like(prompted)
-        self.target_rows = np.empty(len(prompted), dtype=np.intp)
         self.evaluations = 0
 
-    def _gather_targets(self) -> np.ndarray:
-        # mode="clip": the rows are always in range, and the default mode
-        # ("raise") would copy through a new buffer of out's size.
-        return np.take(self.target, self.target_rows, axis=0, out=self.work, mode="clip")
-
-    def __call__(self, order: np.ndarray, soft: DiffValue) -> DiffValue:
-        fused, work = self.fused, self.work
-        np.take(self.prompted, order, axis=0, out=fused, mode="clip")
-        fused += soft.data
+    def __call__(self, soft: DiffValue) -> DiffValue:
+        fused, work, target = self.fused, self.work, self.target
+        by_input = (len(target), -1, fused.shape[1])
+        np.add(self.prompted, soft.data, out=fused)
         fused *= 0.5
-        np.floor_divide(order, self.n_prompts, out=self.target_rows)
         if self.distance == "mse":
-            self._gather_targets()
-            work -= fused  # the diff bare - fused
+            np.subtract(target, fused.reshape(by_input), out=work.reshape(by_input))  # the diff bare - fused
             loss = ad.mse_value(work, fused)
         else:
             ad.log_softmax_rows_into(fused, work)
-            loss = ad.cross_entropy_value(self._gather_targets(), fused, work)
+            loss = ad.cross_entropy_value(target, fused.reshape(by_input), work.reshape(by_input))
         self.evaluations += 1
         evaluation = self.evaluations
 
@@ -206,9 +193,8 @@ class CalibrationObjective:
             if self.distance == "mse":
                 grad = ad.mse_grad_q(work, g, out=fused)
             else:
-                np.exp(fused, out=fused)  # softmax of the fused rows, from their log_softmax
-                # The forward left sp * lsq in work, so the targets are gathered again.
-                grad = ad.cross_entropy_grad_q(fused, self._gather_targets(), g, out=fused)
+                grad = np.exp(fused, out=fused)  # softmax of the fused rows, from their log_softmax
+                ad.cross_entropy_grad_q(grad.reshape(by_input), target, g, out=grad.reshape(by_input))
             grad *= 0.5
             acc(soft, np.add.reduce(grad, axis=0))
 
@@ -227,7 +213,7 @@ def alignment_loss(
     """The calibration objective for one (notes, prompt) pair: its B = 1 case."""
     pooled = lm.encode_many([t_org, join_prompted(t_llm, t_org, policy)])
     objective = CalibrationObjective(pooled[:1], pooled[1:], distance)
-    return objective(np.zeros(1, dtype=np.intp), enc.encode_pooled(tok.ids.ids))
+    return objective(enc.encode_pooled(tok.ids.ids))
 
 
 def train_calibrator(
@@ -266,13 +252,10 @@ def train_calibrator(
                                                 for t in corpus_inputs for p in prompts)])
     objective = CalibrationObjective(pooled[:len(corpus_inputs)], pooled[len(corpus_inputs):], config.distance)
 
-    rng = np.random.default_rng(config.seed)
-    rule = ConvergenceRule(config.convergence_tol, config.stall_window)
+    rule = ConvergenceRule(config.convergence_tol, STALL_WINDOW)
     for epoch in range(1, config.max_epochs + 1):
-        # The shuffle only sets the summation order; kept so trained vectors match earlier runs bit for bit.
-        order = rng.permutation(len(objective.prompted))
         soft = enc.encode_pooled(tok.ids.ids)
-        loss = objective(order, soft)
+        loss = objective(soft)
         mean_loss = float(loss.data)
         if not np.isfinite(mean_loss):
             raise TrainingError(f"non-finite calibration loss at epoch {epoch}")

@@ -40,23 +40,23 @@ from .model import EncoderDecoderLM, ModelConfig, param_shapes
 from .vocab import Vocabulary
 
 MODEL_VERSION = 3
-# Version 3 binds a calibrator to the model's whole-body digest; version 2
-# bound it to a digest of the weights alone.
-CALIBRATOR_VERSION = 3
+# Version 4 drops version 3's stall window and seed. Since version 3 a
+# calibrator is bound to the model's whole-body digest; version 2 bound it to
+# a digest of the weights alone.
+CALIBRATOR_VERSION = 4
 
 # Why a file of an older version is refused, beyond its number.
 _RETIRED_VERSIONS = {
     ("model", 2): "it holds the per-parameter records version 3 dropped; re-run pretrain and calibrate",
     ("calibrator", 2): "it is bound to the old weights-only model digest; recalibrate it against the model",
+    ("calibrator", 3): "it holds the stall window and seed that version 4 dropped; re-run calibrate",
 }
 
 _MODEL_CONFIG = "<6I3d"  # ModelConfig's fields in order: six dimensions, then three scales
 # A calibrator's fields after its token: distance, learning rate, max epochs,
-# tolerance, stall window, seed, separator policy, soft vector length.
-_CALIBRATOR_FIELDS = "<BdIdIqBI"
-
-# A calibrator stores its distance and separator policy as indices into these.
-_DISTANCE_NAMES = tuple(DISTANCES)
+# tolerance, separator policy, soft vector length. The distance and the
+# policy are stored as indices into DISTANCES and SEPARATOR_POLICIES.
+_CALIBRATOR_FIELDS = "<BdIdBI"
 
 Write = Callable[[bytes | memoryview], object]
 
@@ -240,9 +240,8 @@ def save_calibrator(
     buf.write(bytes.fromhex(lm_digest))
     _write_str(buf.write, tok.text)
     buf.write(struct.pack(
-        _CALIBRATOR_FIELDS, _DISTANCE_NAMES.index(config.distance), config.learning_rate,
-        config.max_epochs, config.convergence_tol, config.stall_window, config.seed,
-        SEPARATOR_POLICIES.index(config.separator_policy), len(soft),
+        _CALIBRATOR_FIELDS, DISTANCES.index(config.distance), config.learning_rate,
+        config.max_epochs, config.convergence_tol, SEPARATOR_POLICIES.index(config.separator_policy), len(soft),
     ))
     buf.write(np.ascontiguousarray(soft, dtype="<f8").tobytes())
     _write_sealed(buf, path)
@@ -259,12 +258,11 @@ def load_calibrator(
     reader = _open_sealed(path, CALIBRATOR_VERSION, "calibrator")
     lm_digest = reader.take(32).hex()
     token_text = reader.string()
-    distance_code, learning_rate, max_epochs, tol, window, seed, policy_code, dim = (
-        reader.unpack(_CALIBRATOR_FIELDS))
+    distance_code, learning_rate, max_epochs, tol, policy_code, dim = reader.unpack(_CALIBRATOR_FIELDS)
     soft = reader.floats((dim,))
     soft.flags.writeable = False
     reader.end()
-    if distance_code >= len(_DISTANCE_NAMES) or policy_code >= len(SEPARATOR_POLICIES):
+    if distance_code >= len(DISTANCES) or policy_code >= len(SEPARATOR_POLICIES):
         raise CheckpointError(f"calibrator checkpoint {path} has an unknown distance or policy code")
     if not np.isfinite(soft).all():
         raise CheckpointError(f"calibrator checkpoint {path} holds a non-finite soft vector")
@@ -278,12 +276,10 @@ def load_calibrator(
         raise CheckpointError(f"calibrator {path} holds a {dim}-vector for a {lm.cfg.embed_dim}-dim model")
     try:
         config = CalibrationConfig(
-            distance=_DISTANCE_NAMES[distance_code],
+            distance=DISTANCES[distance_code],
             learning_rate=learning_rate,
             max_epochs=max_epochs,
             convergence_tol=tol,
-            stall_window=window,
-            seed=seed,
             separator_policy=SEPARATOR_POLICIES[policy_code],
         )
     except ConfigError as exc:

@@ -7,8 +7,10 @@ file is read or written. Artifacts are written atomically (temp file + rename)
 and every subcommand is byte-reproducible for a fixed config and seed.
 
 Exit codes: 0 success, 2 input/usage error (a prompted note longer than
-max_sequence_length included), 3 numeric failure, 4 checkpoint-digest
-mismatch, corruption or unsupported version.
+max_sequence_length and an output path that cannot be written included), 3
+numeric failure, 4 checkpoint-digest mismatch, corruption or unsupported
+version. Each command creates its output's directory before it trains or
+decodes, so an unwritable output fails before the work.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ REPORT_FORMATS = ("csv", "markdown", "both")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """The keys only the CLI has; `seed` also sets both training seeds."""
+    """The keys only the CLI has; `seed` also sets PretrainConfig.seed."""
 
     seed: int = PretrainConfig.seed
     corpus: str = "corpus/train.jsonl"
@@ -147,7 +149,7 @@ def load_pipeline_config(
     return (
         cfg,
         build(PretrainConfig, seed=cfg.seed, model=build(ModelConfig)),
-        build(CalibrationConfig, seed=cfg.seed),
+        build(CalibrationConfig),
     )
 
 
@@ -171,12 +173,8 @@ def _log_epoch(epoch: int, loss: float) -> None:
 def cmd_gen_corpus(args) -> int:
     records = generate_corpus(args.size, args.seed)
     out = Path(args.out)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        save_corpus(records, out)
-    except OSError as exc:
-        print(f"error: cannot write corpus to {args.out}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    out.parent.mkdir(parents=True, exist_ok=True)
+    save_corpus(records, out)
     print(f"wrote {len(records)} records to {out}")
     return EXIT_OK
 
@@ -184,10 +182,10 @@ def cmd_gen_corpus(args) -> int:
 def cmd_pretrain(args, cfg: PipelineConfig, pretrain_cfg: PretrainConfig) -> int:
     corpus = load_corpus(_require_file(cfg.corpus, "corpus"))
     prompt_texts = list(PromptEnsemble.from_file(_prompt_path(cfg)).prompts)
-    lm = pretrain(corpus, pretrain_cfg, extra_texts=prompt_texts + [cfg.soft_token],
-                  log_fn=_log_epoch)
     out = Path(cfg.model_checkpoint)
     out.parent.mkdir(parents=True, exist_ok=True)
+    lm = pretrain(corpus, pretrain_cfg, extra_texts=prompt_texts + [cfg.soft_token],
+                  log_fn=_log_epoch)
     save_model(lm, out)
     print(f"model digest {lm.frozen_digest}")
     print(f"wrote model checkpoint to {out}")
@@ -201,9 +199,9 @@ def cmd_calibrate(args, cfg: PipelineConfig, calib_cfg: CalibrationConfig) -> in
     inputs = [tokenize(r.findings, lm.vocab) for r in corpus]
     prompt_seqs = [tokenize(p, lm.vocab) for p in ensemble.prompts]
     tok = SoftPromptToken.from_text(cfg.soft_token, lm.vocab)
-    soft = train_calibrator(inputs, prompt_seqs, tok, lm, calib_cfg, log_fn=_log_epoch)
     out = Path(cfg.calibrator_checkpoint)
     out.parent.mkdir(parents=True, exist_ok=True)
+    soft = train_calibrator(inputs, prompt_seqs, tok, lm, calib_cfg, log_fn=_log_epoch)
     save_calibrator(soft, tok, calib_cfg, lm.frozen_digest, out)
     print(f"wrote calibrator checkpoint to {out}")
     return EXIT_OK
@@ -274,8 +272,8 @@ def cmd_evaluate(args, cfg: PipelineConfig, calib_cfg: CalibrationConfig) -> int
     # Every ablation arm trains a calibrator; the loaded one never does.
     train_corpus = load_corpus(_require_file(cfg.corpus, "corpus")) if ablating else []
 
-    runs = run_arms(arms, lm, ensemble, eval_corpus, train_corpus, calib_cfg)
     Path(cfg.report_dir).mkdir(parents=True, exist_ok=True)
+    runs = run_arms(arms, lm, ensemble, eval_corpus, train_corpus, calib_cfg)
     for arm in (baseline, calibrated):
         if arm is not None:
             atomic_write(Path(cfg.report_dir) / f"run_{arm.label}.csv", emit_run(runs[arm], ensemble))
@@ -360,7 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "summarize":
             return cmd_summarize(args, cfg, calib_cfg)
         parser.error(f"unknown command {args.command!r}")
-    except (FileNotFoundError, ContractError, ShapeError) as exc:
+    except (OSError, ContractError, ShapeError) as exc:  # OSError: a missing input or an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except TrainingError as exc:

@@ -256,7 +256,7 @@ def run_arms(arms: Sequence[Arm], lm: EncoderDecoderLM, ensemble: PromptEnsemble
             soft = train_calibrator(inputs, prompt_seqs, arm.token, lm, config)
         calibration = None if arm.token is None else (soft, arm.token)
         runs[arm] = evaluate_ensemble(lm, calibration, ensemble, eval_corpus, label=arm.label,
-                                      seed=config.seed, policy=config.separator_policy)
+                                      policy=config.separator_policy)
     return runs
 
 

@@ -559,7 +559,6 @@ class PretrainConfig:
     learning_rate: float = 2e-3
     max_epochs: int = 500
     convergence_tol: float = 1e-4
-    stall_window: int = 10
     max_grad_norm: float = 1.0  # per-parameter clip; keeps the norm-free blocks stable
     # The encoder trains for this many warmup epochs and is then frozen while
     # the decoder keeps training. A short warmup lets the encoder organize
@@ -578,9 +577,13 @@ class PretrainConfig:
     def __post_init__(self):
         check_fields(self, positive, "must be positive and finite",
                      "learning_rate", "max_grad_norm", "convergence_tol")
-        check_fields(self, at_least_one, "must be >= 1", "max_epochs", "prefix_noise_max", "stall_window")
+        check_fields(self, at_least_one, "must be >= 1", "max_epochs", "prefix_noise_max")
         check_fields(self, lambda p: 0 <= p <= 1, "must be in [0, 1]", "prefix_noise_prob")
         check_fields(self, non_negative, "must be >= 0", "encoder_train_epochs", "seed")
+
+
+# Consecutive epochs of sub-tolerance relative improvement after which pretrain and train_calibrator stop.
+STALL_WINDOW = 10
 
 
 class ConvergenceRule:
@@ -679,7 +682,7 @@ def pretrain(
         freeze_encoder_side()
     trainable = lm.trainable()
     opt = Adam(trainable, learning_rate=config.learning_rate)
-    rule = ConvergenceRule(config.convergence_tol, config.stall_window)
+    rule = ConvergenceRule(config.convergence_tol, STALL_WINDOW)
     bare: np.ndarray | None = None  # the frozen encoder's pooled bare sources
     for epoch in range(1, config.max_epochs + 1):
         steps = draw_epoch()

@@ -87,7 +87,7 @@ def calibration_runs(bench_lm, bench_inputs, bench_prompts, bench_token):
         started = time.perf_counter()
         enc = train_calibrator(
             bench_inputs, bench_prompts, bench_token, bench_lm,
-            CalibrationConfig(distance=distance, seed=BENCH_SEEDS[0]),
+            CalibrationConfig(distance=distance),
             log_fn=lambda e, l: losses.append(l),
         )
         runs[distance] = (enc, losses, time.perf_counter() - started)
@@ -282,7 +282,7 @@ class TestCriterion5VarianceDirection:
             else:
                 inputs = [tokenize(r.findings, lm.vocab) for r in train_corpus]
                 prompts = [tokenize(p, lm.vocab) for p in ensemble.prompts]
-                soft = train_calibrator(inputs, prompts, tok, lm, CalibrationConfig(seed=seed))
+                soft = train_calibrator(inputs, prompts, tok, lm, CalibrationConfig())
             base = evaluate_ensemble(lm, None, ensemble, test_corpus, label="baseline", seed=seed)
             cal = evaluate_ensemble(lm, (soft, tok), ensemble, test_corpus, label="calibrated", seed=seed)
             report = compare_runs(base, cal).rows["R1"]

@@ -27,9 +27,9 @@ def model_layout(lm) -> dict[str, int]:
 
 
 def calibrator_layout(token_text: str, dim: int) -> dict[str, int]:
-    """Byte length of each section of a version-3 calibrator file, in file order."""
+    """Byte length of each section of a version-4 calibrator file, in file order."""
     token = 2 + len(token_text.encode("utf-8"))
-    return dict(zip(CALIBRATOR_SECTIONS, (1, 32, token, 34, 4, 8 * dim, 32)))
+    return dict(zip(CALIBRATOR_SECTIONS, (1, 32, token, 22, 4, 8 * dim, 32)))
 
 
 def model_field_ends(lm) -> list[int]:
@@ -229,7 +229,8 @@ class TestCalibratorCheckpoint:
 
     def test_round_trip(self, tiny_lm, calibrator, tmp_path):
         soft, tok = calibrator
-        config = CalibrationConfig(distance="cross_entropy", seed=13)
+        config = CalibrationConfig(distance="cross_entropy", learning_rate=3e-3, max_epochs=13,
+                                   convergence_tol=1e-5, separator_policy="notes_first")
         path = tmp_path / "calib.bin"
         save_calibrator(soft, tok, config, tiny_lm.weight_digest(), path)
         loaded_soft, loaded_tok, loaded_cfg = load_calibrator(path, tiny_lm)
@@ -297,14 +298,17 @@ class TestCalibratorCheckpoint:
         with pytest.raises(CheckpointMismatchError):
             load_calibrator(calib_path, edited)
 
-    def test_version_2_refused_with_a_reason(self, tiny_lm, calibrator, tmp_path):
+    @pytest.mark.parametrize("version, reason", [
+        (2, "it is bound to the old weights-only model digest; recalibrate it against the model"),
+        (3, "it holds the stall window and seed that version 4 dropped; re-run calibrate"),
+    ], ids=["version-2", "version-3"])
+    def test_retired_version_refused_with_a_reason(self, tiny_lm, calibrator, tmp_path, version, reason):
         soft, tok = calibrator
         path = tmp_path / "calib.bin"
         save_calibrator(soft, tok, CalibrationConfig(), tiny_lm.weight_digest(), path)
-        assert path.read_bytes()[0] == 3
-        path.write_bytes(b"\x02" + path.read_bytes()[1:])
-        with pytest.raises(CheckpointError, match="version 2: it is bound to the old weights-only model "
-                                                  "digest; recalibrate it against the model"):
+        assert path.read_bytes()[0] == 4
+        path.write_bytes(bytes([version]) + path.read_bytes()[1:])
+        with pytest.raises(CheckpointError, match=f"unsupported calibrator checkpoint version {version}: {reason}"):
             load_calibrator(path, tiny_lm)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])

@@ -351,6 +351,16 @@ def damaged_checkpoint(kind, section, how):
     return build
 
 
+def output_under_a_file(command, output_key, below):
+    """`command` writing its output_key at `below` under tmp_path/file, a regular file where a directory must be."""
+    def build(src_tmp, cfg, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("x")
+        return [command, "--config", str(cfg), "--set", f"{output_key}={blocker / below}"]
+
+    return build
+
+
 def notes_first_calibrator(build_argv):
     """The argv build_argv(cfg, calibrator, tmp_path) builds, once calibrator (under tmp_path)
     holds a calibrator trained with separator_policy=notes_first."""
@@ -486,10 +496,18 @@ EXIT_CODE_CASES = [
                  id="summarize-note-over-max-sequence-length"),
     pytest.param(overlong_evaluation_record, 2, "exceeds max_sequence_length",
                  id="evaluate-record-over-max-sequence-length"),
+    pytest.param(output_under_a_file("pretrain", "model_checkpoint", "model.bin"), 2,
+                 "File exists: '{tmp}/file'", id="pretrain-checkpoint-under-a-file"),
+    pytest.param(output_under_a_file("calibrate", "calibrator_checkpoint", "calibrator.bin"), 2,
+                 "File exists: '{tmp}/file'", id="calibrate-checkpoint-under-a-file"),
+    pytest.param(output_under_a_file("evaluate", "report_dir", "."), 2,
+                 "File exists: '{tmp}/file'", id="evaluate-report-dir-is-a-file"),
     pytest.param(checkpoint_version("calibrator", 1), 4, "unsupported calibrator checkpoint version 1",
                  id="calibrator-version-1"),
     pytest.param(checkpoint_version("calibrator", 2), 4, "version 2: it is bound to the old weights-only "
                  "model digest; recalibrate it against the model", id="calibrator-version-2"),
+    pytest.param(checkpoint_version("calibrator", 3), 4, "version 3: it holds the stall window and seed that "
+                 "version 4 dropped; re-run calibrate", id="calibrator-version-3"),
     pytest.param(checkpoint_version("model", 2), 4, "unsupported model checkpoint version 2: it holds the "
                  "per-parameter records version 3 dropped; re-run pretrain and calibrate", id="model-version-2"),
     *(pytest.param(damaged_checkpoint(kind, section, how), 4, "checkpoint error",
@@ -513,9 +531,7 @@ EXIT_CODE_CASES = [
       for name, offset, fmt, value, message in (
           ("learning-rate-negative", 1, "<d", -1.0, "learning_rate -1.0"),
           ("learning-rate-nan", 1, "<d", float("nan"), "learning_rate nan"),
-          ("max-epochs-0", 9, "<I", 0, "max_epochs 0"),
-          ("stall-window-0", 21, "<I", 0, "stall_window 0"),
-          ("seed-negative", 25, "<q", -5, "seed -5"))),
+          ("max-epochs-0", 9, "<I", 0, "max_epochs 0"))),
     *(pytest.param(damaged_checkpoint("calibrator", "soft", (0, "<d", lambda x, v=value: v)), 4,
                    "non-finite soft vector", id=f"calibrator-resealed-{name}-in-soft-vector")
       for name, value in (("nan", float("nan")), ("inf", float("inf")))),
@@ -531,6 +547,13 @@ class TestExitCodes:
         assert main(build(src_tmp, cfg, tmp_path)) == code
         assert message.format(tmp=tmp_path) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()  # a bad value is refused before any work
+
+    @pytest.mark.parametrize("command, key", [("pretrain", "model_checkpoint"),
+                                              ("calibrate", "calibrator_checkpoint")])
+    def test_unwritable_output_is_refused_before_training(self, pipeline, tmp_path, capsys, command, key):
+        src_tmp, cfg = pipeline
+        assert main(output_under_a_file(command, key, "x.bin")(src_tmp, cfg, tmp_path)) == 2
+        assert "epoch=" not in capsys.readouterr().out
 
 
 def count_evaluate_ensemble(monkeypatch) -> list:
@@ -555,6 +578,8 @@ CHECKED_BEFORE_DECODING_CASES = [
                  "calibrator checkpoint not found", id="evaluate-missing-calibrator"),
     pytest.param(notes_first_calibrator(evaluate_with()), POLICY_MISMATCH,
                  id="evaluate-calibrator-separator-policy-mismatch"),
+    pytest.param(output_under_a_file("evaluate", "report_dir", "reports"), "Not a directory",
+                 id="evaluate-report-dir-under-a-file"),
 ]
 
 
@@ -674,7 +699,7 @@ class TestConfigParsing:
         changed = built_fields(load_pipeline_config(None, [f"{key}={raw}"]))
         targets = {(cls.__name__, name)}
         if key == "seed":
-            targets |= {("PretrainConfig", "seed"), ("CalibrationConfig", "seed")}
+            targets.add(("PretrainConfig", "seed"))
         assert {k for k in default if default[k] != changed[k]} == targets
         for target in targets:
             assert type(changed[target]) is type(default[target])

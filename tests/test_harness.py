@@ -320,7 +320,7 @@ class TestRunArms:
 
         tok = SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, lm.vocab)
         prompts = PromptEnsemble(tuple(ensemble.prompts[:3]))
-        return tok, prompts, tiny_corpus[:6], tiny_corpus[6:10], CalibrationConfig(max_epochs=2, seed=4)
+        return tok, prompts, tiny_corpus[:6], tiny_corpus[6:10], CalibrationConfig(max_epochs=2)
 
     def test_full_length_truncation_equals_the_standard_calibrated_run(self, varied_lm, tiny_corpus, ensemble):
         from promptcal.calibration import train_calibrator

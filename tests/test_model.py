@@ -738,7 +738,7 @@ def oracle_pretrain(corpus, config, log_fn):
     trainable = lm.trainable()
     opt = model_module.Adam(trainable, learning_rate=config.learning_rate)
     rng = np.random.default_rng(config.seed)
-    rule = model_module.ConvergenceRule(config.convergence_tol, config.stall_window)
+    rule = model_module.ConvergenceRule(config.convergence_tol, model_module.STALL_WINDOW)
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(examples))
         total = 0.0
@@ -780,7 +780,7 @@ class TestPretrain:
         dict(max_epochs=3, encoder_train_epochs=1, prefix_noise_prob=0.0),
         dict(max_epochs=3, encoder_train_epochs=1, prefix_noise_prob=1.0),
         dict(max_epochs=2, encoder_train_epochs=3),
-        dict(max_epochs=8, encoder_train_epochs=1, convergence_tol=1.0, stall_window=2),
+        dict(max_epochs=12, encoder_train_epochs=1, convergence_tol=1.0),
     ], ids=["encoder-1-of-3", "encoder-0", "noise-0", "noise-1", "max-epochs-below-encoder",
             "converges-early"])
     def test_trains_as_the_per_example_oracle(self, tiny_corpus, settings):
@@ -793,7 +793,9 @@ class TestPretrain:
 
         got, expected = run(pretrain), run(oracle_pretrain)
         assert got == expected
-        assert len(got[1]) == (3 if settings.get("stall_window") else config.max_epochs)
+        # convergence_tol=1.0 makes every epoch after the first a quiet one
+        converges = settings.get("convergence_tol") == 1.0
+        assert len(got[1]) == (model_module.STALL_WINDOW + 1 if converges else config.max_epochs)
 
     @pytest.mark.parametrize("noise_prob, encode_many_sizes", [(0.0, [16]), (1.0, [16, 16, 16])])
     def test_decoder_only_epochs_encode_through_encode_many(self, tiny_corpus, monkeypatch,
@@ -885,7 +887,6 @@ class TestPretrain:
         ("learning_rate", -1e-3),
         ("convergence_tol", 0.0),
         ("convergence_tol", -1.0),
-        ("stall_window", 0),
         ("prefix_noise_prob", -1.0),
         ("prefix_noise_prob", 2.0),
         ("ffn_dim", 0),
@@ -915,8 +916,7 @@ class TestPretrain:
             config(**{field: value})
 
     def test_config_bounds_are_inclusive(self):
-        PretrainConfig(seed=0, max_epochs=1, encoder_train_epochs=0, prefix_noise_max=1,
-                       stall_window=1, prefix_noise_prob=0.0)
+        PretrainConfig(seed=0, max_epochs=1, encoder_train_epochs=0, prefix_noise_max=1, prefix_noise_prob=0.0)
         PretrainConfig(prefix_noise_prob=1.0, model=ModelConfig(
             ffn_dim=1, decode_max_len=1, embed_bias_std=0.0, embed_noise_std=0.0))
 

@@ -39,6 +39,18 @@ def assert_compared(rows: dict) -> None:
         assert {"median", "q1", "q3", "speedup", "faster_pct"} <= row.keys()
 
 
+@pytest.mark.parametrize("bench", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name)
+def test_committed_bench_command_runs_a_tool_with_its_own_flags(bench):
+    """A committed BENCH_*.json was made by a script under tools/ that still takes every flag it names."""
+    python, script, *args = json.loads(bench.read_text(encoding="utf-8"))["command"].split()
+    assert python.startswith("python") and script.startswith("tools/") and (ROOT / script).is_file()
+    proc = subprocess.run([sys.executable, script, "--help"], cwd=ROOT, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    flags = [arg for arg in args if arg.startswith("--")]
+    assert flags and all(flag in proc.stdout.split() for flag in flags), (flags, proc.stdout)
+
+
 def test_ab_checkpoint_against_head(tmp_path):
     report = run_tool(tmp_path, "ab_checkpoint.py", "--parent", "HEAD", "--repeats", "4")
     assert report["saved_model_files_byte_identical"]

@@ -4,16 +4,19 @@ Builds a frozen model with the summarize benchmark's shapes
 (``abkit.frozen_model``); each package saves it and a calibrator bound to the
 digest its own load computes, and times the two requests the summarize
 workload serves on its own files: ``load_model`` alone (uncalibrated) and
-``load_model`` then ``load_calibrator`` (calibrated). As in the workload, each
+``load_model`` then ``load_calibrator`` (calibrated). Each package writes its
+calibrator from its own ``SoftPromptToken`` and default ``CalibrationConfig``,
+since the config's fields change with the file format. As in the workload, each
 loaded model stays alive until the next load has returned
 (``abkit.interleave`` holds the last result), so every load runs beside a
 live 1.15 MB model and the previous one is freed inside the next timed
 request; a model dropped at once would leave glibc's heap trimming, not the
 loader, to set the median. Both variants must save byte-identical model files
 and load bit-identical weights, vocabulary, config, soft vector, token and
-calibration config, and each package's loaded digest must equal its own
-``weight_digest()``. Calibrator files may differ, since the digest a
-calibrator records is defined by its format version.
+calibration config (the fields the checkout's ``CalibrationConfig`` has), and
+each package's loaded digest must equal its own ``weight_digest()``.
+Calibrator files may differ, since the digest a calibrator records is defined
+by its format version.
 
 Run from the repository root, before committing a change (``--parent HEAD``)
 or after it (``--parent HEAD~1``):
@@ -31,8 +34,11 @@ from pathlib import Path
 
 import abkit  # first: pins BLAS threads and puts the checkout's sources on the import path
 import promptcal
-from promptcal import checkpoint
+from promptcal import calibration, checkpoint
 from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT, CalibrationConfig, SoftPromptToken
+
+# The calibration config fields both sides' loads are compared on.
+CONFIG_FIELDS = tuple(field.name for field in dataclasses.fields(CalibrationConfig))
 
 REQUESTS = ("model_us", "model_and_calibrator_us")
 
@@ -47,7 +53,8 @@ def loaded_state(lm, calibrator) -> tuple[tuple, bool]:
     """What a calibrated request gets from the files, as plain values (the packages' classes differ),
     and whether the package's loaded digest equals its own weight_digest()."""
     soft, tok, config = calibrator
-    state = (abkit.model_state_digest(lm), soft.tobytes(), tok.text, dataclasses.astuple(config))
+    state = (abkit.model_state_digest(lm), soft.tobytes(), tok.text,
+             tuple(getattr(config, name, None) for name in CONFIG_FIELDS))
     return state, lm.frozen_digest == lm.weight_digest()
 
 
@@ -60,12 +67,15 @@ def main(argv: list[str] | None = None) -> int:
         tmp = Path(tmp)
         parent = abkit.parent_package(args.parent, tmp / "parent")
         variants = {"parent": importlib.import_module(parent.__name__ + ".checkpoint"), "change": checkpoint}
+        calibrations = {"parent": importlib.import_module(parent.__name__ + ".calibration"), "change": calibration}
         saved, states, calls = {}, {}, {}
         for name, module in variants.items():
+            own = calibrations[name]
             model_path, calibrator_path = tmp / f"{name}-model.bin", tmp / f"{name}-calibrator.bin"
             module.save_model(lm, model_path)
             bound = module.load_model(model_path).frozen_digest
-            module.save_calibrator(soft, tok, CalibrationConfig(), bound, calibrator_path)
+            own_tok = own.SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, lm.vocab)
+            module.save_calibrator(soft, own_tok, own.CalibrationConfig(), bound, calibrator_path)
             saved[name] = (model_path, calibrator_path)
             states[name] = loaded_state(*load_calibrated(module, model_path, calibrator_path))
             calls[name, "model_us"] = partial(module.load_model, model_path)
