@@ -10,6 +10,7 @@ onto the vocabulary.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -126,7 +127,7 @@ class BlockWeights(NamedTuple):
     """One block's weights laid out for a head-batched decode step."""
 
     qkv: np.ndarray  # [d x 3*H*dh]: every head's wq, then every head's wk, then every head's wv
-    wo: np.ndarray  # [H x 1 x dh x d]: each head's wo, broadcast over the live rows
+    wo: np.ndarray  # [H x dh x d]: each head's wo
     w1: np.ndarray
     w2: np.ndarray
 
@@ -137,7 +138,7 @@ def block_weights(params: Mapping[str, DiffValue], side: str, cfg: ModelConfig) 
     for b in range(cfg.n_blocks):
         heads = [f"{side}b{b}.h{h}." for h in range(cfg.n_heads)]
         qkv = np.concatenate([params[base + w].data for w in ("wq", "wk", "wv") for base in heads], axis=1)
-        wo = np.stack([params[base + "wo"].data for base in heads])[:, None]
+        wo = np.array([params[base + "wo"].data for base in heads])
         out.append(BlockWeights(qkv, wo, params[f"{side}b{b}.ffn.w1"].data, params[f"{side}b{b}.ffn.w2"].data))
     return out
 
@@ -150,24 +151,33 @@ class KVCache:
 
     The decodes run in lockstep, so all live rows share one length: positions
     [0, length) of rows [0, rows) are filled, out of `positions` (default
-    max_seq_len). keys and values are indexed (block, head, row, position,
-    head_dim) but stored position by position, each position's rows side by
-    side: a decode touches only the pages of the positions it reaches, and
-    once finished rows are compacted away, only those of the rows still live.
-    A step writes every head's key and value of a block at once. The cache
-    also keeps the block_weights its steps multiply by, built on the first
-    step and rebuilt only if a step brings another parameter mapping; only a
-    frozen side is accepted, so that check runs once per build, not per step.
+    max_seq_len). kv is indexed (block, key or value, head, row, position,
+    head_dim), and keys and values are its two halves, but it is stored
+    position by position, each position's rows side by side: a decode touches
+    only the pages of the positions it reaches, and once finished rows are
+    compacted away, only those of the rows still live. A step writes every
+    head's key and value of a block at once. The cache also keeps the
+    block_weights its steps multiply by, built on the first step and rebuilt
+    only if a step brings another parameter mapping; only a frozen side is
+    accepted, so that check runs once per build, not per step. A step's
+    products by shared weights run over product_rows rows: the live rows,
+    then zero rows up to a multiple of row_multiple (see lockstep_row_multiple).
     """
 
-    def __init__(self, cfg: ModelConfig, rows: int = 1, positions: int | None = None):
+    def __init__(self, cfg: ModelConfig, rows: int = 1, positions: int | None = None, row_multiple: int = 1):
         self.positions = cfg.max_seq_len if positions is None else positions
-        shape = (self.positions, rows, cfg.n_blocks, cfg.n_heads, cfg.head_dim)
-        self.keys = np.empty(shape).transpose(2, 3, 1, 0, 4)
-        self.values = np.empty(shape).transpose(2, 3, 1, 0, 4)
+        shape = (self.positions, rows, cfg.n_blocks, 2, cfg.n_heads, cfg.head_dim)
+        self.kv = np.empty(shape).transpose(2, 3, 4, 1, 0, 5)
+        self.keys, self.values = self.kv[:, 0], self.kv[:, 1]
         self.rows = rows
+        self.row_multiple = row_multiple
         self.length = 0
         self._weights: tuple[Mapping[str, DiffValue], str, list[BlockWeights]] | None = None
+
+    @property
+    def product_rows(self) -> int:
+        """The live rows rounded up to a multiple of row_multiple."""
+        return -(-self.rows // self.row_multiple) * self.row_multiple
 
     def weights(self, params: Mapping[str, DiffValue], side: str, cfg: ModelConfig) -> list[BlockWeights]:
         """block_weights of params' side, built once per decode."""
@@ -184,8 +194,7 @@ class KVCache:
         # copy of the whole live cache.
         for slot, row in enumerate(slots):
             if slot != row:
-                self.keys[:, :, slot, :n] = self.keys[:, :, row, :n]
-                self.values[:, :, slot, :n] = self.values[:, :, row, :n]
+                self.kv[:, :, :, slot, :n] = self.kv[:, :, :, row, :n]
         self.rows = len(slots)
 
 
@@ -209,10 +218,12 @@ def sequence_forward(
     With a cache, the call advances the cache's rows of a frozen causal decode
     by one position: ids holds each live row's next id, context is one
     d-vector for all rows or one row per live row, and the result has one row
-    per live row. Each new row attends over its own cached positions. The step
-    runs every head of a block at once (see decode_step), and every product
-    runs stacked (a [rows x 1 x m] operand), which rounds each row and each
-    head as a one-row, one-head product does.
+    per live row, then zero rows up to cache.product_rows. Each new row
+    attends over its own cached positions. The step runs every head of a
+    block at once and every product by a shared weight over all product rows
+    (see decode_step); a one-row cache of the default row_multiple 1 makes
+    them 1-row products, as the graph path's for a one-row sequence, so its
+    first step is bit-identical to the graph's.
 
     With rows, the call runs that many equal-length sequences of a frozen,
     unmasked side at once: ids holds them back to back, and the result is
@@ -308,46 +319,55 @@ def decode_step(
     context: DiffValue | None,
     cache: KVCache,
 ) -> np.ndarray:
-    """sequence_forward's cached step, after its checks: one new row per live row, [rows x d].
+    """sequence_forward's cached step, after its checks: [cache.product_rows x d], the live rows first.
 
-    Each block makes one fused projection of every head's query, key and
-    value, writes every head's key and value into the cache at once, and
-    runs the scores, the softmax, the mix of values and the output
-    projection for all heads in one stacked product each; the heads' outputs
-    are then summed in head order, as the per-head loop sums them. Every
-    stacked product runs one 1-row product per (head, row), and a column
-    block of a 1-row product rounds as the product with that block alone.
+    Every product by a shared weight is one 2-D product over all product
+    rows: the fused projection of every head's query, key and value, each
+    head's output projection (one stacked product over the heads, summed in
+    head order, as the per-head loop sums them) and the feed-forward. The
+    rows past the live ones start at zero and so stay zero. Attention stays
+    per row: each block writes every head's key and value into the cache at
+    once, then runs the scores, the softmax and the mix of values as one
+    stacked product each, one 1-row product per (head, row), which rounds as
+    the product with that head's block alone. One product row makes every
+    product a 1-row product, as the graph path multiplies a one-row sequence.
     """
     weights = cache.weights(params, side, cfg)
     start, live = cache.length, cache.rows
     n = start + 1
-    heads, dh = cfg.n_heads, cfg.head_dim
     table = params[side + "embed"].data
-    x = table[ad.row_index(table, ids)] + params[side + "pos"].data[start:n]
+    x = np.zeros((cache.product_rows, cfg.embed_dim))
+    rows = x[:live]
+    np.add(table[ad.row_index(table, ids)], params[side + "pos"].data[start], out=rows)
     if context is not None:
-        x = x + context.data
-    # A 2-D X @ W rounds a row differently depending on how many rows X has;
-    # the stacked [rows x 1 x d] form runs one 1-row product per row.
-    x = x[:, None, :]
-    inv_sqrt_dh = 1.0 / math.sqrt(dh)
+        rows += context.data
+    # Each head's mixed values: the live rows are written, the others stay zero.
+    mixed = np.zeros((cfg.n_heads, len(x), 1, cfg.head_dim))
+    live_mixed, mixed = mixed[:, :live], mixed[:, :, 0]
+    per_head = (live, 3, cfg.n_heads, 1, cfg.head_dim)
+    inv_sqrt_dh = 1.0 / math.sqrt(cfg.head_dim)
     for b, w in enumerate(weights):
-        # [rows x 1 x 3*H*dh] -> [3 x H x rows x dh]: query, key, value per head.
-        qkv = (x @ w.qkv).reshape(live, 3, heads, dh).transpose(1, 2, 0, 3)
-        cache.keys[b, :, :live, start] = qkv[1]
-        cache.values[b, :, :live, start] = qkv[2]
-        keys, values = cache.keys[b, :, :live, :n], cache.values[b, :, :live, :n]
+        # [live x 3*H*dh] -> [3 x H x live x 1 x dh]: query, key, value per head.
+        qkv = (x @ w.qkv)[:live].reshape(per_head).transpose(1, 2, 0, 3, 4)
+        kv = cache.kv[b]
+        kv[:, :, :live, start] = qkv[1:, :, :, 0]
+        keys, values = kv[:, :, :live, :n]
         # One new query row needs no causal mask: every cached position
         # precedes it. The key transpose is copied, as the per-head loop does.
-        scores = (qkv[0][:, :, None, :] @ keys.swapaxes(-1, -2).copy()) * inv_sqrt_dh
-        probs = ad.softmax_rows(scores.reshape(-1, n)).reshape(scores.shape)
-        head_out = (probs @ values) @ w.wo  # [H x rows x 1 x d]
+        scores = qkv[0] @ keys.swapaxes(-1, -2).copy()
+        scores *= inv_sqrt_dh
+        flat = scores.reshape(-1, n)
+        ad.softmax_rows(flat, out=flat)
+        np.matmul(scores, values, out=live_mixed)
+        head_out = mixed @ w.wo  # [H x product rows x d]
         attn_sum = head_out[0]
-        for h in range(1, heads):
-            attn_sum = attn_sum + head_out[h]
-        x = x + attn_sum
-        x = x + np.tanh(x @ w.w1) @ w.w2
+        for h in range(1, len(head_out)):
+            attn_sum += head_out[h]
+        x += attn_sum
+        hidden = x @ w.w1
+        x += np.tanh(hidden, out=hidden) @ w.w2
     cache.length = n
-    return x[:, 0]
+    return x
 
 
 class Encoding(NamedTuple):
@@ -371,19 +391,77 @@ def params_digest(params: Mapping[str, DiffValue]) -> str:
     return h.hexdigest()
 
 
-# Rows decoded in lockstep at most. A group's whole key/value cache is live at
-# once, so peak memory grows with the group: on the evaluate benchmark (50
-# notes a prompt), one 50-row group decoded about 15% faster than 16-row
-# groups but added about 1.4 MiB (4%) to peak RSS, where 16-row groups add
-# about 0.1 MiB to that of decoding one row at a time.
-LOCKSTEP_ROWS = 16
+# Rows decoded in lockstep at most. A step multiplies by each shared weight
+# once for its whole group, so it costs about the same at any group size and
+# larger groups take fewer steps; but a group's whole key/value cache is live
+# at once, so peak memory grows with the group. A round of both evaluate arms
+# took 0.624 s in 16-row groups, 0.559 s in 32 and 0.557 s in 40, with heap
+# peaks of 2,184, 2,428 and 2,890 KiB (tools/ab_evaluate.py --lockstep 16,40,
+# medians of 15 interleaved repeats, 1 BLAS thread; BENCH_evaluate.json), and
+# the evaluate benchmark's peak RSS read 39.48, 39.56 and 40.25 MiB (38.83
+# MiB at the parent: 16-row groups of one-row products).
+LOCKSTEP_ROWS = 32
+
+# The row multiples lockstep_row_multiple tries, least first.
+ROW_MULTIPLES = (2, 4, 8)
+
+
+def decoder_product_shapes(cfg: ModelConfig, vocab_size: int) -> tuple[tuple[int, int], ...]:
+    """Every weight shape a decode step multiplies its product rows by: the fused query, key and
+    value projection, a head's output projection, the feed-forward and the vocabulary projection."""
+    d = cfg.embed_dim
+    return (d, 3 * d), (cfg.head_dim, d), (d, cfg.ffn_dim), (cfg.ffn_dim, d), (d, vocab_size)
+
+
+def probe_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
+    """A [rows x cols] matrix of unpatterned entries in [-1, 1], without numpy.random (whose
+    import alone adds about 2 MiB to a process's resident memory)."""
+    return np.sin(np.arange(seed, seed + rows * cols, dtype=np.float64) * 1.7).reshape(rows, cols)
+
+
+def rows_round_alike(w: np.ndarray, multiple: int, most: int) -> bool:
+    """Whether numpy's BLAS rounds each row of X @ w, at every multiple of `multiple` rows up to
+    `most`, as it rounds that row followed by zero rows in a product of `multiple` rows."""
+    x = probe_matrix(most, len(w), w.size)
+    lone = np.zeros((multiple, len(w)))
+    alone = np.empty((most, w.shape[1]))
+    for i, row in enumerate(x):
+        lone[0] = row
+        alone[i] = (lone @ w)[0]
+    return all(np.array_equal(x[:rows] @ w, alone[:rows]) for rows in range(multiple, most + 1, multiple))
+
+
+@functools.cache
+def lockstep_row_multiple(shapes: tuple[tuple[int, int], ...], group_rows: int) -> int:
+    """The least of ROW_MULTIPLES for which rows_round_alike holds for a weight of every shape, up
+    to the largest product a lockstep group of group_rows rows makes; the last one if none does.
+
+    decode_greedy's steps run every product by a shared weight over a
+    multiple of it: the live rows, then zero rows. Each row then rounds as it
+    does alone, so a row's tokens depend neither on the rows decoded beside it
+    nor on when they finish. Which counts qualify depends on the BLAS
+    kernel: OpenBLAS 0.3.31's SkylakeX kernels round a row alike at every
+    count from 2, its Haswell kernels round the last row of an odd count
+    apart, its Nehalem kernels need a multiple of 8, and every kernel runs a
+    1-row product as GEMV. So the multiple is measured, once per process and
+    set of arguments, in a few hundred small products; TestStackedProducts
+    checks it under several kernels. The multiple sets only how many zero
+    rows a step carries, never a row's bits.
+    """
+    weights = [probe_matrix(*shape, seed=0) for shape in shapes]
+    for multiple in ROW_MULTIPLES:
+        most = -(-group_rows // multiple) * multiple
+        if all(rows_round_alike(w, multiple, most) for w in weights):
+            return multiple
+    return ROW_MULTIPLES[-1]
+
 
 # Equal-length sequences encode_many stacks into one encoder forward at most.
 # Larger stacks run slower, not faster: encoding the calibrate benchmark's
 # 2,200 sequences took about 1,100 ms one at a time, 790-840 ms in stacks of 4
 # to 8, and 1,000-1,080 ms in stacks of 12 to 32 (tools/ab_encode.py
 # --bounds, medians of 15 interleaved repeats, 1 BLAS thread; BENCH_encode.json),
-# so LOCKSTEP_ROWS (16) is on the slow side of that step.
+# so stacks the size of a lockstep group would be on the slow side of that step.
 ENCODE_ROWS = 6
 
 
@@ -493,8 +571,11 @@ class EncoderDecoderLM:
         rows equal, token for token, decoding each row alone. Rows go in
         lockstep groups of at most LOCKSTEP_ROWS: each step runs every live
         row's newest token through the decoder, over a KVCache of the earlier
-        ones. A row stops after EOS, after max_len tokens, or when the prefix
-        to feed next would reach max_seq_len.
+        ones, and multiplies by each shared weight once for the whole group,
+        over a multiple of lockstep_row_multiple rows. A lone row is such a
+        group too, so each row's bits are those of decoding it alone. A row
+        stops after EOS, after max_len tokens, or when the prefix to feed next
+        would reach max_seq_len.
         """
         self._require_frozen("decode_greedy")
         if max_len is None:
@@ -517,9 +598,10 @@ class EncoderDecoderLM:
     def _decode_lockstep(self, ctx: np.ndarray, max_len: int) -> list[TokenSequence]:
         """One lockstep group: the greedy decode of each row of ctx."""
         params, cfg = self.params, self.cfg
+        multiple = lockstep_row_multiple(decoder_product_shapes(cfg, self.vocab.size), LOCKSTEP_ROWS)
         # A cache sized to the positions the decode can feed: a smaller block
         # to allocate, and measurably less peak memory than a max_seq_len one.
-        cache = KVCache(cfg, rows=len(ctx), positions=min(max_len, cfg.max_seq_len))
+        cache = KVCache(cfg, rows=len(ctx), positions=min(max_len, cfg.max_seq_len), row_multiple=multiple)
         out_proj = params["dec.out"].data
         context = ad.value(ctx)
         slot_rows = list(range(len(ctx)))  # the row of ctx each live cache row decodes
@@ -527,8 +609,8 @@ class EncoderDecoderLM:
         tokens = [BOS_ID] * len(ctx)
         for _ in range(max_len):
             x = sequence_forward(params, "dec", tokens, cfg, context=context, causal=True, cache=cache)
-            # Stacked, as in sequence_forward; ties resolve to the lowest id.
-            tokens = (x.data[:, None, :] @ out_proj).argmax(axis=-1)[:, 0].tolist()
+            # Over every product row, as the step's products; ties resolve to the lowest id.
+            tokens = (x.data @ out_proj)[:len(tokens)].argmax(axis=1).tolist()
             for row, token in zip(slot_rows, tokens):
                 outs[row].append(token)
             if cache.length + 1 >= cfg.max_seq_len:

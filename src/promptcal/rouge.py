@@ -45,16 +45,23 @@ def ngrams(tokens: Sequence[str], n: int) -> Counter:
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Length of the longest (not necessarily contiguous) common subsequence."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for x in a:
-        cur = [0]
-        for j, y in enumerate(b, 1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[len(b)]
+    """Length of the longest (not necessarily contiguous) common subsequence.
+
+    Bit-parallel (Allison and Dix 1986; Hyyro 2004): bit i of v is clear
+    where the LCS of a[:i + 1] and the prefix of b read so far grows at
+    a[i], so the length is the count of clear bits once b is read.
+    """
+    masks: dict[str, int] = {}
+    for i, x in enumerate(a):
+        masks[x] = masks.get(x, 0) | 1 << i
+    full = (1 << len(a)) - 1
+    v = full
+    for y in b:
+        match = masks.get(y)
+        if match:
+            u = v & match
+            v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge_n(reference: Sequence[str], candidate: Sequence[str], n: int) -> RougeScore:

@@ -478,8 +478,8 @@ class TestEnsembleAgainstPerPromptOracle:
         evaluate_ensemble(tiny_lm, calibration, ens, corpus, label="x")
         assert calls["tokenize"] == len(ens.prompts) + len(corpus)
         assert calls["decode_soft_prompt"] == (1 if calibrated else 0)
-        assert calls["encode_many"] == [6, 6, 6, 3]
-        assert calls["decode_greedy"] == 4
+        assert calls["encode_many"] == [21]  # every (note, prompt) pair of the arm at once
+        assert calls["decode_greedy"] == 4  # one per block: 6, 6, 6 and 3 rows
 
     def test_empty_corpus_rejected(self, tiny_lm, ensemble):
         with pytest.raises(ContractError, match="non-empty"):

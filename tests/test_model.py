@@ -19,13 +19,17 @@ from promptcal.errors import ContractError, ShapeError
 from promptcal.model import (
     ENCODE_ROWS,
     LOCKSTEP_ROWS,
+    ROW_MULTIPLES,
     DecodedRows,
     EncoderDecoderLM,
     KVCache,
     ModelConfig,
     PretrainConfig,
+    decoder_product_shapes,
+    lockstep_row_multiple,
     param_shapes,
     pretrain,
+    rows_round_alike,
     sequence_forward,
     sinusoidal_positions,
 )
@@ -417,10 +421,11 @@ MAX_SEQ_LEN = ModelConfig().max_seq_len
 
 
 class TestStackedProducts:
-    """The premise of lockstep decoding and of encode_many: a stacked product
-    rounds each row (decoding) or each sequence (encoding) as computing it
-    alone does. Likewise causal_softmax_rows, which runs its elementwise steps
-    on the whole matrix, rounds each row as the softmax of its slice does."""
+    """The premise of lockstep decoding and of encode_many: a 2-D product at a
+    measured row multiple rounds each row (decoding), and a stacked product
+    each row or sequence (attention, encoding), as computing it alone does.
+    Likewise causal_softmax_rows, which runs its elementwise steps on the
+    whole matrix, rounds each row as the softmax of its slice does."""
 
     def test_causal_softmax_equals_per_row_oracle(self):
         rng = np.random.default_rng(96)
@@ -461,6 +466,31 @@ class TestStackedProducts:
             x = rng.normal(size=(rows, shape[0]))
             one_row = np.concatenate([x[i:i + 1] @ w for i in range(rows)])
             np.testing.assert_array_equal((x[:, None, :] @ w)[:, 0], one_row)
+
+    @pytest.mark.parametrize("dims", PRODUCT_DIMS)
+    def test_2d_products_round_a_row_alike_at_every_row_multiple(self, dims):
+        # decode_step's products, at every multiple of the measured row multiple
+        # up to 2 x LOCKSTEP_ROWS, with other weights than the measurement's
+        d, dh, ffn, vocab_size = dims
+        shapes = decoder_product_shapes(ModelConfig(embed_dim=d, n_heads=d // dh, ffn_dim=ffn), vocab_size)
+        multiple = lockstep_row_multiple(shapes, LOCKSTEP_ROWS)
+        assert multiple in ROW_MULTIPLES
+        rng = np.random.default_rng(dims)
+        for shape in shapes:
+            w = rng.normal(size=shape)
+            assert rows_round_alike(w, multiple, 2 * LOCKSTEP_ROWS), shape
+
+    @pytest.mark.parametrize("d, head_dim", sorted({dims[:2] for dims in PRODUCT_DIMS}))
+    def test_head_stacked_output_projection_equals_each_heads_2d_product(self, d, head_dim):
+        # as in decode_step: [H x rows x dh] @ [H x dh x d], one product per head
+        heads = d // head_dim
+        rng = np.random.default_rng(d + 2)
+        wo = rng.normal(size=(heads, head_dim, d))
+        for rows in range(1, 2 * LOCKSTEP_ROWS + 1):
+            mixed = rng.normal(size=(heads, rows, 1, head_dim))
+            stacked = mixed[:, :, 0] @ wo
+            for h in range(heads):
+                assert stacked[h].tobytes() == (mixed[h, :, 0] @ wo[h]).tobytes()
 
     @pytest.mark.parametrize("head_dim", sorted({dims[1] for dims in PRODUCT_DIMS}))
     def test_batched_attention_equals_per_row(self, head_dim):
@@ -641,24 +671,33 @@ class TestLockstepDecode:
 
     @pytest.mark.parametrize("n_rows", [2, 7, LOCKSTEP_ROWS])
     def test_lockstep_steps_are_bit_identical_to_one_row_steps(self, n_rows):
-        # default widths; halfway, every other row ends and the cache compacts
+        # default widths, products over the row multiple decode_greedy uses;
+        # halfway, every other row ends and the cache compacts, and at three
+        # quarters all but one row end
         lm = small_lm(2)
+        multiple = lockstep_row_multiple(decoder_product_shapes(lm.cfg, lm.vocab.size), LOCKSTEP_ROWS)
         rng = np.random.default_rng(n_rows)
         contexts = rng.normal(size=(n_rows, lm.cfg.embed_dim))
         steps = rng.integers(4, lm.vocab.size, size=(lm.cfg.max_seq_len, n_rows))
         steps[0] = BOS_ID
         live = list(range(n_rows))
-        lockstep, alone = KVCache(lm.cfg, rows=n_rows), [KVCache(lm.cfg) for _ in live]
+        lockstep = KVCache(lm.cfg, rows=n_rows, row_multiple=multiple)
+        alone = [KVCache(lm.cfg, row_multiple=multiple) for _ in live]
         for n, step in enumerate(steps):
             if n == lm.cfg.max_seq_len // 2:
                 lockstep.keep(list(range(0, len(live), 2)))
                 live = live[::2]
+            if n == lm.cfg.max_seq_len * 3 // 4:
+                lockstep.keep([len(live) - 1])
+                live = live[-1:]
             rows = sequence_forward(lm.params, "dec", step[live].tolist(), lm.cfg,
                                     context=ad.value(contexts[live]), causal=True, cache=lockstep).data
             for slot, i in enumerate(live):
                 row = sequence_forward(lm.params, "dec", [int(step[i])], lm.cfg,
                                        context=ad.value(contexts[i]), causal=True, cache=alone[i]).data
                 np.testing.assert_array_equal(rows[slot], row[0])
+            assert len(rows) % multiple == 0 and not rows[len(live):].any()
+        assert lockstep.rows == 1
 
     def test_cache_refuses_a_position_beyond_its_capacity(self, stopping_lm):
         lm, _ = stopping_lm

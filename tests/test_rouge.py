@@ -85,6 +85,29 @@ class TestLcs:
             assert got == recursive_lcs(tuple(a), tuple(b))
 
 
+    def test_equals_the_dynamic_program(self):
+        # empty sides, one-word alphabets (every token repeated) and summary-length pairs
+        rng = random.Random(1)
+        for alphabet, longest in [("a", 12), ("ab", 30), ("abcdefghijkl", 20), ("abcdefghijkl", 90)]:
+            for _ in range(2000):
+                a = [rng.choice(alphabet) for _ in range(rng.randint(0, longest))]
+                b = [rng.choice(alphabet) for _ in range(rng.randint(0, longest))]
+                assert lcs_length(a, b) == dynamic_program_lcs(a, b), (a, b)
+
+
+def dynamic_program_lcs(a, b):
+    """The row-by-row LCS table that lcs_length replaced."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, 1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[len(b)]
+
+
 class TestRougeN:
     def test_identity(self):
         score = rouge_n(["a", "b", "c"], ["a", "b", "c"], 1)

@@ -10,20 +10,26 @@ calibrator, which the checkout reads. They time two things:
   over the bundled 10-prompt ensemble and 50-note test corpus, then
   ``compare_runs`` and the csv report. Both packages must give equal
   ``per_prompt_scores`` on both arms and the same report bytes.
-- ``decode_step``: one cached ``sequence_forward`` decoder step at 1 and at
-  16 live rows, as greedy decoding makes it, in microseconds per step (each
-  sample is one 24-step decode from an empty cache, the cache's set-up
-  included, divided by 24; 20 samples per repeat). Both packages must give
-  byte-equal rows.
+- ``decode_step``: one cached ``sequence_forward`` decoder step at 1, 2 and
+  ``LOCKSTEP_ROWS`` live rows, as greedy decoding makes it (the checkout's
+  cache runs its products over ``lockstep_row_multiple``), in microseconds
+  per step (each sample is one 24-step decode from an empty cache, the
+  cache's set-up included, divided by 24; 20 samples per repeat). A 1-row
+  step in a plain cache must give rows byte-equal to the parent's; the
+  checkout's lockstep rows at 2 and ``LOCKSTEP_ROWS`` rows must be byte-equal
+  to the same rows each stepped alone, as greedy decoding steps a lone row.
+  Lockstep rows are not compared with the parent's: their products run over
+  every row at once, which may round their last bits otherwise.
 
 ``--blocks`` adds variants of the change with ``calibration.EVALUATE_ROWS``
-set to each listed value, to size that bound; every variant also reports the
-tracemalloc heap peak of one round.
+set to each listed value, and ``--lockstep`` variants with
+``model.LOCKSTEP_ROWS`` set to each listed value, to size those bounds; every
+variant also reports the tracemalloc heap peak of one round.
 
 Run from the repository root, before committing a change (``--parent HEAD``)
 or after it (``--parent HEAD~1``):
 
-    python3 tools/ab_evaluate.py --parent HEAD [--repeats 15] [--blocks 40,160,500] [--out BENCH_evaluate.json]
+    python3 tools/ab_evaluate.py --parent HEAD [--repeats 15] [--blocks 80,500] [--lockstep 16,40] [--out BENCH_evaluate.json]
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import promptcal
 from promptcal import checkpoint, harness
 from promptcal.corpus import bundled_test_corpus
 
-STEP_ROWS = (1, 16)
+STEP_ROWS = (1, 2, promptcal.model.LOCKSTEP_ROWS)
 STEPS = 24  # the default decode_max_len
 STEP_SAMPLES = 20  # decode samples per side and row count in each repeat
 
@@ -74,20 +80,30 @@ def evaluate_round(package, lm, calibration, prompts, corpus):
     return runs, package.harness.emit_report(package.harness.compare_runs(*runs), "csv")
 
 
-def decode_steps(package, lm, contexts, tokens) -> np.ndarray:
-    """The rows of STEPS cached decoder steps from an empty cache."""
-    cache = package.model.KVCache(lm.cfg, rows=len(contexts), positions=STEPS)
+def decode_steps(package, lm, contexts, tokens, **row_multiple) -> np.ndarray:
+    """The live rows of STEPS cached decoder steps from an empty cache, [STEPS x rows x d]."""
+    cache = package.model.KVCache(lm.cfg, rows=len(contexts), positions=STEPS, **row_multiple)
     context = package.autodiff.value(contexts)
     return np.stack([package.model.sequence_forward(lm.params, "dec", step, lm.cfg, context=context,
-                                                    causal=True, cache=cache).data for step in tokens])
+                                                    causal=True, cache=cache).data[:len(contexts)]
+                     for step in tokens])
+
+
+def lone_steps(lm, contexts, tokens, multiple) -> np.ndarray:
+    """decode_steps of each row alone in the checkout, side by side."""
+    return np.concatenate([decode_steps(promptcal, lm, contexts[i:i + 1], [[step[i]] for step in tokens],
+                                        row_multiple=multiple) for i in range(len(contexts))], axis=1)
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = abkit.parser(__doc__, "BENCH_evaluate.json", repeats=15)
     ap.add_argument("--blocks", default="", help="comma-separated EVALUATE_ROWS values to time as well")
+    ap.add_argument("--lockstep", default="", help="comma-separated LOCKSTEP_ROWS values to time as well")
     args = ap.parse_args(argv)
     blocks = [int(b) for b in args.blocks.split(",") if b]
+    lockstep = [int(rows) for rows in args.lockstep.split(",") if rows]
     shipped = promptcal.calibration.EVALUATE_ROWS
+    shipped_lockstep = promptcal.model.LOCKSTEP_ROWS
     artifacts = frozen_model.ensure()
     prompts = harness.load_default_ensemble().prompts
     corpus = bundled_test_corpus()
@@ -98,17 +114,19 @@ def main(argv: list[str] | None = None) -> int:
         parent_lm, parent_calibration = load_parent(parent, artifacts, calibration)
     same_weights = same_model(parent_lm, lm)
 
-    def change_round(rows=shipped):
-        promptcal.calibration.EVALUATE_ROWS = rows
+    def change_round(rows=shipped, group=shipped_lockstep):
+        promptcal.calibration.EVALUATE_ROWS, promptcal.model.LOCKSTEP_ROWS = rows, group
         try:
             return evaluate_round(promptcal, lm, calibration, prompts, corpus)
         finally:
-            promptcal.calibration.EVALUATE_ROWS = shipped
+            promptcal.calibration.EVALUATE_ROWS, promptcal.model.LOCKSTEP_ROWS = shipped, shipped_lockstep
 
     variants = {"parent": partial(evaluate_round, parent, parent_lm, parent_calibration, prompts, corpus),
                 "change": change_round}
     for rows in blocks:
         variants[f"change_rows_{rows}"] = partial(change_round, rows)
+    for group in lockstep:
+        variants[f"change_lockstep_{group}"] = partial(change_round, group=group)
 
     parent_runs, parent_report = variants["parent"]()
     identical, heap_peak_kib = {}, {}
@@ -120,14 +138,22 @@ def main(argv: list[str] | None = None) -> int:
         identical[variant] = (report == parent_report and all(
             a.per_prompt_scores == b.per_prompt_scores for a, b in zip(runs, parent_runs)))
 
+    model = promptcal.model
+    multiple = model.lockstep_row_multiple(model.decoder_product_shapes(lm.cfg, lm.vocab.size), shipped_lockstep)
     rng = np.random.default_rng(0)
-    steps = {}
+    steps, lockstep_identical = {}, {}
     for rows in STEP_ROWS:
         contexts = rng.normal(size=(rows, lm.cfg.embed_dim)) * 2
         tokens = rng.integers(4, lm.vocab.size, size=(STEPS, rows)).tolist()
-        steps[rows] = {"parent": partial(decode_steps, parent, parent_lm, contexts, tokens),
-                       "change": partial(decode_steps, promptcal, lm, contexts, tokens)}
-    steps_identical = all(s["parent"]().tobytes() == s["change"]().tobytes() for s in steps.values())
+        steps[rows] = calls = {"parent": partial(decode_steps, parent, parent_lm, contexts, tokens),
+                               "change": partial(decode_steps, promptcal, lm, contexts, tokens,
+                                                 row_multiple=multiple)}
+        if rows == 1:
+            plain = decode_steps(promptcal, lm, contexts, tokens)
+            parent_identical = calls["parent"]().tobytes() == plain.tobytes()
+        else:
+            lone = lone_steps(lm, contexts, tokens, multiple)
+            lockstep_identical[rows] = calls["change"]().tobytes() == lone.tobytes()
 
     round_s = abkit.interleave(variants, args.repeats)
     step_s = abkit.interleave({(rows, side): call for rows, calls in steps.items() for side, call in calls.items()},
@@ -145,15 +171,19 @@ def main(argv: list[str] | None = None) -> int:
         frozen_model=lm.frozen_digest[:16], same_weights=same_weights, evaluate_rows=shipped,
         repeats=args.repeats, summaries_per_round=summaries, round_s=rounds, summaries_per_s=per_s,
         heap_peak_kib=heap_peak_kib, identical_to_parent=identical, decode_step_us=step_us,
-        decode_steps_identical=steps_identical)
+        lockstep_rows=shipped_lockstep, row_multiple=multiple,
+        one_row_steps_identical_to_parent=parent_identical,
+        lockstep_rows_identical_to_lone=lockstep_identical)
     for variant, row in rounds.items():
         print(f"{variant}: round {row['median']:.3f} s ({per_s[variant]:.0f} summaries/s), "
               f"heap peak {heap_peak_kib[variant]:.0f} KiB, identical: {identical[variant]}")
     for rows, row in step_us.items():
         print(f"decode step, {rows}: parent {row['parent']['median']:.0f} us, "
               f"change {row['change']['median']:.0f} us")
-    print(f"same weights: {same_weights}; steps identical: {steps_identical}")
-    return 0 if same_weights and steps_identical and all(identical.values()) else 1
+    print(f"same weights: {same_weights}; 1-row steps identical to the parent's: {parent_identical}; "
+          f"lockstep rows identical to lone rows: {lockstep_identical}")
+    return 0 if (same_weights and parent_identical and all(lockstep_identical.values())
+                 and all(identical.values())) else 1
 
 
 if __name__ == "__main__":
