@@ -313,18 +313,11 @@ def tanh(a: DiffValue) -> DiffValue:
     return _record(out_data, (a,), _bw)
 
 
-def _stable_softmax(x: Array) -> Array:
-    # As in softmax_rows, the ufunc reductions skip ndarray.max/sum's wrappers.
-    shifted = x - np.maximum.reduce(x)
-    e = np.exp(shifted)
-    return e / np.add.reduce(e)
-
-
 def softmax(v: DiffValue) -> DiffValue:
     """Numerically-stabilized softmax of a vector; outputs sum to one."""
     if v.data.ndim != 1 or v.shape[0] == 0:
         raise ShapeError(f"softmax requires a non-empty vector, got shape {v.shape}")
-    s = _stable_softmax(v.data)
+    s = softmax_rows(v.data[None, :])[0]
 
     def _bw(g, acc):
         acc(v, s * (g - float(g @ s)))
@@ -336,9 +329,9 @@ def log_softmax(v: DiffValue) -> DiffValue:
     """log(softmax(v)) computed without forming the softmax, so it stays finite."""
     if v.data.ndim != 1 or v.shape[0] == 0:
         raise ShapeError(f"log_softmax requires a non-empty vector, got shape {v.shape}")
-    shifted = v.data - v.data.max()
-    lse = np.log(np.exp(shifted).sum())
-    out_data = shifted - lse
+    out_data = v.data.copy()
+    row = out_data[None, :]
+    log_softmax_rows_into(row, np.empty_like(row))
     s = np.exp(out_data)
 
     def _bw(g, acc):
@@ -439,9 +432,7 @@ def token_cross_entropy(logits: DiffValue, target_ids: Sequence[int]) -> DiffVal
     if targets.min() < 0 or targets.max() >= logits.shape[1]:
         raise ContractError("target id out of vocabulary range")
     t = logits.shape[0]
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - lse
+    log_probs = log_softmax_rows_into(logits.data.copy(), np.empty_like(logits.data))
     loss = -log_probs[np.arange(t), targets].mean()
     probs = np.exp(log_probs)
 

@@ -299,17 +299,6 @@ def decode_soft_prompt(
     return TokenSequence(tuple(chosen), surface=surface)
 
 
-# Prompted notes one decode_greedy call of summarize_many takes at most: whole
-# notes, each with every prompt (16 notes of the bundled 10-prompt ensemble,
-# i.e. 5 full lockstep groups). The call's contexts are all encoded first, so
-# the block no longer sets peak memory: a round of both evaluate arms on the
-# bundled ensemble and test corpus took 0.576 s in 80-row blocks, 0.559 s in
-# 160 and 0.559 s in one 500-row block, with heap peaks of 2,421, 2,428 and
-# 2,424 KiB (tools/ab_evaluate.py --blocks 80,500, medians of 15 interleaved
-# repeats, 1 BLAS thread; BENCH_evaluate.json).
-EVALUATE_ROWS = 160
-
-
 def summarize_many(
     notes: Sequence[TokenSequence],
     prompts: Sequence[TokenSequence],
@@ -324,12 +313,12 @@ def summarize_many(
     train_calibrator and load_calibrator give them; its prefix is decoded
     once and goes before each prompted note. Every prompted note is encoded
     by one encode_many call, which stacks equal-length inputs across the
-    whole call. They are then decoded in blocks of whole notes, EVALUATE_ROWS
-    prompted notes at most (one note when it has more prompts), each note's
-    prompted rows side by side: a note's summaries have similar lengths
-    across prompts, so the rows of a lockstep group tend to finish together.
-    A block takes one decode_greedy call. Each summary equals, token for
-    token, summarizing that pair alone.
+    whole call, and decoded by one decode_greedy call, whose lockstep groups
+    of at most LOCKSTEP_ROWS rows are the one bound on a decode's memory.
+    Each note's prompted rows sit side by side: a note's summaries have
+    similar lengths across prompts, so the rows of a lockstep group tend to
+    finish together. Each summary equals, token for token, summarizing that
+    pair alone.
     """
     if not notes:
         raise ContractError("summarize_many requires at least one note")
@@ -339,12 +328,8 @@ def summarize_many(
         raise ContractError("summarize requires a frozen model")
     prefix = decode_soft_prompt(*calibration, lm) if calibration is not None else None
     contexts = lm.encode_many([prompted_input(p, t, prefix, policy) for t in notes for p in prompts])
-    summaries: list[list[TokenSequence]] = [[] for _ in prompts]
-    block = max(1, EVALUATE_ROWS // len(prompts)) * len(prompts)
-    for lo in range(0, len(contexts), block):
-        for k, row in enumerate(lm.decode_greedy(contexts[lo:lo + block]).rows):
-            summaries[k % len(prompts)].append(row)
-    return tuple(map(tuple, summaries))
+    rows = lm.decode_greedy(contexts).rows
+    return tuple(rows[k::len(prompts)] for k in range(len(prompts)))
 
 
 def summarize(

@@ -394,12 +394,12 @@ def params_digest(params: Mapping[str, DiffValue]) -> str:
 # Rows decoded in lockstep at most. A step multiplies by each shared weight
 # once for its whole group, so it costs about the same at any group size and
 # larger groups take fewer steps; but a group's whole key/value cache is live
-# at once, so peak memory grows with the group. A round of both evaluate arms
-# took 0.624 s in 16-row groups, 0.559 s in 32 and 0.557 s in 40, with heap
-# peaks of 2,184, 2,428 and 2,890 KiB (tools/ab_evaluate.py --lockstep 16,40,
-# medians of 15 interleaved repeats, 1 BLAS thread; BENCH_evaluate.json), and
-# the evaluate benchmark's peak RSS read 39.48, 39.56 and 40.25 MiB (38.83
-# MiB at the parent: 16-row groups of one-row products).
+# at once, so peak memory grows with the group. This is the one bound on a
+# decode's memory: summarize_many hands every prompted note to one call. A
+# round of both evaluate arms took 0.521 s in 16-row groups, 0.471 s in 32 and
+# 0.446 s in 40, with heap peaks of 2,184, 2,427 and 2,890 KiB
+# (tools/ab_evaluate.py --lockstep 16,40, medians of 15 interleaved repeats, 1
+# BLAS thread; BENCH_evaluate.json).
 LOCKSTEP_ROWS = 32
 
 # The row multiples lockstep_row_multiple tries, least first.

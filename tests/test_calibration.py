@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-import promptcal.calibration as calibration_module
+import promptcal.model as model_module
 from promptcal import autodiff as ad
 from promptcal.calibration import (
     DEFAULT_SOFT_TOKEN_TEXT,
@@ -520,21 +520,22 @@ class TestSummarize:
         out = summarize(notes(lm), prompt(lm), short)
         assert len(out.ids) <= 5
 
-    @pytest.mark.parametrize("block_rows", [1, 7, None], ids=["1-row blocks", "7-row blocks", "default block"])
+    @pytest.mark.parametrize("group_rows", [1, 7, None], ids=["1-row groups", "7-row groups", "default groups"])
     @pytest.mark.parametrize("policy", SEPARATOR_POLICIES)
     @pytest.mark.parametrize("calibrated", [False, True], ids=["baseline", "calibrated"])
     def test_summarize_many_equals_summarize_on_every_pair(self, varied_lm, tiny_corpus, ensemble, monkeypatch,
-                                                          calibrated, policy, block_rows):
-        # 3 prompts x 9 notes: 1-row blocks hold one note, 7-row blocks two
-        # (the last one note), the default block all nine
+                                                          calibrated, policy, group_rows):
+        # 3 prompts x 9 notes: 1-row lockstep groups decode each row alone,
+        # 7-row groups end inside a note's prompted rows, the default group
+        # holds all 27
         many_notes = [tokenize(r.findings, varied_lm.vocab) for r in tiny_corpus[:9]]
         prompts = [tokenize(p, varied_lm.vocab) for p in ensemble.prompts[:3]]
         calibration = None
         if calibrated:
             soft = np.random.default_rng(0).normal(size=varied_lm.cfg.embed_dim)
             calibration = (soft, SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, varied_lm.vocab))
-        if block_rows is not None:
-            monkeypatch.setattr(calibration_module, "EVALUATE_ROWS", block_rows)
+        if group_rows is not None:
+            monkeypatch.setattr(model_module, "LOCKSTEP_ROWS", group_rows)
         got = summarize_many(many_notes, prompts, varied_lm, calibration, policy)
         # the model tells the pairs apart, so a summary handed to the wrong one shows
         assert len(set(got)) == len(prompts) and all(len(set(row)) > 1 for row in got)

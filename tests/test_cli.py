@@ -216,6 +216,26 @@ class TestEvaluateCommand:
         lines = (tmp_path / "ablation_tokens.csv").read_text().splitlines()
         assert lines[:4] == expected.splitlines()
 
+    def test_calibrated_arm_scores_differ_from_the_baseline(self, varied_lm, tmp_path):
+        # The pipeline fixture's model decodes the same summaries with and
+        # without its prefix; varied_lm's summaries move with it, so equal
+        # reports here mean the calibrated prefix never reached the decoder.
+        import numpy as np
+
+        from promptcal.calibration import CalibrationConfig, SoftPromptToken
+        from promptcal.checkpoint import save_calibrator, save_model
+
+        cfg = write_config(tmp_path)
+        assert main(["gen-corpus", "--out", str(tmp_path / "test.jsonl"), "--size", "8", "--seed", "2"]) == 0
+        (tmp_path / "out").mkdir()
+        save_model(varied_lm, tmp_path / "out" / "model.bin")
+        soft = np.random.default_rng(0).normal(size=varied_lm.cfg.embed_dim)
+        tok = SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, varied_lm.vocab)
+        save_calibrator(soft, tok, CalibrationConfig(), varied_lm.frozen_digest, tmp_path / "out" / "calibrator.bin")
+        assert main(["evaluate", "--config", str(cfg), "--arm", "both"]) == 0
+        reports = tmp_path / "reports"
+        assert (reports / "run_baseline.csv").read_bytes() != (reports / "run_calibrated.csv").read_bytes()
+
     def test_tampered_model_exits_4(self, pipeline, tmp_path):
         src_tmp, _ = pipeline
         model = tmp_path / "model.bin"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import promptcal.calibration as calibration_module
+import promptcal.model as model_module
 from promptcal.calibration import summarize
 from promptcal.corpus import CorpusRecord, generate_corpus
 from promptcal.errors import ContractError
@@ -403,20 +404,21 @@ def soft_calibration(lm):
 
 
 class TestEnsembleAgainstPerPromptOracle:
-    """evaluate_ensemble's note-major blocks score exactly as evaluating each prompt alone."""
+    """evaluate_ensemble's note-major lockstep groups score exactly as evaluating each prompt alone."""
 
     @pytest.mark.parametrize("model", ["tiny_lm", "varied_lm"])
     @pytest.mark.parametrize("calibrated", [False, True], ids=["baseline", "calibrated"])
-    @pytest.mark.parametrize("n_prompts, n_notes, block_rows, max_len, kwargs", [
-        pytest.param(10, 9, None, None, {}, id="default block, 9 notes"),
-        pytest.param(3, 7, 7, None, {}, id="2-note blocks, 7 notes"),
-        pytest.param(2, 3, 1, None, {}, id="1-note blocks"),
+    # group_rows is LOCKSTEP_ROWS: 7-row groups of 3 prompts end inside a note's prompted rows
+    @pytest.mark.parametrize("n_prompts, n_notes, group_rows, max_len, kwargs", [
+        pytest.param(10, 9, None, None, {}, id="default groups, 9 notes"),
+        pytest.param(3, 7, 7, None, {}, id="7-row groups, 7 notes"),
+        pytest.param(2, 3, 1, None, {}, id="1-row groups"),
         pytest.param(1, 5, None, None, {}, id="one prompt"),
         pytest.param(3, 5, 7, 2, {}, id="max_len 2"),
         pytest.param(3, 5, 7, None, {"policy": "notes_first"}, id="notes_first"),
     ])
     def test_scores_and_summaries_equal_the_per_prompt_loop(self, request, ensemble, monkeypatch, model, calibrated,
-                                                            n_prompts, n_notes, block_rows, max_len, kwargs):
+                                                            n_prompts, n_notes, group_rows, max_len, kwargs):
         import promptcal.harness as harness_module
 
         lm = request.getfixturevalue(model)
@@ -431,8 +433,8 @@ class TestEnsembleAgainstPerPromptOracle:
         notes = [tokenize(r.findings, lm.vocab) for r in corpus]
         expected_summaries = [tuple(summarize(t, tokenize(p, lm.vocab), lm, calibration, **kwargs)
                                     for t in notes) for p in ens.prompts]
-        if block_rows is not None:
-            monkeypatch.setattr(calibration_module, "EVALUATE_ROWS", block_rows)
+        if group_rows is not None:
+            monkeypatch.setattr(model_module, "LOCKSTEP_ROWS", group_rows)
         handed = []
         score = harness_module.evaluate_prompt
 
@@ -448,7 +450,7 @@ class TestEnsembleAgainstPerPromptOracle:
             assert max(len(s.ids) for row in handed for s in row) == max_len
 
     @pytest.mark.parametrize("calibrated", [False, True], ids=["baseline", "calibrated"])
-    def test_shared_work_runs_once_per_arm_and_block(self, tiny_lm, ensemble, monkeypatch, calibrated):
+    def test_shared_work_runs_once_per_arm(self, tiny_lm, ensemble, monkeypatch, calibrated):
         import promptcal.harness as harness_module
 
         corpus = generate_corpus(7, seed=47)
@@ -462,7 +464,7 @@ class TestEnsembleAgainstPerPromptOracle:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(calibration_module, "EVALUATE_ROWS", 6)  # 2 notes x 3 prompts a block
+        monkeypatch.setattr(model_module, "LOCKSTEP_ROWS", 7)  # 3 groups, each ending inside a note
         monkeypatch.setattr(harness_module, "tokenize", counted("tokenize", harness_module.tokenize))
         monkeypatch.setattr(calibration_module, "decode_soft_prompt",
                             counted("decode_soft_prompt", calibration_module.decode_soft_prompt))
@@ -479,7 +481,7 @@ class TestEnsembleAgainstPerPromptOracle:
         assert calls["tokenize"] == len(ens.prompts) + len(corpus)
         assert calls["decode_soft_prompt"] == (1 if calibrated else 0)
         assert calls["encode_many"] == [21]  # every (note, prompt) pair of the arm at once
-        assert calls["decode_greedy"] == 4  # one per block: 6, 6, 6 and 3 rows
+        assert calls["decode_greedy"] == 1  # every pair of the arm at once
 
     def test_empty_corpus_rejected(self, tiny_lm, ensemble):
         with pytest.raises(ContractError, match="non-empty"):

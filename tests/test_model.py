@@ -412,7 +412,7 @@ PRODUCT_DIMS = [(64, 32, 64, 175), (16, 8, 16, 120)]
 
 
 def weight_shapes(d, dh, ffn, vocab_size):
-    """Every weight shape the decoder multiplies a row by."""
+    """Every weight shape a forward pass multiplies rows by, one head's projections at a time."""
     return [(d, dh), (dh, d), (d, ffn), (ffn, d), (d, vocab_size)]
 
 
@@ -457,15 +457,6 @@ class TestStackedProducts:
             expected_s, expected_grad = oracle_causal_softmax_rows(m, g)
             assert s.tobytes() == expected_s.tobytes()
             assert grad.tobytes() == expected_grad.tobytes()
-
-    @pytest.mark.parametrize("shape", sorted({s for dims in PRODUCT_DIMS for s in weight_shapes(*dims)}))
-    def test_stacked_product_equals_one_row_products(self, shape):
-        rng = np.random.default_rng(shape)
-        w = rng.normal(size=shape)
-        for rows in range(1, 60):
-            x = rng.normal(size=(rows, shape[0]))
-            one_row = np.concatenate([x[i:i + 1] @ w for i in range(rows)])
-            np.testing.assert_array_equal((x[:, None, :] @ w)[:, 0], one_row)
 
     @pytest.mark.parametrize("dims", PRODUCT_DIMS)
     def test_2d_products_round_a_row_alike_at_every_row_multiple(self, dims):
@@ -542,51 +533,46 @@ class TestStackedProducts:
                 np.testing.assert_array_equal(mixed[i], row_probs @ v[i])
 
     @pytest.mark.parametrize("d, head_dim", sorted({dims[:2] for dims in PRODUCT_DIMS}))
-    def test_fused_projection_equals_each_heads_product(self, d, head_dim):
-        # as in decode_step: [rows x 1 x d] @ [d x 3*H*dh], every head's wq, then wk, then wv
+    def test_one_row_fused_projection_equals_each_heads_product(self, d, head_dim):
+        # as in a one-row plain-cache decode_step: [1 x d] @ [d x 3*H*dh], every
+        # head's wq, then wk, then wv, against the graph path's per-head products
         heads = d // head_dim
         rng = np.random.default_rng(d)
         w = rng.normal(size=(3, heads, d, head_dim))
         fused = np.concatenate([w[j, h] for j in range(3) for h in range(heads)], axis=1)
-        for rows in range(1, 40):
-            x = rng.normal(size=(rows, 1, d))
-            qkv = (x @ fused).reshape(rows, 3, heads, head_dim).transpose(1, 2, 0, 3)
+        for _ in range(40):
+            x = rng.normal(size=(1, d))
+            qkv = (x @ fused).reshape(3, heads, head_dim)
             for j in range(3):
                 for h in range(heads):
-                    assert qkv[j, h].tobytes() == (x @ w[j, h])[:, 0].tobytes()
+                    assert qkv[j, h].tobytes() == (x @ w[j, h])[0].tobytes()
 
     @pytest.mark.parametrize("d, head_dim", sorted({dims[:2] for dims in PRODUCT_DIMS}))
-    def test_head_batched_attention_equals_the_per_head_loop(self, d, head_dim):
-        # decode_step against the per-head loop it replaced: the query a strided
-        # view of the fused projection, keys and values laid out as in KVCache,
-        # the stacked (probs @ v) @ wo[H] summed in head order
+    def test_head_batched_attention_equals_each_head_and_row_alone(self, d, head_dim):
+        # as in decode_step: the query a strided view of the fused projection,
+        # keys and values laid out as in KVCache, the scores, softmax and mix of
+        # values one stacked product each over every (head, row)
         heads = d // head_dim
         rng = np.random.default_rng(d + 1)
         max_seq_len = 25
         inv_sqrt_dh = 1.0 / np.sqrt(head_dim)
-        wq = rng.normal(size=(heads, d, head_dim))
-        wo = rng.normal(size=(heads, head_dim, d))
-        fused = np.concatenate([*wq, *wq, *wq], axis=1)
+        fused = rng.normal(size=(d, 3 * heads * head_dim))
         for rows in (1, 2, 7, LOCKSTEP_ROWS):
             store = rng.normal(size=(2, max_seq_len, LOCKSTEP_ROWS, heads, head_dim)).transpose(0, 3, 2, 1, 4)
-            x = rng.normal(size=(rows, 1, d))
-            q = (x @ fused).reshape(rows, 3, heads, head_dim).transpose(1, 2, 0, 3)[0]
+            x = rng.normal(size=(rows, d))
+            q = (x @ fused).reshape(rows, 3, heads, 1, head_dim).transpose(1, 2, 0, 3, 4)[0]
             for n in range(1, max_seq_len + 1):
                 keys, values = store[0, :, :rows, :n], store[1, :, :rows, :n]
-                scores = (q[:, :, None, :] @ keys.swapaxes(-1, -2).copy()) * inv_sqrt_dh
+                scores = q @ keys.swapaxes(-1, -2).copy()
+                scores *= inv_sqrt_dh
                 probs = ad.softmax_rows(scores.reshape(-1, n)).reshape(scores.shape)
-                head_out = (probs @ values) @ wo[:, None]
-                summed = head_out[0]
-                for h in range(1, heads):
-                    summed = summed + head_out[h]
-                loop = None
+                mixed = probs @ values
                 for h in range(heads):
-                    one_scores = (x @ wq[h] @ keys[h].swapaxes(-1, -2).copy()) * inv_sqrt_dh
-                    one_probs = ad.softmax_rows(ad.value(one_scores.reshape(-1, n))).data.reshape(one_scores.shape)
-                    one_out = (one_probs @ values[h]) @ wo[h]
-                    loop = one_out if loop is None else loop + one_out
-                    assert probs[h].tobytes() == one_probs.tobytes()
-                assert summed.tobytes() == loop.tobytes()
+                    for i in range(rows):
+                        one_scores = (q[h, i] @ np.ascontiguousarray(keys[h, i]).T.copy()) * inv_sqrt_dh
+                        one_probs = ad.softmax_rows(one_scores)
+                        assert probs[h, i].tobytes() == one_probs.tobytes()
+                        assert mixed[h, i].tobytes() == (one_probs @ np.ascontiguousarray(values[h, i])).tobytes()
 
     @pytest.mark.parametrize("d", sorted({dims[0] for dims in PRODUCT_DIMS}))
     def test_stacked_pooling_equals_per_sequence_mean_rows(self, d):

@@ -31,12 +31,21 @@ def run_tool(tmp_path, script, *args) -> dict:
     return report
 
 
+def working_tree_rev() -> str:
+    """A git revision whose src/promptcal is the working tree's: the commit ``git stash create``
+    makes of the uncommitted changes, or HEAD when there are none. The command writes no file of the
+    tree. Untracked files are not in the stash, so a new file not yet added is missing from that side."""
+    stash = subprocess.run(["git", "stash", "create"], cwd=ROOT, check=True, capture_output=True,
+                           text=True).stdout.strip()
+    return stash or "HEAD"
+
+
 def assert_compared(rows: dict) -> None:
     """Every variant after the first carries the frame's comparison keys."""
     _, *others = rows.values()
     assert others
     for row in others:
-        assert {"median", "q1", "q3", "speedup", "faster_pct"} <= row.keys()
+        assert {"median", "q1", "q3", "speedup", "faster_pct", "resolved"} <= row.keys()
 
 
 @pytest.mark.parametrize("bench", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name)
@@ -52,7 +61,8 @@ def test_committed_bench_command_runs_a_tool_with_its_own_flags(bench):
 
 
 def test_ab_checkpoint_against_head(tmp_path):
-    report = run_tool(tmp_path, "ab_checkpoint.py", "--parent", "HEAD", "--repeats", "4")
+    # both sides are the working tree, so every identity holds before a change is committed
+    report = run_tool(tmp_path, "ab_checkpoint.py", "--parent", working_tree_rev(), "--repeats", "4")
     assert report["saved_model_files_byte_identical"]
     assert report["loaded_state_identical"]
     assert report["digests_equal_own_weight_digest"]
@@ -72,7 +82,8 @@ def test_ab_optim_few_steps(tmp_path):
 
 
 def test_ab_calibrate_few_inputs(tmp_path):
-    report = run_tool(tmp_path, "ab_calibrate.py", "--parent", "HEAD", "--repeats", "2", "--inputs", "4")
+    report = run_tool(tmp_path, "ab_calibrate.py", "--parent", working_tree_rev(), "--repeats", "2",
+                      "--inputs", "4")
     assert report["same_weights"]
     assert report["inputs"] == 4
     for distance in ("mse", "cross_entropy"):

@@ -111,7 +111,8 @@ def main(argv: list[str] | None = None) -> int:
         peak = ", ".join(f"{d} {kib:.0f} KiB" for d, kib in row["heap_peak_kib"].items())
         print(f"{side}: {row['median']:.0f} ms, {row['minor_faults_median']:.0f} minor faults per op, "
               f"heap peak {peak}")
-    print(f"speedup {ops['change']['speedup']} (faster in {ops['change']['faster_pct']}% of repeats); "
+    print(f"speedup {ops['change']['speedup']} (faster in {ops['change']['faster_pct']}% of repeats, "
+          f"resolved: {ops['change']['resolved']}); "
           f"same weights: {same_weights}; bit-identical: {identical}")
     ok = all(row["soft_vector"] and row["loss_curve"] for row in identical.values())
     return 0 if same_weights and ok else 1

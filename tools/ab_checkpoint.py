@@ -96,7 +96,8 @@ def main(argv: list[str] | None = None) -> int:
                        requests=timed)
     for request, row in timed.items():
         print(f"{request}: parent {row['parent']['median']:.0f} us, change {row['change']['median']:.0f} us, "
-              f"speedup {row['change']['speedup']}, change faster in {row['change']['faster_pct']}% of repeats")
+              f"speedup {row['change']['speedup']}, change faster in {row['change']['faster_pct']}% of repeats, "
+              f"resolved: {row['change']['resolved']}")
     print(f"saved model files byte-identical: {model_files_identical}; loaded state identical: "
           f"{loads_identical}; digests equal own weight_digest(): {digests_consistent}")
     return 0 if model_files_identical and loads_identical and digests_consistent else 1

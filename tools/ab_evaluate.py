@@ -21,15 +21,14 @@ calibrator, which the checkout reads. They time two things:
   Lockstep rows are not compared with the parent's: their products run over
   every row at once, which may round their last bits otherwise.
 
-``--blocks`` adds variants of the change with ``calibration.EVALUATE_ROWS``
-set to each listed value, and ``--lockstep`` variants with
-``model.LOCKSTEP_ROWS`` set to each listed value, to size those bounds; every
-variant also reports the tracemalloc heap peak of one round.
+``--lockstep`` adds variants of the change with ``model.LOCKSTEP_ROWS`` set
+to each listed value, to size that bound; every variant also reports the
+tracemalloc heap peak of one round.
 
 Run from the repository root, before committing a change (``--parent HEAD``)
 or after it (``--parent HEAD~1``):
 
-    python3 tools/ab_evaluate.py --parent HEAD [--repeats 15] [--blocks 80,500] [--lockstep 16,40] [--out BENCH_evaluate.json]
+    python3 tools/ab_evaluate.py --parent HEAD [--repeats 15] [--lockstep 16,40] [--out BENCH_evaluate.json]
 """
 
 from __future__ import annotations
@@ -97,13 +96,10 @@ def lone_steps(lm, contexts, tokens, multiple) -> np.ndarray:
 
 def main(argv: list[str] | None = None) -> int:
     ap = abkit.parser(__doc__, "BENCH_evaluate.json", repeats=15)
-    ap.add_argument("--blocks", default="", help="comma-separated EVALUATE_ROWS values to time as well")
     ap.add_argument("--lockstep", default="", help="comma-separated LOCKSTEP_ROWS values to time as well")
     args = ap.parse_args(argv)
-    blocks = [int(b) for b in args.blocks.split(",") if b]
     lockstep = [int(rows) for rows in args.lockstep.split(",") if rows]
-    shipped = promptcal.calibration.EVALUATE_ROWS
-    shipped_lockstep = promptcal.model.LOCKSTEP_ROWS
+    shipped = promptcal.model.LOCKSTEP_ROWS
     artifacts = frozen_model.ensure()
     prompts = harness.load_default_ensemble().prompts
     corpus = bundled_test_corpus()
@@ -114,19 +110,17 @@ def main(argv: list[str] | None = None) -> int:
         parent_lm, parent_calibration = load_parent(parent, artifacts, calibration)
     same_weights = same_model(parent_lm, lm)
 
-    def change_round(rows=shipped, group=shipped_lockstep):
-        promptcal.calibration.EVALUATE_ROWS, promptcal.model.LOCKSTEP_ROWS = rows, group
+    def change_round(group=shipped):
+        promptcal.model.LOCKSTEP_ROWS = group
         try:
             return evaluate_round(promptcal, lm, calibration, prompts, corpus)
         finally:
-            promptcal.calibration.EVALUATE_ROWS, promptcal.model.LOCKSTEP_ROWS = shipped, shipped_lockstep
+            promptcal.model.LOCKSTEP_ROWS = shipped
 
     variants = {"parent": partial(evaluate_round, parent, parent_lm, parent_calibration, prompts, corpus),
                 "change": change_round}
-    for rows in blocks:
-        variants[f"change_rows_{rows}"] = partial(change_round, rows)
     for group in lockstep:
-        variants[f"change_lockstep_{group}"] = partial(change_round, group=group)
+        variants[f"change_lockstep_{group}"] = partial(change_round, group)
 
     parent_runs, parent_report = variants["parent"]()
     identical, heap_peak_kib = {}, {}
@@ -139,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
             a.per_prompt_scores == b.per_prompt_scores for a, b in zip(runs, parent_runs)))
 
     model = promptcal.model
-    multiple = model.lockstep_row_multiple(model.decoder_product_shapes(lm.cfg, lm.vocab.size), shipped_lockstep)
+    multiple = model.lockstep_row_multiple(model.decoder_product_shapes(lm.cfg, lm.vocab.size), shipped)
     rng = np.random.default_rng(0)
     steps, lockstep_identical = {}, {}
     for rows in STEP_ROWS:
@@ -168,10 +162,10 @@ def main(argv: list[str] | None = None) -> int:
         args.out, argv, "both arms of evaluate_ensemble over the bundled 10 prompts x 50 notes, then "
         "compare_runs and the csv report; and one cached decoder step; parent vs checkout, interleaved in "
         "one process",
-        frozen_model=lm.frozen_digest[:16], same_weights=same_weights, evaluate_rows=shipped,
+        frozen_model=lm.frozen_digest[:16], same_weights=same_weights,
         repeats=args.repeats, summaries_per_round=summaries, round_s=rounds, summaries_per_s=per_s,
         heap_peak_kib=heap_peak_kib, identical_to_parent=identical, decode_step_us=step_us,
-        lockstep_rows=shipped_lockstep, row_multiple=multiple,
+        lockstep_rows=shipped, row_multiple=multiple,
         one_row_steps_identical_to_parent=parent_identical,
         lockstep_rows_identical_to_lone=lockstep_identical)
     for variant, row in rounds.items():

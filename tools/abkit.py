@@ -120,15 +120,20 @@ def interleave(calls: dict[Hashable, Callable[[], object]], repeats: int) -> dic
 
 def compare(times: dict[str, list[float]], scale: float = 1e3, digits: int = 1) -> dict[str, dict]:
     """Each variant's quartiles, times scale; every variant after the first also gets ``speedup``,
-    the first's median over its own, and ``faster_pct``, the share of repeats in which it beat the
-    first's time of the same repeat."""
+    the first's median over its own, ``faster_pct``, the share of repeats in which it beat the
+    first's time of the same repeat, and ``resolved``: whether it beat the first in at least 90% of
+    repeats and the medians differ by more than the first's q3 - q1, the least evidence a gain
+    needs."""
     (base_name, base), *_ = times.items()
+    base_q1, base_median, base_q3 = statistics.quantiles(base, n=4)
     rows = {}
     for name, xs in times.items():
         rows[name] = quartiles([x * scale for x in xs], digits)
         if name != base_name:
-            rows[name]["speedup"] = round(statistics.median(base) / statistics.median(xs), 3)
-            rows[name]["faster_pct"] = round(100.0 * sum(x < b for b, x in zip(base, xs)) / len(xs), 1)
+            faster = sum(x < b for b, x in zip(base, xs)) / len(xs)
+            rows[name]["speedup"] = round(base_median / statistics.median(xs), 3)
+            rows[name]["faster_pct"] = round(100.0 * faster, 1)
+            rows[name]["resolved"] = faster >= 0.9 and base_median - statistics.median(xs) > base_q3 - base_q1
     return rows
 
 
