@@ -520,14 +520,15 @@ class TestSummarize:
         out = summarize(notes(lm), prompt(lm), short)
         assert len(out.ids) <= 5
 
-    @pytest.mark.parametrize("group_rows", [1, 7, None], ids=["1-row groups", "7-row groups", "default groups"])
+    @pytest.mark.parametrize("group_rows", [1, 3, 7, None],
+                             ids=["1-row groups", "3-row groups", "7-row groups", "default groups"])
     @pytest.mark.parametrize("policy", SEPARATOR_POLICIES)
     @pytest.mark.parametrize("calibrated", [False, True], ids=["baseline", "calibrated"])
     def test_summarize_many_equals_summarize_on_every_pair(self, varied_lm, tiny_corpus, ensemble, monkeypatch,
                                                           calibrated, policy, group_rows):
         # 3 prompts x 9 notes: 1-row lockstep groups decode each row alone,
-        # 7-row groups end inside a note's prompted rows, the default group
-        # holds all 27
+        # 3-row groups hold exactly one note's prompted rows, 7-row groups
+        # end inside a note's prompted rows, the default group holds all 27
         many_notes = [tokenize(r.findings, varied_lm.vocab) for r in tiny_corpus[:9]]
         prompts = [tokenize(p, varied_lm.vocab) for p in ensemble.prompts[:3]]
         calibration = None

@@ -408,10 +408,12 @@ class TestEnsembleAgainstPerPromptOracle:
 
     @pytest.mark.parametrize("model", ["tiny_lm", "varied_lm"])
     @pytest.mark.parametrize("calibrated", [False, True], ids=["baseline", "calibrated"])
-    # group_rows is LOCKSTEP_ROWS: 7-row groups of 3 prompts end inside a note's prompted rows
+    # group_rows is LOCKSTEP_ROWS: 7-row groups of 3 prompts end inside a note's prompted rows,
+    # 3-row groups of 3 prompts hold exactly one note's prompted rows
     @pytest.mark.parametrize("n_prompts, n_notes, group_rows, max_len, kwargs", [
         pytest.param(10, 9, None, None, {}, id="default groups, 9 notes"),
         pytest.param(3, 7, 7, None, {}, id="7-row groups, 7 notes"),
+        pytest.param(3, 7, 3, None, {}, id="3-row groups, 7 notes"),
         pytest.param(2, 3, 1, None, {}, id="1-row groups"),
         pytest.param(1, 5, None, None, {}, id="one prompt"),
         pytest.param(3, 5, 7, 2, {}, id="max_len 2"),
