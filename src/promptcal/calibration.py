@@ -19,10 +19,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DiffValue
 from .errors import ContractError, ShapeError, TrainingError
-from .model import (STALL_WINDOW, ConvergenceRule, EncoderDecoderLM, at_least_one, check_fields, positive,
-                    sequence_forward)
+from .model import ConvergenceRule, EncoderDecoderLM, at_least_one, check_fields, positive, sequence_forward
 from .optim import Adam
-from .vocab import UNK_ID, TokenSequence, Vocabulary, concat, sep_sequence, tokenize, word_tokens
+from .vocab import TokenSequence, Vocabulary, concat, sep_sequence, tokenize, word_tokens
 
 DEFAULT_SOFT_TOKEN_TEXT = "radiologist describe stable normality and abnormality exam"
 OOD_SOFT_TOKEN_TEXT = "##1 ##2"
@@ -42,7 +41,6 @@ class SoftPromptToken:
 
     text: str
     ids: TokenSequence
-    in_distribution: bool
     length: int
 
     @classmethod
@@ -50,12 +48,7 @@ class SoftPromptToken:
         seq = tokenize(text, vocab)
         if not seq.ids:
             raise ContractError("soft prompt token must contain at least one token")
-        return cls(
-            text=text,
-            ids=seq,
-            in_distribution=UNK_ID not in seq.ids,
-            length=len(seq.ids),
-        )
+        return cls(text=text, ids=seq, length=len(seq.ids))
 
     def truncated(self, length: int, vocab: Vocabulary) -> "SoftPromptToken":
         """This token cut to its first `length` tokens; a punctuation mark counts as one."""
@@ -252,7 +245,7 @@ def train_calibrator(
                                                 for t in corpus_inputs for p in prompts)])
     objective = CalibrationObjective(pooled[:len(corpus_inputs)], pooled[len(corpus_inputs):], config.distance)
 
-    rule = ConvergenceRule(config.convergence_tol, STALL_WINDOW)
+    rule = ConvergenceRule(config.convergence_tol)
     for epoch in range(1, config.max_epochs + 1):
         soft = enc.encode_pooled(tok.ids.ids)
         loss = objective(soft)
@@ -270,29 +263,21 @@ def train_calibrator(
     return soft.data
 
 
-def decode_soft_prompt(
-    soft: np.ndarray,
-    tok: SoftPromptToken,
-    lm: EncoderDecoderLM,
-    k: int | None = None,
-) -> TokenSequence:
-    """Project the soft vector onto k vocabulary tokens by residual nearest-row search.
+def decode_soft_prompt(soft: np.ndarray, tok: SoftPromptToken, lm: EncoderDecoderLM) -> TokenSequence:
+    """Project the soft vector onto vocabulary tokens by residual nearest-row search.
 
     Slot i targets the soft vector minus the mean embedding of the rows already
-    chosen, so successive tokens cover complementary directions. The default
-    length is capped at two tokens: longer decoded prefixes leak spurious
-    content words into the order-free pooled context and measurably depress
-    summary quality, while a short prefix keeps the variance damping.
+    chosen, so successive tokens cover complementary directions. The prefix
+    has min(DEFAULT_SOFT_PREFIX_LEN, tok.length) tokens: longer decoded
+    prefixes leak spurious content words into the order-free pooled context
+    and measurably depress summary quality, while a short prefix keeps the
+    variance damping.
     """
     if not lm.frozen:
         raise ContractError("decode_soft_prompt requires a frozen model")
-    if k is None:
-        k = min(DEFAULT_SOFT_PREFIX_LEN, tok.length)
-    if k < 1:
-        raise ContractError(f"k must be >= 1, got {k}")
     table = lm.params["enc.embed"].data
     chosen: list[int] = []
-    for _ in range(k):
+    for _ in range(min(DEFAULT_SOFT_PREFIX_LEN, tok.length)):
         target = soft if not chosen else soft - table[chosen].mean(axis=0)
         chosen.append(lm.nearest_token(target))
     surface = " ".join(lm.vocab.token_of(i) for i in chosen)

@@ -24,7 +24,6 @@ from .vocab import TokenSequence, detokenize, tokenize
 @dataclass(frozen=True)
 class PromptEnsemble:
     prompts: tuple[str, ...]
-    source_label: str = "llm_generated"
 
     def __post_init__(self):
         if not self.prompts:
@@ -39,14 +38,14 @@ class PromptEnsemble:
         return h.hexdigest()
 
     @classmethod
-    def from_file(cls, path: str | Path, source_label: str | None = None) -> "PromptEnsemble":
+    def from_file(cls, path: str | Path) -> "PromptEnsemble":
         prompts = []
         for line in read_utf8(path).splitlines():
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
             prompts.append(stripped)
-        return cls(tuple(prompts), source_label or Path(path).stem)
+        return cls(tuple(prompts))
 
 
 def default_prompt_file() -> Path:
@@ -55,7 +54,7 @@ def default_prompt_file() -> Path:
 
 
 def load_default_ensemble() -> PromptEnsemble:
-    return PromptEnsemble.from_file(default_prompt_file(), source_label="llm_generated")
+    return PromptEnsemble.from_file(default_prompt_file())
 
 
 @dataclass(frozen=True)

@@ -562,9 +562,7 @@ class EncoderDecoderLM:
                 pooled[chunk] = x.mean(axis=1)
         return pooled
 
-    def decode_greedy(
-        self, context: DiffValue | np.ndarray, max_len: int | None = None
-    ) -> TokenSequence | DecodedRows:
+    def decode_greedy(self, context: DiffValue | np.ndarray) -> TokenSequence | DecodedRows:
         """Greedy autoregressive decode conditioned on a pooled d-vector, or on each row of a [B x d] matrix.
 
         A d-vector gives its TokenSequence; a matrix gives DecodedRows, whose
@@ -574,40 +572,37 @@ class EncoderDecoderLM:
         ones, and multiplies by each shared weight once for the whole group,
         over a multiple of lockstep_row_multiple rows. A lone row is such a
         group too, so each row's bits are those of decoding it alone. A row
-        stops after EOS, after max_len tokens, or when the prefix to feed next
-        would reach max_seq_len.
+        stops after EOS, after cfg.decode_max_len tokens, or when the prefix to
+        feed next would reach max_seq_len.
         """
         self._require_frozen("decode_greedy")
-        if max_len is None:
-            max_len = self.cfg.decode_max_len
-        if max_len < 1:
-            raise ContractError(f"max_len must be >= 1, got {max_len}")
         # argmax has no gradient, so the decode runs on a constant context.
         ctx = context.data if isinstance(context, DiffValue) else np.asarray(context, dtype=np.float64)
         d = self.cfg.embed_dim
         if ctx.shape == (d,):
-            return self._decode_lockstep(ctx[None, :], max_len)[0]
+            return self._decode_lockstep(ctx[None, :])[0]
         if ctx.ndim != 2 or ctx.shape[1] != d or len(ctx) == 0:
             raise ShapeError(f"context must be a length-{d} vector or a non-empty [B x {d}] "
                              f"matrix, got {ctx.shape}")
         rows: list[TokenSequence] = []
         for lo in range(0, len(ctx), LOCKSTEP_ROWS):
-            rows += self._decode_lockstep(ctx[lo:lo + LOCKSTEP_ROWS], max_len)
+            rows += self._decode_lockstep(ctx[lo:lo + LOCKSTEP_ROWS])
         return DecodedRows(tuple(rows))
 
-    def _decode_lockstep(self, ctx: np.ndarray, max_len: int) -> list[TokenSequence]:
+    def _decode_lockstep(self, ctx: np.ndarray) -> list[TokenSequence]:
         """One lockstep group: the greedy decode of each row of ctx."""
         params, cfg = self.params, self.cfg
         multiple = lockstep_row_multiple(decoder_product_shapes(cfg, self.vocab.size), LOCKSTEP_ROWS)
         # A cache sized to the positions the decode can feed: a smaller block
         # to allocate, and measurably less peak memory than a max_seq_len one.
-        cache = KVCache(cfg, rows=len(ctx), positions=min(max_len, cfg.max_seq_len), row_multiple=multiple)
+        cache = KVCache(cfg, rows=len(ctx), positions=min(cfg.decode_max_len, cfg.max_seq_len),
+                        row_multiple=multiple)
         out_proj = params["dec.out"].data
         context = ad.value(ctx)
         slot_rows = list(range(len(ctx)))  # the row of ctx each live cache row decodes
         outs: list[list[int]] = [[] for _ in slot_rows]
         tokens = [BOS_ID] * len(ctx)
-        for _ in range(max_len):
+        for _ in range(cfg.decode_max_len):
             x = sequence_forward(params, "dec", tokens, cfg, context=context, causal=True, cache=cache)
             # Over every product row, as the step's products; ties resolve to the lowest id.
             tokens = (x.data @ out_proj)[:len(tokens)].argmax(axis=1).tolist()
@@ -669,11 +664,10 @@ STALL_WINDOW = 10
 
 
 class ConvergenceRule:
-    """Stops after `window` consecutive epochs of sub-tolerance relative improvement."""
+    """Stops after STALL_WINDOW consecutive epochs of sub-tolerance relative improvement."""
 
-    def __init__(self, tol: float, window: int):
+    def __init__(self, tol: float):
         self.tol = tol
-        self.window = window
         self._prev: float | None = None
         self._quiet = 0
 
@@ -682,7 +676,7 @@ class ConvergenceRule:
             improvement = (self._prev - loss) / max(abs(self._prev), 1e-12)
             self._quiet = self._quiet + 1 if improvement < self.tol else 0
         self._prev = loss
-        return self._quiet >= self.window
+        return self._quiet >= STALL_WINDOW
 
 
 def clip_gradients(params: Sequence[DiffValue], max_norm: float) -> None:
@@ -764,7 +758,7 @@ def pretrain(
         freeze_encoder_side()
     trainable = lm.trainable()
     opt = Adam(trainable, learning_rate=config.learning_rate)
-    rule = ConvergenceRule(config.convergence_tol, STALL_WINDOW)
+    rule = ConvergenceRule(config.convergence_tol)
     bare: np.ndarray | None = None  # the frozen encoder's pooled bare sources
     for epoch in range(1, config.max_epochs + 1):
         steps = draw_epoch()

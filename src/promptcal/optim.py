@@ -30,6 +30,11 @@ from .errors import ContractError
 # chunks the same as it within run-to-run noise (0.15 MiB).
 _CHUNK = 16384
 
+# The moment decay rates and the denominator's floor (Kingma & Ba 2015's defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 def _check_params(params: Sequence[DiffValue]) -> tuple[DiffValue, ...]:
     out = tuple(params)
@@ -46,21 +51,11 @@ def _check_params(params: Sequence[DiffValue]) -> tuple[DiffValue, ...]:
 class Adam:
     """Adaptive-moment rule with bias-corrected first and second moments (Kingma & Ba 2015)."""
 
-    def __init__(
-        self,
-        params: Sequence[DiffValue],
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: Sequence[DiffValue], learning_rate: float = 1e-3):
         if learning_rate <= 0:
             raise ContractError(f"learning_rate must be positive, got {learning_rate}")
         self.params = _check_params(params)
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         size = sum(p.data.size for p in self.params)
         self._data = np.empty(size, dtype=np.float64)
@@ -83,7 +78,7 @@ class Adam:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        b1, b2, lr, eps = self.beta1, self.beta2, self.learning_rate, self.eps
+        b1, b2, lr, eps = BETA1, BETA2, self.learning_rate, EPS
         bc1 = 1.0 - b1**t
         bc2 = 1.0 - b2**t
         # Per element, in this order: m = m*b1 + (1-b1)*g; v = v*b2 + ((1-b2)*g)*g;

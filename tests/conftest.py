@@ -3,9 +3,11 @@ a collector that prints one line per acceptance criterion at session end."""
 
 from __future__ import annotations
 
+import ctypes
 import os
 import platform
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,8 +32,33 @@ def acceptance_log():
     return record_acceptance
 
 
+def openblas_libraries() -> list[Path]:
+    """The scipy-openblas libraries a numpy wheel bundles in numpy.libs/; none for other builds."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    return sorted(libs.glob("libscipy_openblas64_*.so"))
+
+
+def openblas_corename() -> str:
+    """The kernel the running OpenBLAS picked (or OPENBLAS_CORETYPE forced), such as SkylakeX.
+
+    Read through ctypes from scipy_openblas_get_corename64_; loading the
+    library numpy has already loaded gives that same instance. "unknown" when
+    no library is found or none exports the symbol.
+    """
+    for path in openblas_libraries():
+        try:
+            get_corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        get_corename.restype = ctypes.c_char_p
+        name = get_corename()
+        if name:
+            return name.decode("ascii", "replace")
+    return "unknown"
+
+
 def platform_fingerprint() -> str:
-    """Interpreter, numpy and BLAS build: the float path the criteria's numbers came from.
+    """Interpreter, numpy, BLAS build and running BLAS kernel: the float path the criteria's numbers came from.
 
     The BLAS name and version come from np.show_config(mode="dicts"), which
     numpy < 1.26 lacks; the BLAS is then reported as unknown.
@@ -42,7 +69,8 @@ def platform_fingerprint() -> str:
         blas = f"{deps.get('name')} {deps.get('version')}"
     except (TypeError, KeyError):
         pass
-    parts = [f"Python {platform.python_version()}", f"numpy {np.__version__}", f"BLAS {blas}"]
+    parts = [f"Python {platform.python_version()}", f"numpy {np.__version__}", f"BLAS {blas}",
+             f"BLAS kernel {openblas_corename()}"]
     coretype = os.environ.get("OPENBLAS_CORETYPE")
     if coretype:
         parts.append(f"OPENBLAS_CORETYPE={coretype}")

@@ -3,7 +3,6 @@ the alignment loss, the calibration objective against the graph it replaced,
 the training loop and its heap peak, projection, and summarization."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ import pytest
 import promptcal.model as model_module
 from promptcal import autodiff as ad
 from promptcal.calibration import (
+    DEFAULT_SOFT_PREFIX_LEN,
     DEFAULT_SOFT_TOKEN_TEXT,
     OOD_SOFT_TOKEN_TEXT,
     SEPARATOR_POLICIES,
@@ -40,7 +40,7 @@ from tests.test_autodiff import (
     gap_closure,
     optimal_soft_vector,
 )
-from tests.test_model import oracle_forward, recompute_greedy
+from tests.test_model import decoding_at_most, oracle_forward, recompute_greedy
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +68,11 @@ def prompt(lm, text="summarize the following clinical notes."):
 
 class TestSoftPromptToken:
     def test_default_token_is_in_distribution(self, tok):
-        assert tok.in_distribution
+        assert UNK_ID not in tok.ids.ids
         assert tok.length == 7
 
     def test_ood_token_detected(self, lm):
         t = SoftPromptToken.from_text(OOD_SOFT_TOKEN_TEXT, lm.vocab)
-        assert not t.in_distribution
         assert UNK_ID in t.ids.ids
 
     def test_empty_rejected(self, lm):
@@ -444,13 +443,13 @@ def trained_soft(lm, tok, train_inputs_prompts):
 
 class TestDecodeSoftPrompt:
     def test_k1_is_plain_nearest_token(self, lm, trained_soft, tok):
-        out = decode_soft_prompt(trained_soft, tok, lm, k=1)
+        out = decode_soft_prompt(trained_soft, tok.truncated(1, lm.vocab), lm)
         assert out.ids == (lm.nearest_token(trained_soft),)
 
     def test_k1_matches_full_scan(self, lm, trained_soft, tok):
         table = lm.params["enc.embed"].data
         dists = ((table - trained_soft[None, :]) ** 2).sum(axis=1)
-        assert decode_soft_prompt(trained_soft, tok, lm, k=1).ids[0] == int(np.argmin(dists))
+        assert decode_soft_prompt(trained_soft, tok.truncated(1, lm.vocab), lm).ids == (int(np.argmin(dists)),)
 
     def test_deterministic(self, lm, trained_soft, tok):
         a = decode_soft_prompt(trained_soft, tok, lm)
@@ -458,8 +457,6 @@ class TestDecodeSoftPrompt:
         assert a.ids == b.ids
 
     def test_default_prefix_is_capped(self, lm, trained_soft, tok):
-        from promptcal.calibration import DEFAULT_SOFT_PREFIX_LEN
-
         got = len(decode_soft_prompt(trained_soft, tok, lm).ids)
         assert got == min(DEFAULT_SOFT_PREFIX_LEN, tok.length)
 
@@ -471,10 +468,10 @@ class TestDecodeSoftPrompt:
         assert len(decode_soft_prompt(soft, short, lm).ids) == 2
 
     def test_residual_projection_rule(self, lm, trained_soft, tok):
-        out = decode_soft_prompt(trained_soft, tok, lm, k=3)
+        out = decode_soft_prompt(trained_soft, tok, lm)
         table = lm.params["enc.embed"].data
         chosen = []
-        for _ in range(3):
+        for _ in range(DEFAULT_SOFT_PREFIX_LEN):  # the second slot is the first residual one
             target = trained_soft if not chosen else trained_soft - table[chosen].mean(axis=0)
             dists = ((table - target[None, :]) ** 2).sum(axis=1)
             chosen.append(int(np.argmin(dists)))
@@ -515,9 +512,7 @@ class TestSummarize:
         assert out.ids == recompute_greedy(lm, pooled, lm.cfg.decode_max_len)
 
     def test_length_bounded(self, lm):
-        short = EncoderDecoderLM(lm.vocab, replace(lm.cfg, decode_max_len=5), lm.params)
-        short.freeze()
-        out = summarize(notes(lm), prompt(lm), short)
+        out = summarize(notes(lm), prompt(lm), decoding_at_most(lm, 5))
         assert len(out.ids) <= 5
 
     @pytest.mark.parametrize("group_rows", [1, 3, 7, None],

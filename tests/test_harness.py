@@ -5,7 +5,6 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from promptcal.harness import (
 from promptcal.model import EncoderDecoderLM
 from promptcal.rouge import VARIANTS
 from promptcal.vocab import TokenSequence, tokenize
+from tests.test_model import decoding_at_most
 
 
 class TestPromptEnsemble:
@@ -425,9 +425,7 @@ class TestEnsembleAgainstPerPromptOracle:
 
         lm = request.getfixturevalue(model)
         if max_len is not None:
-            # the same weights, every decode cut at max_len tokens
-            lm = EncoderDecoderLM(lm.vocab, replace(lm.cfg, decode_max_len=max_len), lm.params)
-            lm.freeze()
+            lm = decoding_at_most(lm, max_len)
         corpus = generate_corpus(n_notes, seed=46)
         ens = PromptEnsemble(ensemble.prompts[:n_prompts])
         calibration = soft_calibration(lm) if calibrated else None

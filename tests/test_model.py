@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ from promptcal.model import (
     ENCODE_ROWS,
     LOCKSTEP_ROWS,
     ROW_MULTIPLES,
+    STALL_WINDOW,
+    ConvergenceRule,
     DecodedRows,
     EncoderDecoderLM,
     KVCache,
@@ -68,6 +71,13 @@ def oracle_forward(lm, side, ids, context=None, causal=False):
         x = x + attn
         x = x + np.tanh(x @ p[f"{side}.b{b}.ffn.w1"]) @ p[f"{side}.b{b}.ffn.w2"]
     return x
+
+
+def decoding_at_most(lm, decode_max_len):
+    """A frozen copy of the frozen lm, on the same weights, whose every decode stops after decode_max_len tokens."""
+    short = EncoderDecoderLM(lm.vocab, replace(lm.cfg, decode_max_len=decode_max_len), lm.params)
+    short.freeze()
+    return short
 
 
 def recompute_greedy(lm, context, max_len):
@@ -201,10 +211,11 @@ class TestDecodeGreedy:
         assert a.ids == b.ids
 
     def test_length_bounded(self, lm):
+        short = decoding_at_most(lm, 6)
         rng = np.random.default_rng(0)
         for _ in range(5):
             ctx = ad.value(rng.normal(size=lm.cfg.embed_dim))
-            out = lm.decode_greedy(ctx, max_len=6)
+            out = short.decode_greedy(ctx)
             assert len(out.ids) <= 6
 
     def test_stops_after_eos(self, lm):
@@ -215,12 +226,12 @@ class TestDecodeGreedy:
 
     def test_argmax_matches_step_logit_oracle(self, lm):
         ctx = lm.encode(seq(lm, "mild congestion.")).pooled
-        assert lm.decode_greedy(ctx, max_len=8).ids == recompute_greedy(lm, ctx.data, max_len=8)
+        assert decoding_at_most(lm, 8).decode_greedy(ctx).ids == recompute_greedy(lm, ctx.data, max_len=8)
 
     def test_stop_length_matches_recompute_oracle(self):
-        # max_len beyond max_seq_len: the decode stops once the prefix it
-        # would feed next reaches max_seq_len, after max_seq_len - 1 tokens
-        cfg = ModelConfig(embed_dim=16, n_blocks=1, n_heads=2, ffn_dim=16, max_seq_len=8)
+        # decode_max_len beyond max_seq_len: the decode stops once the prefix
+        # it would feed next reaches max_seq_len, after max_seq_len - 1 tokens
+        cfg = ModelConfig(embed_dim=16, n_blocks=1, n_heads=2, ffn_dim=16, max_seq_len=8, decode_max_len=20)
         lm = EncoderDecoderLM.initialize(Vocabulary([f"w{i}" for i in range(40)]), cfg, seed=3)
         lm.freeze()
         rng = np.random.default_rng(5)
@@ -228,7 +239,7 @@ class TestDecodeGreedy:
         for _ in range(5):
             ctx = rng.normal(size=cfg.embed_dim)
             expected = recompute_greedy(lm, ctx, max_len=20)
-            assert lm.decode_greedy(ctx, max_len=20).ids == expected
+            assert lm.decode_greedy(ctx).ids == expected
             lengths.append(len(expected))
         assert cfg.max_seq_len - 1 in lengths
 
@@ -620,7 +631,7 @@ class TestLockstepDecode:
     @pytest.mark.parametrize("max_len", [6, 20], ids=["max_len", "max_seq_len"])
     def test_rows_stop_at_eos_max_len_and_max_seq_len_on_different_steps(self, stopping_lm, max_len):
         lm, contexts = stopping_lm
-        rows = lm.decode_greedy(contexts, max_len=max_len).rows
+        rows = decoding_at_most(lm, max_len).decode_greedy(contexts).rows
         eos_steps = {len(r.ids) for r in rows if r.ids[-1] == EOS_ID}
         cut = [len(r.ids) for r in rows if r.ids[-1] != EOS_ID]
         assert len(eos_steps) >= 4
@@ -630,10 +641,11 @@ class TestLockstepDecode:
     @pytest.mark.parametrize("n_rows", [1, 2, 7, 16, 17, 50])
     def test_matrix_decode_equals_per_row_decode_and_oracle(self, stopping_lm, n_rows, max_len):
         lm, contexts = stopping_lm
-        decoded = lm.decode_greedy(contexts[:n_rows], max_len=max_len)
+        short = decoding_at_most(lm, max_len)
+        decoded = short.decode_greedy(contexts[:n_rows])
         assert isinstance(decoded, DecodedRows) and len(decoded.rows) == n_rows
         for ctx, row in zip(contexts, decoded.rows):
-            assert row.ids == lm.decode_greedy(ctx, max_len=max_len).ids
+            assert row.ids == short.decode_greedy(ctx).ids
             assert row.ids == recompute_greedy(lm, ctx, max_len)
         assert decoded.ids == sum((row.ids for row in decoded.rows), ())
 
@@ -698,7 +710,7 @@ class TestLockstepDecode:
         built = []
         block_weights = model_module.block_weights
         monkeypatch.setattr(model_module, "block_weights", lambda *args: built.append(args) or block_weights(*args))
-        lm.decode_greedy(contexts[:LOCKSTEP_ROWS + 1], max_len=6)
+        decoding_at_most(lm, 6).decode_greedy(contexts[:LOCKSTEP_ROWS + 1])
         assert len(built) == 2
 
     def test_compaction_keeps_the_live_rows_in_order(self, stopping_lm):
@@ -763,7 +775,7 @@ def oracle_pretrain(corpus, config, log_fn):
     trainable = lm.trainable()
     opt = model_module.Adam(trainable, learning_rate=config.learning_rate)
     rng = np.random.default_rng(config.seed)
-    rule = model_module.ConvergenceRule(config.convergence_tol, model_module.STALL_WINDOW)
+    rule = model_module.ConvergenceRule(config.convergence_tol)
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(examples))
         total = 0.0
@@ -820,7 +832,7 @@ class TestPretrain:
         assert got == expected
         # convergence_tol=1.0 makes every epoch after the first a quiet one
         converges = settings.get("convergence_tol") == 1.0
-        assert len(got[1]) == (model_module.STALL_WINDOW + 1 if converges else config.max_epochs)
+        assert len(got[1]) == (STALL_WINDOW + 1 if converges else config.max_epochs)
 
     @pytest.mark.parametrize("noise_prob, encode_many_sizes", [(0.0, [16]), (1.0, [16, 16, 16])])
     def test_decoder_only_epochs_encode_through_encode_many(self, tiny_corpus, monkeypatch,
@@ -1045,30 +1057,35 @@ class TestPositions:
             assert not np.allclose(table[i], table[i + 1])
 
 
+def quiet_losses(start, n):
+    """n losses after start, each improving on the last by far less than a tolerance of 1e-3."""
+    return [start * (1.0 - 1e-5 * k) for k in range(1, n + 1)]
+
+
 class TestConvergenceRule:
     def test_fires_after_window_quiet_epochs(self):
-        from promptcal.model import ConvergenceRule
-
-        rule = ConvergenceRule(tol=1e-3, window=3)
+        rule = ConvergenceRule(tol=1e-3)
         assert not rule.update(1.0)
-        for loss in (0.99995, 0.99994, 0.99993)[:-1]:
+        *before, last = quiet_losses(1.0, STALL_WINDOW)
+        for loss in before:
             assert not rule.update(loss)
-        assert rule.update(0.99993)
+        assert rule.update(last)
 
     def test_real_improvement_resets_the_window(self):
-        from promptcal.model import ConvergenceRule
-
-        rule = ConvergenceRule(tol=1e-3, window=2)
+        rule = ConvergenceRule(tol=1e-3)
         rule.update(1.0)
-        assert not rule.update(0.9999)  # quiet 1
+        for loss in quiet_losses(1.0, STALL_WINDOW - 1):  # one quiet epoch short
+            assert not rule.update(loss)
         assert not rule.update(0.5)  # big improvement: reset
-        assert not rule.update(0.49999)  # quiet 1
-        assert rule.update(0.49998)  # quiet 2: fire
+        *before, last = quiet_losses(0.5, STALL_WINDOW)
+        for loss in before:
+            assert not rule.update(loss)
+        assert rule.update(last)  # STALL_WINDOW quiet epochs since the reset: fire
 
     def test_loss_increase_counts_as_quiet(self):
-        from promptcal.model import ConvergenceRule
-
-        rule = ConvergenceRule(tol=1e-3, window=2)
+        rule = ConvergenceRule(tol=1e-3)
         rule.update(1.0)
-        assert not rule.update(1.1)
-        assert rule.update(1.2)
+        rising = [1.0 + 0.1 * k for k in range(1, STALL_WINDOW + 1)]
+        for loss in rising[:-1]:
+            assert not rule.update(loss)
+        assert rule.update(rising[-1])

@@ -11,6 +11,11 @@ the next variant, so drift in machine load falls on every variant alike.
 After the last step every variant's parameters must equal the oracle's bit
 for bit.
 
+The oracle is imported, not copied: ``tests/test_autodiff.py`` holds the flat
+rule to the same ``OracleAdam`` bit for bit, so the tool and the tests share
+one reference, and a second copy here could drift from it. The tool therefore
+runs only in a checkout that has ``tests/``.
+
 Run from the repository root:
 
     python3 tools/ab_optim.py [--steps 400] [--out BENCH_optim.json]

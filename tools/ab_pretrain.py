@@ -16,6 +16,14 @@ BLAS thread) the parent's q3 - q1 read 13.1%, 12.7%, 21.7% and 23.8% of its
 median at 5, 10, 15 and 20 repeats, so a change smaller than that reads
 ``resolved: false`` there at any count.
 
+What the tool settles is bit-identity with the parent, not speed. On that
+host its speed figures cannot resolve a pretrain change: a change that did
+not speed pretraining up read a resolved speedup of 1.156 (5 repeats, faster
+in every one), and identical code read speedups from 0.913 to 1.175. So a
+pretrain speed claim cites the benchmark's own paired runs
+(``perfbench/run.py --workload pretrain`` at the parent and at the change),
+not this tool's figures.
+
 ``--full`` also runs the 60-epoch recipe the acceptance suite and the
 benchmark's frozen model use (200 records, seed 7) once on each side and
 checks that both end in the same weights.
