@@ -87,16 +87,11 @@ class SoftPromptEncoder:
     def from_frozen(cls, lm: EncoderDecoderLM) -> "SoftPromptEncoder":
         if not lm.frozen:
             raise ContractError("soft prompt encoder must copy a frozen model")
-        params: dict[str, DiffValue] = {}
-        for name, p in lm.params.items():
-            if not name.startswith("enc."):
-                continue
-            clone = ad.value(p.data.copy()) if name == "enc.pos" else ad.param(p.data.copy())
-            params[name] = clone
+        params = {name: ad.param(p.data.copy()) for name, p in lm.params.items() if name.startswith("enc.")}
         return cls(params, lm.cfg)
 
     def trainable(self) -> list[DiffValue]:
-        return [p for p in self.params.values() if p.requires_grad]
+        return list(self.params.values())
 
     def encode_pooled(self, ids: Sequence[int]) -> DiffValue:
         per_token = sequence_forward(self.params, "enc", ids, self.cfg)

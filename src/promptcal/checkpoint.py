@@ -39,7 +39,7 @@ from .errors import CheckpointError, CheckpointMismatchError, ConfigError, Contr
 from .model import EncoderDecoderLM, ModelConfig, param_shapes
 from .vocab import Vocabulary
 
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 # Version 4 drops version 3's stall window and seed. Since version 3 a
 # calibrator is bound to the model's whole-body digest; version 2 bound it to
 # a digest of the weights alone.
@@ -48,6 +48,7 @@ CALIBRATOR_VERSION = 4
 # Why a file of an older version is refused, beyond its number.
 _RETIRED_VERSIONS = {
     ("model", 2): "it holds the per-parameter records version 3 dropped; re-run pretrain and calibrate",
+    ("model", 3): "it holds positional tables version 4 computes from the config; re-run pretrain and calibrate",
     ("calibrator", 2): "it is bound to the old weights-only model digest; recalibrate it against the model",
     ("calibrator", 3): "it holds the stall window and seed that version 4 dropped; re-run calibrate",
 }

@@ -81,7 +81,14 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     pos = np.arange(length, dtype=np.float64)[:, None]
     i = np.arange(dim, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, (2.0 * (i // 2)) / dim)
-    table = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+    return np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
+
+
+@functools.cache
+def position_table(cfg: ModelConfig) -> np.ndarray:
+    """The config's fixed positional rows, [max_seq_len x embed_dim]: one read-only array per config value."""
+    table = sinusoidal_positions(cfg.max_seq_len, cfg.embed_dim) * cfg.pos_scale
+    table.flags.writeable = False
     return table
 
 
@@ -95,7 +102,6 @@ def param_shapes(cfg: ModelConfig, vocab_size: int) -> dict[str, tuple[int, ...]
     shapes: dict[str, tuple[int, ...]] = {}
     for prefix in ("enc", "dec"):
         shapes[f"{prefix}.embed"] = (vocab_size, d)
-        shapes[f"{prefix}.pos"] = (cfg.max_seq_len, d)
         for b in range(cfg.n_blocks):
             for h in range(cfg.n_heads):
                 base = f"{prefix}.b{b}.h{h}"
@@ -115,8 +121,6 @@ def init_params(cfg: ModelConfig, vocab_size: int, rng: np.random.Generator) -> 
             bias = rng.normal(0.0, cfg.embed_bias_std, size=(1, shape[1]))
             noise = rng.normal(0.0, cfg.embed_noise_std, size=shape)
             params[name] = ad.param(bias + noise)
-        elif name.endswith(".pos"):
-            params[name] = ad.value(sinusoidal_positions(*shape) * cfg.pos_scale)
         else:
             scale = (1.0 if name == "dec.out" else 0.5) / math.sqrt(cfg.embed_dim)
             params[name] = ad.param(rng.normal(0.0, scale, size=shape))
@@ -264,7 +268,7 @@ def sequence_forward(
     # both, and the ops spelled twice compute the same numbers in the same order.
     # DiffValue has no in-place add, so on it `x += y` is `x = x + y`, a new
     # node; on an array it writes over x, always an array this call made.
-    pos = params[side + "pos"].data[:n]
+    pos = position_table(cfg)[:n]
     if needs_graph:
         x = ad.add(ad.rows(params[side + "embed"], ids), ad.value(pos))
     else:
@@ -338,7 +342,7 @@ def decode_step(
     table = params[side + "embed"].data
     x = np.zeros((cache.product_rows, cfg.embed_dim))
     rows = x[:live]
-    np.add(table[ad.row_index(table, ids)], params[side + "pos"].data[start], out=rows)
+    np.add(table[ad.row_index(table, ids)], position_table(cfg)[start], out=rows)
     if context is not None:
         rows += context.data
     # Each head's mixed values: the live rows are written, the others stay zero.

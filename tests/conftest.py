@@ -57,18 +57,22 @@ def openblas_corename() -> str:
     return "unknown"
 
 
+def numpy_blas() -> dict:
+    """numpy's BLAS build dependency (name, version, ...) from np.show_config(mode="dicts"); empty on
+    numpy < 1.26, which lacks that form."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return {}
+
+
 def platform_fingerprint() -> str:
     """Interpreter, numpy, BLAS build and running BLAS kernel: the float path the criteria's numbers came from.
 
-    The BLAS name and version come from np.show_config(mode="dicts"), which
-    numpy < 1.26 lacks; the BLAS is then reported as unknown.
+    The BLAS is reported as unknown when numpy_blas() finds no build information.
     """
-    blas = "unknown"
-    try:
-        deps = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = f"{deps.get('name')} {deps.get('version')}"
-    except (TypeError, KeyError):
-        pass
+    deps = numpy_blas()
+    blas = f"{deps.get('name')} {deps.get('version')}" if deps else "unknown"
     parts = [f"Python {platform.python_version()}", f"numpy {np.__version__}", f"BLAS {blas}",
              f"BLAS kernel {openblas_corename()}"]
     coretype = os.environ.get("OPENBLAS_CORETYPE")

@@ -125,9 +125,14 @@ class TestEncodeSoft:
         b = fresh_encoder.encode_pooled(tok.ids.ids).data
         assert a.tobytes() == b.tobytes()
 
-    def test_from_frozen_trains_all_but_positions(self, fresh_encoder):
-        assert not fresh_encoder.params["enc.pos"].requires_grad
-        assert fresh_encoder.params["enc.embed"].requires_grad
+    def test_from_frozen_copies_every_encoder_weight_as_trainable(self, lm, fresh_encoder):
+        frozen = {name: p for name, p in lm.params.items() if name.startswith("enc.")}
+        assert list(fresh_encoder.params) == list(frozen)
+        for name, p in fresh_encoder.params.items():
+            assert p.requires_grad
+            assert p.data.tobytes() == frozen[name].data.tobytes()
+            assert p.data is not frozen[name].data
+        assert fresh_encoder.trainable() == list(fresh_encoder.params.values())
 
     def test_encode_soft_wraps_the_trained_vector(self, trained_soft, tok):
         v = encode_soft(tok, trained_soft)

@@ -20,7 +20,7 @@ CALIBRATOR_SECTIONS = ("version", "model_digest", "token", "config", "dim", "sof
 
 
 def model_layout(lm) -> dict[str, int]:
-    """Byte length of each section of a version-3 model file, in file order."""
+    """Byte length of each section of a version-4 model file, in file order."""
     vocabulary = 4 + sum(2 + len(w.encode("utf-8")) for w in lm.vocab.words)
     params = sum(8 * p.data.size for p in lm.params.values())  # the weights alone
     return dict(zip(MODEL_SECTIONS, (1, vocabulary, 48, params, 32)))
@@ -33,7 +33,7 @@ def calibrator_layout(token_text: str, dim: int) -> dict[str, int]:
 
 
 def model_field_ends(lm) -> list[int]:
-    """The offset after each field of a version-3 model file's body, in file order."""
+    """The offset after each field of a version-4 model file's body, in file order."""
     sizes = [1, 4]  # version, word count
     for w in lm.vocab.words:
         sizes += [2, len(w.encode("utf-8"))]
@@ -123,7 +123,7 @@ class TestModelCheckpoint:
     def test_version_byte_first(self, tiny_lm, tmp_path):
         path = tmp_path / "model.bin"
         save_model(tiny_lm, path)
-        assert path.read_bytes()[0] == 3
+        assert path.read_bytes()[0] == 4
 
     def test_save_twice_identical_bytes(self, tiny_lm, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -191,12 +191,15 @@ class TestModelCheckpoint:
         seal = hashlib.sha256(path.read_bytes()[:-32]).hexdigest()
         assert tiny_lm.weight_digest() == seal == load_model(path).frozen_digest
 
-    def test_version_2_refused_with_a_reason(self, tiny_lm, tmp_path):
+    @pytest.mark.parametrize("version, reason", [
+        (2, "it holds the per-parameter records version 3 dropped; re-run pretrain and calibrate"),
+        (3, "it holds positional tables version 4 computes from the config; re-run pretrain and calibrate"),
+    ], ids=["version-2", "version-3"])
+    def test_retired_version_refused_with_a_reason(self, tiny_lm, tmp_path, version, reason):
         path = tmp_path / "model.bin"
         save_model(tiny_lm, path)
-        path.write_bytes(b"\x02" + path.read_bytes()[1:])
-        with pytest.raises(CheckpointError, match="version 2: it holds the per-parameter records version 3 "
-                                                  "dropped; re-run pretrain and calibrate"):
+        path.write_bytes(bytes([version]) + path.read_bytes()[1:])
+        with pytest.raises(CheckpointError, match=f"unsupported model checkpoint version {version}: {reason}"):
             load_model(path)
 
     @pytest.mark.parametrize("extra_word", ["a", "<unk>"], ids=["repeated", "special"])

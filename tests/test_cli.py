@@ -530,6 +530,9 @@ EXIT_CODE_CASES = [
                  "version 4 dropped; re-run calibrate", id="calibrator-version-3"),
     pytest.param(checkpoint_version("model", 2), 4, "unsupported model checkpoint version 2: it holds the "
                  "per-parameter records version 3 dropped; re-run pretrain and calibrate", id="model-version-2"),
+    pytest.param(checkpoint_version("model", 3), 4, "unsupported model checkpoint version 3: it holds "
+                 "positional tables version 4 computes from the config; re-run pretrain and calibrate",
+                 id="model-version-3"),
     *(pytest.param(damaged_checkpoint(kind, section, how), 4, "checkpoint error",
                    id=f"{kind}-{section}-{how}")
       for kind, sections in (("model", MODEL_SECTIONS), ("calibrator", CALIBRATOR_SECTIONS))

@@ -31,12 +31,14 @@ from promptcal.model import (
     decoder_product_shapes,
     lockstep_row_multiple,
     param_shapes,
+    position_table,
     pretrain,
     rows_round_alike,
     sequence_forward,
     sinusoidal_positions,
 )
 from promptcal.vocab import BOS_ID, EOS_ID, SPECIAL_TOKENS, TokenSequence, Vocabulary, tokenize
+from conftest import numpy_blas
 from tests.test_autodiff import OracleAdam, causal_softmax_and_gradient, oracle_causal_softmax_rows
 
 
@@ -53,7 +55,9 @@ def oracle_forward(lm, side, ids, context=None, causal=False):
     """One side of the model in plain numpy, with a per-row loop for the causal softmax."""
     p = {name: v.data for name, v in lm.params.items()}
     n = len(ids)
-    x = p[f"{side}.embed"][list(ids)] + p[f"{side}.pos"][:n]
+    # the table built here, not through model.position_table, so the oracle stays independent of it
+    x = p[f"{side}.embed"][list(ids)] + (sinusoidal_positions(lm.cfg.max_seq_len, lm.cfg.embed_dim)
+                                         * lm.cfg.pos_scale)[:n]
     if context is not None:
         x = x + context[None, :]
     for b in range(lm.cfg.n_blocks):
@@ -264,10 +268,10 @@ def small_lm(n_blocks):
 
 
 def trainable_copy(params, names=None):
-    """The same values, with the named parameters (default: all but positions) trainable."""
+    """The same values, with the named parameters (default: all) trainable."""
     out = {}
     for name, p in params.items():
-        train = name in names if names is not None else not name.endswith(".pos")
+        train = names is None or name in names
         out[name] = ad.param(p.data.copy()) if train else ad.value(p.data)
     return out
 
@@ -594,14 +598,7 @@ class TestStackedProducts:
             np.testing.assert_array_equal(x.mean(axis=1), alone)
 
 
-def numpy_blas_name() -> str:
-    try:
-        return str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"])
-    except (TypeError, KeyError):  # numpy < 1.26 has no dict form
-        return "unknown"
-
-
-@pytest.mark.skipif("openblas" not in numpy_blas_name().lower(), reason="numpy's BLAS is not OpenBLAS")
+@pytest.mark.skipif("openblas" not in str(numpy_blas().get("name")).lower(), reason="numpy's BLAS is not OpenBLAS")
 @pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge", "Nehalem"])
 def test_stacked_products_hold_under_other_blas_kernels(coretype):
     """The premise above, rerun in a child process that forces another OpenBLAS kernel."""
@@ -992,11 +989,11 @@ class TestDigest:
             assert edited.frozen_digest == edited.weight_digest() != lm.weight_digest()
 
     def test_digest_is_the_sha256_of_the_documented_model_body(self, lm):
-        # the documented version-3 body, field by field: version, vocabulary,
+        # the documented version-4 body, field by field: version, vocabulary,
         # config, then every weight's floats in param_shapes order
         h = hashlib.sha256()
         words = [w.encode("utf-8") for w in lm.vocab.words]
-        h.update(struct.pack("<BI", 3, len(words)))
+        h.update(struct.pack("<BI", 4, len(words)))
         for w in words:
             h.update(struct.pack("<H", len(w)) + w)
         c = lm.cfg
@@ -1044,6 +1041,13 @@ class TestFreeze:
         shapes = param_shapes(cfg, lm.vocab.size)
         assert list(shapes.items()) == [(name, p.shape) for name, p in lm.params.items()]
 
+    def test_param_shapes_lists_no_positional_entry(self):
+        cfg = ModelConfig(embed_dim=8, n_blocks=2, n_heads=2, ffn_dim=6, max_seq_len=12)
+        shapes = param_shapes(cfg, 25)
+        assert not any(name.endswith(".pos") for name in shapes)
+        # the embeddings, every block's weights and the vocabulary projection, and nothing else
+        assert len(shapes) == 2 * (1 + cfg.n_blocks * (4 * cfg.n_heads + 2)) + 1
+
 
 class TestPositions:
     def test_sinusoidal_shape_and_range(self):
@@ -1055,6 +1059,27 @@ class TestPositions:
         table = sinusoidal_positions(6, 8)
         for i in range(5):
             assert not np.allclose(table[i], table[i + 1])
+
+    def test_table_is_the_scaled_sinusoids_of_the_config(self):
+        cfg = ModelConfig(embed_dim=8, n_blocks=1, n_heads=2, ffn_dim=8, max_seq_len=12, pos_scale=0.25)
+        table = position_table(cfg)
+        assert table.tobytes() == (sinusoidal_positions(12, 8) * 0.25).tobytes()
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+        assert position_table(replace(cfg)) is table  # one array per config value
+        assert position_table(replace(cfg, pos_scale=0.5)) is not table
+
+    def test_encoder_and_decoder_read_one_table(self, lm, monkeypatch):
+        tables = []
+        lookup = model_module.position_table
+        monkeypatch.setattr(model_module, "position_table", lambda cfg: tables.append(lookup(cfg)) or tables[-1])
+        notes = seq(lm, "no acute findings.")
+        lm.encode(notes)
+        sequence_forward(lm.params, "dec", notes.ids, lm.cfg, causal=True)
+        lm.decode_greedy(np.zeros(lm.cfg.embed_dim))
+        assert len(tables) >= 3
+        assert all(t is lookup(lm.cfg) for t in tables)
 
 
 def quiet_losses(start, n):

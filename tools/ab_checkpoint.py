@@ -9,7 +9,7 @@ calibrator from its own ``SoftPromptToken`` and default ``CalibrationConfig``,
 since the config's fields change with the file format. As in the workload, each
 loaded model stays alive until the next load has returned
 (``abkit.interleave`` holds the last result), so every load runs beside a
-live 1.15 MB model and the previous one is freed inside the next timed
+live 1.06 MB model and the previous one is freed inside the next timed
 request; a model dropped at once would leave glibc's heap trimming, not the
 loader, to set the median. Both variants must save byte-identical model files
 and load bit-identical weights, vocabulary, config, soft vector, token and

@@ -9,6 +9,16 @@ times the same call on both sides with ``interleave``, reads the speedup and
 faster share with ``compare`` and writes its JSON with ``write_report``.
 ``--parent HEAD`` on a checkout with nothing uncommitted puts the same code on
 both sides, so any tool should then read a speedup near 1.0.
+
+A parent older than model file version 4 cannot be A/B'd against this
+checkout. Its package refuses version-4 model files and cannot save this
+checkout's models (its writer looks up ``enc.pos``), and its model state holds
+the two positional tables (``enc.pos`` and ``dec.pos``) that version 4
+computes from the config, so ``model_state_digest`` never matches and the
+tools report different weights.
+Across that boundary, compare the trained weights by name in a script of its
+own: build both sides' models, the parent's through ``parent_package``, drop
+the parent's two ``.pos`` entries and compare the rest bit for bit.
 """
 
 from __future__ import annotations
