@@ -32,7 +32,8 @@ DEFAULT_SOFT_PREFIX_LEN = 2
 # The calibration distances: ad.rowwise_mse and ad.rowwise_cross_entropy, by name.
 DISTANCES = ("mse", "cross_entropy")
 
-SEPARATOR_POLICIES = ("prompt_first", "notes_first")
+DEFAULT_POLICY = "prompt_first"
+SEPARATOR_POLICIES = (DEFAULT_POLICY, "notes_first")
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class CalibrationConfig:
     learning_rate: float = 1e-3
     max_epochs: int = 200
     convergence_tol: float = 1e-4
-    separator_policy: str = "prompt_first"
+    separator_policy: str = DEFAULT_POLICY
 
     def __post_init__(self):
         if self.distance not in DISTANCES:
@@ -103,7 +104,7 @@ def encode_soft(tok: SoftPromptToken, soft: np.ndarray) -> DiffValue:
     return ad.value(soft)
 
 
-def join_prompted(t_llm: TokenSequence, t_org: TokenSequence, policy: str = "prompt_first") -> TokenSequence:
+def join_prompted(t_llm: TokenSequence, t_org: TokenSequence, policy: str = DEFAULT_POLICY) -> TokenSequence:
     """Join prompt and notes around a separator; an empty prompt yields the notes alone."""
     if not t_org.ids:
         raise ContractError("input notes must be non-empty")
@@ -117,7 +118,7 @@ def join_prompted(t_llm: TokenSequence, t_org: TokenSequence, policy: str = "pro
 
 
 def prompted_input(
-    t_llm: TokenSequence, t_org: TokenSequence, prefix: TokenSequence | None, policy: str = "prompt_first"
+    t_llm: TokenSequence, t_org: TokenSequence, prefix: TokenSequence | None, policy: str = DEFAULT_POLICY
 ) -> TokenSequence:
     """What inference encodes for one note: the decoded soft prefix, if any, then the joined prompt and note."""
     joined = join_prompted(t_llm, t_org, policy)
@@ -196,7 +197,7 @@ def alignment_loss(
     lm: EncoderDecoderLM,
     enc: SoftPromptEncoder,
     distance: str = "mse",
-    policy: str = "prompt_first",
+    policy: str = DEFAULT_POLICY,
 ) -> DiffValue:
     """The calibration objective for one (notes, prompt) pair: its B = 1 case."""
     pooled = lm.encode_many([t_org, join_prompted(t_llm, t_org, policy)])
@@ -284,7 +285,7 @@ def summarize_many(
     prompts: Sequence[TokenSequence],
     lm: EncoderDecoderLM,
     calibration: tuple[np.ndarray, SoftPromptToken] | None = None,
-    policy: str = "prompt_first",
+    policy: str = DEFAULT_POLICY,
 ) -> tuple[tuple[TokenSequence, ...], ...]:
     """Greedy summaries of every (prompt, note) pair, optionally with the invariant soft prefix.
 
@@ -317,7 +318,7 @@ def summarize(
     t_llm: TokenSequence,
     lm: EncoderDecoderLM,
     calibration: tuple[np.ndarray, SoftPromptToken] | None = None,
-    policy: str = "prompt_first",
+    policy: str = DEFAULT_POLICY,
 ) -> TokenSequence:
     """Greedy summary of prompted notes: summarize_many's one-note, one-prompt case."""
     return summarize_many([t_org], [t_llm], lm, calibration, policy)[0][0]

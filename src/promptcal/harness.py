@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calibration import CalibrationConfig, SoftPromptToken, summarize_many, train_calibrator
+from .calibration import DEFAULT_POLICY, CalibrationConfig, SoftPromptToken, summarize_many, train_calibrator
 from .corpus import CorpusRecord, corpus_digest, read_utf8, require_impressions
 from .errors import ContractError
 from .model import EncoderDecoderLM
@@ -94,7 +94,7 @@ def evaluate_prompt(
     calibration: tuple[np.ndarray, SoftPromptToken] | None,
     prompt: str,
     corpus: Sequence[CorpusRecord],
-    policy: str = "prompt_first",
+    policy: str = DEFAULT_POLICY,
     summarize_fn: Callable[[TokenSequence, TokenSequence], TokenSequence] | None = None,
     summaries: Sequence[TokenSequence] | None = None,
 ) -> tuple[float, float, float]:
@@ -137,7 +137,7 @@ def evaluate_ensemble(
     corpus: Sequence[CorpusRecord],
     label: str,
     seed: int = 0,
-    policy: str = "prompt_first",
+    policy: str = DEFAULT_POLICY,
 ) -> EvaluationRun:
     """One arm: evaluate_prompt's scores for every prompt of the ensemble.
 

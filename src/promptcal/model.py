@@ -154,8 +154,8 @@ class KVCache:
     """Keys and values of every position a group of frozen causal decodes has consumed.
 
     The decodes run in lockstep, so all live rows share one length: positions
-    [0, length) of rows [0, rows) are filled, out of `positions` (default
-    max_seq_len). kv is indexed (block, key or value, head, row, position,
+    [0, length) of rows [0, rows) are filled, out of `positions`, the most a
+    greedy decode feeds. kv is indexed (block, key or value, head, row, position,
     head_dim), and keys and values are its two halves, but it is stored
     position by position, each position's rows side by side: a decode touches
     only the pages of the positions it reaches, and once finished rows are
@@ -168,8 +168,10 @@ class KVCache:
     then zero rows up to a multiple of row_multiple (see lockstep_row_multiple).
     """
 
-    def __init__(self, cfg: ModelConfig, rows: int = 1, positions: int | None = None, row_multiple: int = 1):
-        self.positions = cfg.max_seq_len if positions is None else positions
+    def __init__(self, cfg: ModelConfig, rows: int = 1, row_multiple: int = 1):
+        # The positions a decode can feed: a smaller block to allocate, and
+        # measurably less peak memory than max_seq_len positions.
+        self.positions = min(cfg.decode_max_len, cfg.max_seq_len)
         shape = (self.positions, rows, cfg.n_blocks, 2, cfg.n_heads, cfg.head_dim)
         self.kv = np.empty(shape).transpose(2, 3, 4, 1, 0, 5)
         self.keys, self.values = self.kv[:, 0], self.kv[:, 1]
@@ -212,97 +214,83 @@ def sequence_forward(
     cache: KVCache | None = None,
     rows: int | None = None,
 ) -> DiffValue:
-    """Run ids through one side of the model, returning per-token rows [n x d].
+    """Run ids through one side of the model; rows and cache pick the mode, one per use.
 
-    When neither a parameter of this side nor context requires a gradient, the
-    same body runs on plain numpy arrays and builds no graph; its rows are
-    bit-identical to the graph's. That body loops over the heads of each
-    block, as backward's accumulation order needs.
+    With neither, the call builds the autodiff graph of one sequence, as
+    pretrain and SoftPromptEncoder train it, and returns its rows [n x d]:
+    context, a d-vector, is added to every position's input, and causal keeps
+    each position from attending to later ones. The body loops over the heads
+    of each block, as backward's accumulation order needs.
 
-    With a cache, the call advances the cache's rows of a frozen causal decode
-    by one position: ids holds each live row's next id, context is one
-    d-vector for all rows or one row per live row, and the result has one row
-    per live row, then zero rows up to cache.product_rows. Each new row
-    attends over its own cached positions. The step runs every head of a
-    block at once and every product by a shared weight over all product rows
-    (see decode_step); a one-row cache of the default row_multiple 1 makes
-    them 1-row products, as the graph path's for a one-row sequence, so its
-    first step is bit-identical to the graph's.
+    With rows, it runs that many equal-length sequences of a frozen side, ids
+    back to back, unmasked and without a context (encode_many, encode): the
+    same body on plain arrays, every product stacked, one [n x m] product per
+    sequence. The result, [rows x n x d], is bit-identical sequence by
+    sequence to the graph's.
 
-    With rows, the call runs that many equal-length sequences of a frozen,
-    unmasked side at once: ids holds them back to back, and the result is
-    [rows x n x d]. Every product runs stacked, one [n x m] product per
-    sequence, so each sequence's rows are bit-identical to running it alone.
+    With a cache, it advances a frozen causal decode's live rows by one
+    position (decode_step): ids holds each row's next id, context is one
+    d-vector or one row per live row, and the result has one row per live
+    row, then zero rows up to cache.product_rows. A one-row cache of the
+    default row_multiple 1 makes every product a 1-row product, as the
+    graph's for a one-row sequence, so its first step is bit-identical to it.
     """
     if len(ids) == 0:
         raise ContractError("cannot embed empty input")
     side = prefix + "."
-    # A cached step's side is checked once per cache, by KVCache.weights.
-    needs_graph = (context is not None and context.requires_grad) or (cache is None and any(
-        p.requires_grad and name.startswith(side) for name, p in params.items()
-    ))
-    if rows is not None and (needs_graph or causal or cache is not None
-                             or rows < 1 or len(ids) % rows != 0):
+    if rows is not None and (context is not None or causal or cache is not None or rows < 1
+                             or len(ids) % rows != 0
+                             or any(p.requires_grad and name.startswith(side) for name, p in params.items())):
         raise ContractError(f"a stacked call runs {rows} equal-length frozen sequences "
-                            f"without a graph, a causal mask or a cache; got {len(ids)} ids")
-    start = 0 if cache is None else cache.length
-    n = start + (1 if cache is not None else len(ids) // (rows or 1))
+                            f"without a context, a causal mask or a cache; got {len(ids)} ids")
+    n = cache.length + 1 if cache is not None else len(ids) // (rows or 1)
     if n > cfg.max_seq_len:
         raise ShapeError(f"sequence length {n} exceeds max_sequence_length {cfg.max_seq_len}")
-    if cache is not None and n > cache.positions:
-        raise ShapeError(f"sequence length {n} exceeds the cache's {cache.positions} positions")
-    if cache is not None and (needs_graph or not causal or len(ids) != cache.rows):
-        raise ContractError(_CACHE_CONTRACT)
-    if context is not None and context.shape != (cfg.embed_dim,) and (
-            cache is None or context.shape != (cache.rows, cfg.embed_dim)):
-        raise ShapeError(f"context must be a length-{cfg.embed_dim} vector or one per cached row, "
-                         f"got {context.shape}")
     if cache is not None:
+        if n > cache.positions:
+            raise ShapeError(f"sequence length {n} exceeds the cache's {cache.positions} positions")
+        # The side is checked once per cache, by KVCache.weights.
+        if not causal or len(ids) != cache.rows or (context is not None and context.requires_grad):
+            raise ContractError(_CACHE_CONTRACT)
+        if context is not None and context.shape not in ((cfg.embed_dim,), (cache.rows, cfg.embed_dim)):
+            raise ShapeError(f"context must be a length-{cfg.embed_dim} vector or one per cached row, "
+                             f"got {context.shape}")
         return ad.value(decode_step(params, side, ids, cfg, context, cache))
+    graph = rows is None
 
     def weight(name: str) -> DiffValue | np.ndarray:
         p = params[name]
-        return p if needs_graph else p.data
+        return p if graph else p.data
 
-    # Without a graph every op below runs on plain arrays; `@` and `+=` work on
-    # both, and the ops spelled twice compute the same numbers in the same order.
+    # A stack runs every op below on plain arrays; `@` and `+=` work on both,
+    # and the ops spelled twice compute the same numbers in the same order.
     # DiffValue has no in-place add, so on it `x += y` is `x = x + y`, a new
     # node; on an array it writes over x, always an array this call made.
     pos = position_table(cfg)[:n]
-    if needs_graph:
+    if graph:
         x = ad.add(ad.rows(params[side + "embed"], ids), ad.value(pos))
+        if context is not None:
+            x = ad.add_row_vector(x, context)
     else:
         table = params[side + "embed"].data
-        x = table[ad.row_index(table, ids)]
-        if rows is not None:
-            x = x.reshape(rows, n, -1)
+        x = table[ad.row_index(table, ids)].reshape(rows, n, -1)
         x += pos
-    if context is not None:
-        if needs_graph:
-            x = ad.add_row_vector(x, context)
-        else:
-            x += context.data
     inv_sqrt_dh = 1.0 / math.sqrt(cfg.head_dim)
     row_softmax = ad.causal_softmax_rows if causal else ad.softmax_rows
     for b in range(cfg.n_blocks):
         attn_sum = None
         for h in range(cfg.n_heads):
             base = f"{side}b{b}.h{h}."
-            q = x @ weight(base + "wq")
-            k = x @ weight(base + "wk")
-            v = x @ weight(base + "wv")
-            if needs_graph:
+            q, k, v = (x @ weight(base + w) for w in ("wq", "wk", "wv"))
+            if graph:
                 probs = row_softmax(ad.scale(q @ ad.transpose(k), inv_sqrt_dh))
             else:
                 # ad.transpose copies, and BLAS can round q @ k.T differently
-                # from q @ k.T.copy(), so the copy keeps the two modes bit-identical.
-                scores = q @ k.swapaxes(-1, -2).copy()
-                scores *= inv_sqrt_dh
-                if causal:
-                    probs = row_softmax(ad.value(scores)).data
-                else:
-                    flat = scores.reshape(-1, n)
-                    probs = row_softmax(flat, out=flat).reshape(scores.shape)
+                # from q @ k.T.copy(), so the copy keeps a stack bit-identical to the graph.
+                probs = q @ k.swapaxes(-1, -2).copy()
+                probs *= inv_sqrt_dh
+                flat = probs.reshape(-1, n)
+                row_softmax(flat, out=flat)
             head_out = (probs @ v) @ weight(base + "wo")
             if attn_sum is None:
                 attn_sum = head_out
@@ -310,9 +298,9 @@ def sequence_forward(
                 attn_sum += head_out
         x += attn_sum
         hidden = x @ weight(f"{side}b{b}.ffn.w1")
-        hidden = ad.tanh(hidden) if needs_graph else np.tanh(hidden, out=hidden)
+        hidden = ad.tanh(hidden) if graph else np.tanh(hidden, out=hidden)
         x += hidden @ weight(f"{side}b{b}.ffn.w2")
-    return x if needs_graph else ad.value(x)
+    return x if graph else ad.value(x)
 
 
 def decode_step(
@@ -542,8 +530,9 @@ class EncoderDecoderLM:
             raise ContractError(f"{op} requires a frozen model")
 
     def encode(self, seq: TokenSequence) -> Encoding:
-        """Per-token contextual embeddings and their arithmetic mean."""
-        per_token = sequence_forward(self.params, "enc", seq.ids, self.cfg)
+        """Per-token contextual embeddings and their arithmetic mean, from a one-sequence stack."""
+        self._require_frozen("encode")
+        per_token = ad.value(sequence_forward(self.params, "enc", seq.ids, self.cfg, rows=1).data[0])
         return Encoding(per_token, ad.mean_rows(per_token))
 
     def encode_many(self, seqs: Sequence[TokenSequence]) -> np.ndarray:
@@ -597,10 +586,7 @@ class EncoderDecoderLM:
         """One lockstep group: the greedy decode of each row of ctx."""
         params, cfg = self.params, self.cfg
         multiple = lockstep_row_multiple(decoder_product_shapes(cfg, self.vocab.size), LOCKSTEP_ROWS)
-        # A cache sized to the positions the decode can feed: a smaller block
-        # to allocate, and measurably less peak memory than a max_seq_len one.
-        cache = KVCache(cfg, rows=len(ctx), positions=min(cfg.decode_max_len, cfg.max_seq_len),
-                        row_multiple=multiple)
+        cache = KVCache(cfg, rows=len(ctx), row_multiple=multiple)
         out_proj = params["dec.out"].data
         context = ad.value(ctx)
         slot_rows = list(range(len(ctx)))  # the row of ctx each live cache row decodes

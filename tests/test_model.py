@@ -139,11 +139,18 @@ class TestEncode:
         cfg = ModelConfig(embed_dim=8, n_blocks=0, n_heads=1, ffn_dim=8, max_seq_len=16)
         vocab = Vocabulary(["a", "b", "c", "d"])
         lm = EncoderDecoderLM.initialize(vocab, cfg, seed=0)
+        lm.freeze()
         ids = (5, 6, 7, 8)
         permuted = (7, 5, 8, 6)
         a = lm.encode(TokenSequence(ids)).pooled.data
         b = lm.encode(TokenSequence(permuted)).pooled.data
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_requires_frozen(self):
+        cfg = ModelConfig(embed_dim=8, n_blocks=1, n_heads=1, ffn_dim=8)
+        lm = EncoderDecoderLM.initialize(Vocabulary(["a"]), cfg, seed=1)
+        with pytest.raises(ContractError, match="encode requires a frozen model"):
+            lm.encode(TokenSequence((4,)))
 
 
 def random_seqs(lm, lengths, seed=0):
@@ -277,24 +284,23 @@ def trainable_copy(params, names=None):
 
 
 class TestInferencePath:
-    """The plain-numpy path against the graph path it replaces when nothing needs a gradient."""
+    """sequence_forward's three modes: the graph, frozen encoder stacks and cached decode steps."""
 
-    @pytest.mark.parametrize("with_context", [False, True], ids=["bare", "context"])
+    @pytest.mark.parametrize("rows", [1, ENCODE_ROWS])
     @pytest.mark.parametrize("n_blocks", [0, 1, 2])
-    @pytest.mark.parametrize("side", ["enc", "dec"])
-    def test_plain_path_is_bit_identical_to_graph(self, side, n_blocks, with_context):
+    def test_stacks_are_bit_identical_to_graph(self, n_blocks, rows):
         lm = small_lm(n_blocks)
         graph_params = trainable_copy(lm.params)
         rng = np.random.default_rng(n_blocks)
-        ctx = ad.value(rng.normal(size=lm.cfg.embed_dim)) if with_context else None
         for n in range(1, lm.cfg.max_seq_len + 1):
-            ids = [int(i) for i in rng.integers(0, lm.vocab.size, size=n)]
-            args = (side, ids, lm.cfg)
-            plain = sequence_forward(lm.params, *args, context=ctx, causal=side == "dec")
-            graph = sequence_forward(graph_params, *args, context=ctx, causal=side == "dec")
-            assert graph.requires_grad
-            assert not plain.requires_grad and plain._parents == ()
-            np.testing.assert_array_equal(plain.data, graph.data)
+            ids = rng.integers(0, lm.vocab.size, size=(rows, n)).tolist()
+            stacked = sequence_forward(lm.params, "enc", sum(ids, []), lm.cfg, rows=rows)
+            assert stacked.shape == (rows, n, lm.cfg.embed_dim)
+            assert not stacked.requires_grad and stacked._parents == ()
+            for row, one in zip(stacked.data, ids):
+                graph = sequence_forward(graph_params, "enc", one, lm.cfg)
+                assert graph.requires_grad
+                np.testing.assert_array_equal(row, graph.data)
 
     @pytest.mark.parametrize("n_blocks", [0, 1, 2])
     def test_cached_first_step_is_bit_identical_to_graph(self, n_blocks):
@@ -340,42 +346,32 @@ class TestInferencePath:
         ad.backward(ad.sum_all(out))
         assert np.any(ctx.grad != 0)
 
-    def test_other_side_trainable_builds_no_graph(self):
-        # pretrain's decoder-only epochs: the frozen encoder runs graph-free
+    def test_graph_context_is_one_vector(self):
         lm = small_lm(1)
-        params = trainable_copy(lm.params, {n for n in lm.params if n.startswith("dec.")})
-        out = sequence_forward(params, "enc", [4, 5, 6], lm.cfg)
-        assert not out.requires_grad and out._parents == ()
+        with pytest.raises(ShapeError):
+            sequence_forward(trainable_copy(lm.params), "dec", [BOS_ID, 5], lm.cfg,
+                             context=ad.value(np.zeros((2, lm.cfg.embed_dim))), causal=True)
 
-    @pytest.mark.parametrize("n_blocks", [0, 1, 2])
-    def test_stacked_rows_are_bit_identical_to_one_sequence_calls(self, n_blocks):
-        lm = small_lm(n_blocks)
-        rng = np.random.default_rng(n_blocks)
-        for n in range(1, lm.cfg.max_seq_len + 1):
-            ids = rng.integers(0, lm.vocab.size, size=(ENCODE_ROWS, n)).tolist()
-            stacked = sequence_forward(lm.params, "enc", sum(ids, []), lm.cfg, rows=ENCODE_ROWS)
-            assert stacked.shape == (ENCODE_ROWS, n, lm.cfg.embed_dim) and stacked._parents == ()
-            for row, one in zip(stacked.data, ids):
-                np.testing.assert_array_equal(row, sequence_forward(lm.params, "enc", one, lm.cfg).data)
-
-    @pytest.mark.parametrize("case", ["trainable side", "trainable context", "causal", "cache",
+    @pytest.mark.parametrize("case", ["trainable side", "trainable context", "context", "causal", "cache",
                                       "ids not a multiple of rows", "zero rows"])
     def test_stacked_call_only_runs_frozen_unmasked_sequences(self, case):
         lm = small_lm(1)
         params = trainable_copy(lm.params) if case == "trainable side" else lm.params
-        ctx = ad.param(np.zeros(lm.cfg.embed_dim)) if case == "trainable context" else None
+        make_ctx = {"trainable context": ad.param, "context": ad.value}.get(case)
+        ctx = make_ctx(np.zeros(lm.cfg.embed_dim)) if make_ctx else None
         rows = {"ids not a multiple of rows": 4, "zero rows": 0}.get(case, 2)
         with pytest.raises(ContractError, match="stacked call"):
             sequence_forward(params, "enc", [4, 5, 6, 7, 8, 9], lm.cfg, context=ctx, causal=case == "causal",
                              cache=KVCache(lm.cfg) if case == "cache" else None, rows=rows)
 
-    @pytest.mark.parametrize("case", ["trainable", "two ids", "not causal"])
+    @pytest.mark.parametrize("case", ["trainable", "trainable context", "two ids", "not causal"])
     def test_cache_only_extends_a_frozen_causal_decode(self, case):
         lm = small_lm(1)
         params = trainable_copy(lm.params) if case == "trainable" else lm.params
         ids = [BOS_ID, 5] if case == "two ids" else [BOS_ID]
+        ctx = ad.param(np.zeros(lm.cfg.embed_dim)) if case == "trainable context" else None
         with pytest.raises(ContractError, match="cache"):
-            sequence_forward(params, "dec", ids, lm.cfg, causal=case != "not causal",
+            sequence_forward(params, "dec", ids, lm.cfg, context=ctx, causal=case != "not causal",
                              cache=KVCache(lm.cfg))
 
     def test_cached_steps_check_the_side_once_per_cache(self):
@@ -393,7 +389,7 @@ class TestInferencePath:
             sequence_forward(params, "dec", [token], lm.cfg, causal=True, cache=cache)
         assert CountingParams.scans == 1
 
-    @pytest.mark.parametrize("path", ["graph", "plain", "cached", "stacked"])
+    @pytest.mark.parametrize("path", ["graph", "cached", "stacked"])
     @pytest.mark.parametrize("case, error, match", [
         ("empty", ContractError, "empty"),
         ("overlong", ShapeError, "exceeds max_sequence_length"),
@@ -695,12 +691,20 @@ class TestLockstepDecode:
         assert lockstep.rows == 1
 
     def test_cache_refuses_a_position_beyond_its_capacity(self, stopping_lm):
-        lm, _ = stopping_lm
-        cache = KVCache(lm.cfg, positions=2)
+        lm = decoding_at_most(stopping_lm[0], 2)
+        cache = KVCache(lm.cfg)
         for token in (BOS_ID, 5):
             sequence_forward(lm.params, "dec", [token], lm.cfg, causal=True, cache=cache)
         with pytest.raises(ShapeError, match="cache's 2 positions"):
             sequence_forward(lm.params, "dec", [6], lm.cfg, causal=True, cache=cache)
+
+    @pytest.mark.parametrize("decode_max_len, max_seq_len", [(5, 12), (20, 8)])
+    def test_cache_holds_the_positions_a_decode_can_feed(self, decode_max_len, max_seq_len):
+        cfg = ModelConfig(embed_dim=8, n_blocks=1, n_heads=2, ffn_dim=8, max_seq_len=max_seq_len,
+                          decode_max_len=decode_max_len)
+        cache = KVCache(cfg, rows=3)
+        assert cache.positions == min(decode_max_len, max_seq_len)
+        assert cache.keys.shape == (1, 2, 3, cache.positions, 4)
 
     def test_head_batched_weights_are_built_once_per_lockstep_group(self, stopping_lm, monkeypatch):
         lm, contexts = stopping_lm

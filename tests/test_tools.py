@@ -72,6 +72,19 @@ def test_ab_checkpoint_against_head(tmp_path):
         assert_compared(rows)
 
 
+def test_ab_checkpoint_stops_at_another_model_format(tmp_path):
+    # afe3979 writes model file version 3, whose writer looks up weights this checkout's model lacks
+    if subprocess.run(["git", "cat-file", "-e", "afe3979^{commit}"], cwd=ROOT).returncode != 0:
+        pytest.skip("afe3979 is not in this clone's history")
+    out = tmp_path / "report.json"
+    proc = subprocess.run([sys.executable, "tools/ab_checkpoint.py", "--parent", "afe3979", "--out", str(out)],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "model file formats differ: the parent writes version 3, this checkout version 4" in proc.stdout
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 def test_ab_optim_few_steps(tmp_path):
     report = run_tool(tmp_path, "ab_optim.py", "--steps", "4", "--chunks", "8192,1048576")
     assert report["sets"].keys() == {"whole_model", "decoder_only"}

@@ -17,6 +17,8 @@ calibration config (the fields the checkout's ``CalibrationConfig`` has), and
 each package's loaded digest must equal its own ``weight_digest()``.
 Calibrator files may differ, since the digest a calibrator records is defined
 by its format version.
+A parent whose ``MODEL_VERSION`` differs from the checkout's writes another
+model file format, so the tool says so and exits 1 without timing anything.
 
 Run from the repository root, before committing a change (``--parent HEAD``)
 or after it (``--parent HEAD~1``):
@@ -67,6 +69,10 @@ def main(argv: list[str] | None = None) -> int:
         tmp = Path(tmp)
         parent = abkit.parent_package(args.parent, tmp / "parent")
         variants = {"parent": importlib.import_module(parent.__name__ + ".checkpoint"), "change": checkpoint}
+        if variants["parent"].MODEL_VERSION != checkpoint.MODEL_VERSION:
+            print(f"model file formats differ: the parent writes version {variants['parent'].MODEL_VERSION}, "
+                  f"this checkout version {checkpoint.MODEL_VERSION}; nothing to compare")
+            return 1
         calibrations = {"parent": importlib.import_module(parent.__name__ + ".calibration"), "change": calibration}
         saved, states, calls = {}, {}, {}
         for name, module in variants.items():

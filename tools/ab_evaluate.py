@@ -81,7 +81,7 @@ def evaluate_round(package, lm, calibration, prompts, corpus):
 
 def decode_steps(package, lm, contexts, tokens, **row_multiple) -> np.ndarray:
     """The live rows of STEPS cached decoder steps from an empty cache, [STEPS x rows x d]."""
-    cache = package.model.KVCache(lm.cfg, rows=len(contexts), positions=STEPS, **row_multiple)
+    cache = package.model.KVCache(lm.cfg, rows=len(contexts), **row_multiple)
     context = package.autodiff.value(contexts)
     return np.stack([package.model.sequence_forward(lm.params, "dec", step, lm.cfg, context=context,
                                                     causal=True, cache=cache).data[:len(contexts)]
