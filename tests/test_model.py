@@ -302,22 +302,24 @@ class TestInferencePath:
                 assert graph.requires_grad
                 np.testing.assert_array_equal(row, graph.data)
 
+    @pytest.mark.parametrize("with_context", [False, True], ids=["bare", "context"])
     @pytest.mark.parametrize("n_blocks", [0, 1, 2])
-    def test_cached_first_step_is_bit_identical_to_graph(self, n_blocks):
+    def test_cached_first_step_is_bit_identical_to_graph(self, n_blocks, with_context):
         lm = small_lm(n_blocks)
-        ctx = ad.value(np.random.default_rng(1).normal(size=lm.cfg.embed_dim))
+        ctx = ad.value(np.random.default_rng(1).normal(size=lm.cfg.embed_dim)) if with_context else None
         graph = sequence_forward(trainable_copy(lm.params), "dec", [BOS_ID], lm.cfg,
                                  context=ctx, causal=True)
         cached = sequence_forward(lm.params, "dec", [BOS_ID], lm.cfg,
                                   context=ctx, causal=True, cache=KVCache(lm.cfg))
         np.testing.assert_array_equal(cached.data, graph.data)
 
+    @pytest.mark.parametrize("with_context", [False, True], ids=["bare", "context"])
     @pytest.mark.parametrize("n_blocks", [0, 1, 2])
-    def test_cached_steps_match_full_forward_rows(self, n_blocks):
+    def test_cached_steps_match_full_forward_rows(self, n_blocks, with_context):
         # later rows may differ in the last bits: BLAS rounds a row of X @ W
         # differently depending on how many rows X has
         lm = small_lm(n_blocks)
-        ctx = ad.value(np.random.default_rng(2).normal(size=lm.cfg.embed_dim))
+        ctx = ad.value(np.random.default_rng(2).normal(size=lm.cfg.embed_dim)) if with_context else None
         ids = [BOS_ID] + [int(i) for i in np.random.default_rng(3).integers(4, lm.vocab.size, 11)]
         full = sequence_forward(lm.params, "dec", ids, lm.cfg, context=ctx, causal=True).data
         cache = KVCache(lm.cfg)
@@ -389,7 +391,7 @@ class TestInferencePath:
             sequence_forward(params, "dec", [token], lm.cfg, causal=True, cache=cache)
         assert CountingParams.scans == 1
 
-    @pytest.mark.parametrize("path", ["graph", "cached", "stacked"])
+    @pytest.mark.parametrize("path", ["graph", "cached", "one row", "stacked"])
     @pytest.mark.parametrize("case, error, match", [
         ("empty", ContractError, "empty"),
         ("overlong", ShapeError, "exceeds max_sequence_length"),
@@ -411,7 +413,9 @@ class TestInferencePath:
         else:
             ids = bad[case]
         with pytest.raises(error, match=match):
-            if path == "stacked":  # two copies of the sequence through the encoder's stacked call
+            if path == "one row":  # the one-sequence stack that encode runs
+                sequence_forward(params, "enc", ids, lm.cfg, rows=1)
+            elif path == "stacked":  # two copies of the sequence through the encoder's stacked call
                 sequence_forward(params, "enc", ids * 2, lm.cfg, rows=2)
             else:
                 sequence_forward(params, "dec", ids, lm.cfg, causal=True, cache=cache)
