@@ -32,9 +32,6 @@ DEFAULT_SOFT_PREFIX_LEN = 2
 # The calibration distances: ad.rowwise_mse and ad.rowwise_cross_entropy, by name.
 DISTANCES = ("mse", "cross_entropy")
 
-DEFAULT_POLICY = "prompt_first"
-SEPARATOR_POLICIES = (DEFAULT_POLICY, "notes_first")
-
 
 @dataclass(frozen=True)
 class SoftPromptToken:
@@ -66,13 +63,10 @@ class CalibrationConfig:
     learning_rate: float = 1e-3
     max_epochs: int = 200
     convergence_tol: float = 1e-4
-    separator_policy: str = DEFAULT_POLICY
 
     def __post_init__(self):
         if self.distance not in DISTANCES:
             raise ContractError(f"unknown distance {self.distance!r}")
-        if self.separator_policy not in SEPARATOR_POLICIES:
-            raise ContractError(f"unknown separator policy {self.separator_policy!r}")
         check_fields(self, positive, "must be positive and finite", "learning_rate", "convergence_tol")
         check_fields(self, at_least_one, "must be >= 1", "max_epochs")
 
@@ -104,24 +98,14 @@ def encode_soft(tok: SoftPromptToken, soft: np.ndarray) -> DiffValue:
     return ad.value(soft)
 
 
-def join_prompted(t_llm: TokenSequence, t_org: TokenSequence, policy: str = DEFAULT_POLICY) -> TokenSequence:
-    """Join prompt and notes around a separator; an empty prompt yields the notes alone."""
+def join_prompted(t_llm: TokenSequence, t_org: TokenSequence, prefix: TokenSequence | None = None) -> TokenSequence:
+    """What the model encodes for one note: the soft prefix, if any, then the prompt, a separator and the note.
+
+    An empty prompt leaves the note alone after the prefix, with no separator.
+    """
     if not t_org.ids:
         raise ContractError("input notes must be non-empty")
-    if not t_llm.ids:
-        return t_org
-    if policy == "prompt_first":
-        return concat(t_llm, sep_sequence(), t_org)
-    if policy == "notes_first":
-        return concat(t_org, sep_sequence(), t_llm)
-    raise ContractError(f"unknown separator policy {policy!r}")
-
-
-def prompted_input(
-    t_llm: TokenSequence, t_org: TokenSequence, prefix: TokenSequence | None, policy: str = DEFAULT_POLICY
-) -> TokenSequence:
-    """What inference encodes for one note: the decoded soft prefix, if any, then the joined prompt and note."""
-    joined = join_prompted(t_llm, t_org, policy)
+    joined = concat(t_llm, sep_sequence(), t_org) if t_llm.ids else t_org
     return joined if prefix is None else concat(prefix, joined)
 
 
@@ -197,10 +181,9 @@ def alignment_loss(
     lm: EncoderDecoderLM,
     enc: SoftPromptEncoder,
     distance: str = "mse",
-    policy: str = DEFAULT_POLICY,
 ) -> DiffValue:
     """The calibration objective for one (notes, prompt) pair: its B = 1 case."""
-    pooled = lm.encode_many([t_org, join_prompted(t_llm, t_org, policy)])
+    pooled = lm.encode_many([t_org, join_prompted(t_llm, t_org)])
     objective = CalibrationObjective(pooled[:1], pooled[1:], distance)
     return objective(enc.encode_pooled(tok.ids.ids))
 
@@ -237,8 +220,7 @@ def train_calibrator(
     opt = Adam(enc.trainable(), learning_rate=config.learning_rate)
 
     # Row k of prompted is the pair (input k // n_prompts, prompt k % n_prompts).
-    pooled = lm.encode_many([*corpus_inputs, *(join_prompted(p, t, config.separator_policy)
-                                                for t in corpus_inputs for p in prompts)])
+    pooled = lm.encode_many([*corpus_inputs, *(join_prompted(p, t) for t in corpus_inputs for p in prompts)])
     objective = CalibrationObjective(pooled[:len(corpus_inputs)], pooled[len(corpus_inputs):], config.distance)
 
     rule = ConvergenceRule(config.convergence_tol)
@@ -285,7 +267,6 @@ def summarize_many(
     prompts: Sequence[TokenSequence],
     lm: EncoderDecoderLM,
     calibration: tuple[np.ndarray, SoftPromptToken] | None = None,
-    policy: str = DEFAULT_POLICY,
 ) -> tuple[tuple[TokenSequence, ...], ...]:
     """Greedy summaries of every (prompt, note) pair, optionally with the invariant soft prefix.
 
@@ -308,7 +289,7 @@ def summarize_many(
     if not lm.frozen:
         raise ContractError("summarize requires a frozen model")
     prefix = decode_soft_prompt(*calibration, lm) if calibration is not None else None
-    contexts = lm.encode_many([prompted_input(p, t, prefix, policy) for t in notes for p in prompts])
+    contexts = lm.encode_many([join_prompted(p, t, prefix) for t in notes for p in prompts])
     rows = lm.decode_greedy(contexts).rows
     return tuple(rows[k::len(prompts)] for k in range(len(prompts)))
 
@@ -318,7 +299,6 @@ def summarize(
     t_llm: TokenSequence,
     lm: EncoderDecoderLM,
     calibration: tuple[np.ndarray, SoftPromptToken] | None = None,
-    policy: str = DEFAULT_POLICY,
 ) -> TokenSequence:
     """Greedy summary of prompted notes: summarize_many's one-note, one-prompt case."""
-    return summarize_many([t_org], [t_llm], lm, calibration, policy)[0][0]
+    return summarize_many([t_org], [t_llm], lm, calibration)[0][0]

@@ -33,17 +33,17 @@ from typing import Callable
 import numpy as np
 
 from .autodiff import DiffValue
-from .calibration import DISTANCES, SEPARATOR_POLICIES, CalibrationConfig, SoftPromptToken
+from .calibration import DISTANCES, CalibrationConfig, SoftPromptToken
 from .corpus import atomic_write
 from .errors import CheckpointError, CheckpointMismatchError, ConfigError, ContractError
 from .model import EncoderDecoderLM, ModelConfig, param_shapes
 from .vocab import Vocabulary
 
 MODEL_VERSION = 4
-# Version 4 drops version 3's stall window and seed. Since version 3 a
-# calibrator is bound to the model's whole-body digest; version 2 bound it to
-# a digest of the weights alone.
-CALIBRATOR_VERSION = 4
+# Version 5 drops version 4's separator policy, and version 4 dropped version
+# 3's stall window and seed. Since version 3 a calibrator is bound to the
+# model's whole-body digest; version 2 bound it to a digest of the weights alone.
+CALIBRATOR_VERSION = 5
 
 # Why a file of an older version is refused, beyond its number.
 _RETIRED_VERSIONS = {
@@ -51,13 +51,14 @@ _RETIRED_VERSIONS = {
     ("model", 3): "it holds positional tables version 4 computes from the config; re-run pretrain and calibrate",
     ("calibrator", 2): "it is bound to the old weights-only model digest; recalibrate it against the model",
     ("calibrator", 3): "it holds the stall window and seed that version 4 dropped; re-run calibrate",
+    ("calibrator", 4): "it holds the separator policy that version 5 dropped; re-run calibrate",
 }
 
 _MODEL_CONFIG = "<6I3d"  # ModelConfig's fields in order: six dimensions, then three scales
 # A calibrator's fields after its token: distance, learning rate, max epochs,
-# tolerance, separator policy, soft vector length. The distance and the
-# policy are stored as indices into DISTANCES and SEPARATOR_POLICIES.
-_CALIBRATOR_FIELDS = "<BdIdBI"
+# tolerance, soft vector length. The distance is stored as an index into
+# DISTANCES.
+_CALIBRATOR_FIELDS = "<BdIdI"
 
 Write = Callable[[bytes | memoryview], object]
 
@@ -159,6 +160,8 @@ def _open_sealed(path: str | Path, version: int, kind: str) -> _SealedReader:
 
 def _write_str(write: Write, s: str) -> None:
     raw = s.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise ContractError(f"a checkpoint string is at most 65535 UTF-8 bytes, got one of {len(raw)}")
     write(struct.pack("<H", len(raw)) + raw)
 
 
@@ -242,7 +245,7 @@ def save_calibrator(
     _write_str(buf.write, tok.text)
     buf.write(struct.pack(
         _CALIBRATOR_FIELDS, DISTANCES.index(config.distance), config.learning_rate,
-        config.max_epochs, config.convergence_tol, SEPARATOR_POLICIES.index(config.separator_policy), len(soft),
+        config.max_epochs, config.convergence_tol, len(soft),
     ))
     buf.write(np.ascontiguousarray(soft, dtype="<f8").tobytes())
     _write_sealed(buf, path)
@@ -259,12 +262,12 @@ def load_calibrator(
     reader = _open_sealed(path, CALIBRATOR_VERSION, "calibrator")
     lm_digest = reader.take(32).hex()
     token_text = reader.string()
-    distance_code, learning_rate, max_epochs, tol, policy_code, dim = reader.unpack(_CALIBRATOR_FIELDS)
+    distance_code, learning_rate, max_epochs, tol, dim = reader.unpack(_CALIBRATOR_FIELDS)
     soft = reader.floats((dim,))
     soft.flags.writeable = False
     reader.end()
-    if distance_code >= len(DISTANCES) or policy_code >= len(SEPARATOR_POLICIES):
-        raise CheckpointError(f"calibrator checkpoint {path} has an unknown distance or policy code")
+    if distance_code >= len(DISTANCES):
+        raise CheckpointError(f"calibrator checkpoint {path} has an unknown distance code")
     if not np.isfinite(soft).all():
         raise CheckpointError(f"calibrator checkpoint {path} holds a non-finite soft vector")
     actual = lm.frozen_digest
@@ -281,7 +284,6 @@ def load_calibrator(
             learning_rate=learning_rate,
             max_epochs=max_epochs,
             convergence_tol=tol,
-            separator_policy=SEPARATOR_POLICIES[policy_code],
         )
     except ConfigError as exc:
         raise CheckpointError(f"{reader.where} has an invalid config: {exc}") from None

@@ -94,7 +94,6 @@ LIBRARY_KEYS: dict[str, tuple[type, str]] = {
     "learning_rate": (CalibrationConfig, "learning_rate"),
     "max_epochs": (CalibrationConfig, "max_epochs"),
     "convergence_tol": (CalibrationConfig, "convergence_tol"),
-    "separator_policy": (CalibrationConfig, "separator_policy"),
 }
 
 CONFIG_KEYS: dict[str, Field] = {
@@ -231,16 +230,9 @@ def _parse_lengths(text: str) -> list[int]:
     return lengths
 
 
-def _load_calibration(cfg: PipelineConfig, calib_cfg: CalibrationConfig, lm):
-    """The saved soft vector and token, refused unless they were trained under this run's
-    separator policy, which decides where the soft prompt goes in every input."""
-    soft, tok, saved_cfg = load_calibrator(
-        _require_file(cfg.calibrator_checkpoint, "calibrator checkpoint"), lm
-    )
-    if saved_cfg.separator_policy != calib_cfg.separator_policy:
-        raise ContractError(f"calibrator was trained with separator_policy={saved_cfg.separator_policy}, "
-                            f"but this run uses separator_policy={calib_cfg.separator_policy}")
-    return soft, tok
+def _load_calibration(cfg: PipelineConfig, lm):
+    """The saved soft vector and token, checked against the loaded model."""
+    return load_calibrator(_require_file(cfg.calibrator_checkpoint, "calibrator checkpoint"), lm)[:2]
 
 
 def cmd_evaluate(args, cfg: PipelineConfig, calib_cfg: CalibrationConfig) -> int:
@@ -253,7 +245,7 @@ def cmd_evaluate(args, cfg: PipelineConfig, calib_cfg: CalibrationConfig) -> int
     baseline = Arm("baseline") if args.arm != "calibrated" or ablating else None
     calibrated = None
     if args.arm != "baseline" or args.ood_token:
-        soft, tok = _load_calibration(cfg, calib_cfg, lm)
+        soft, tok = _load_calibration(cfg, lm)
         calibrated = Arm("calibrated", tok, soft)
     # Each report lists its rows as (label, arm); a row compares its arm with the baseline.
     reports = {"variance_report": [("default", calibrated)] if args.arm == "both" else []}
@@ -285,7 +277,7 @@ def cmd_evaluate(args, cfg: PipelineConfig, calib_cfg: CalibrationConfig) -> int
     return EXIT_OK
 
 
-def cmd_summarize(args, cfg: PipelineConfig, calib_cfg: CalibrationConfig) -> int:
+def cmd_summarize(args, cfg: PipelineConfig) -> int:
     lm = load_model(_require_file(cfg.model_checkpoint, "model checkpoint"))
     text = args.input
     maybe_file = Path(text)
@@ -302,11 +294,10 @@ def cmd_summarize(args, cfg: PipelineConfig, calib_cfg: CalibrationConfig) -> in
     prompt = tokenize(args.prompt, lm.vocab)
     calibration = None
     if args.calibrated:
-        soft, tok = _load_calibration(cfg, calib_cfg, lm)
-        calibration = (soft, tok)
-        soft_text = detokenize(decode_soft_prompt(soft, tok, lm), lm.vocab)
+        calibration = _load_calibration(cfg, lm)
+        soft_text = detokenize(decode_soft_prompt(*calibration, lm), lm.vocab)
         print(f"soft-prompt: {soft_text}")
-    result = summarize(notes, prompt, lm, calibration, policy=calib_cfg.separator_policy)
+    result = summarize(notes, prompt, lm, calibration)
     print(detokenize(result, lm.vocab))
     return EXIT_OK
 
@@ -356,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "evaluate":
             return cmd_evaluate(args, cfg, calib_cfg)
         if args.command == "summarize":
-            return cmd_summarize(args, cfg, calib_cfg)
+            return cmd_summarize(args, cfg)
         parser.error(f"unknown command {args.command!r}")
     except (OSError, ContractError, ShapeError) as exc:  # OSError: a missing input or an unwritable output
         print(f"error: {exc}", file=sys.stderr)

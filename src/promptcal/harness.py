@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .calibration import DEFAULT_POLICY, CalibrationConfig, SoftPromptToken, summarize_many, train_calibrator
+from .calibration import CalibrationConfig, SoftPromptToken, summarize_many, train_calibrator
 from .corpus import CorpusRecord, corpus_digest, read_utf8, require_impressions
 from .errors import ContractError
 from .model import EncoderDecoderLM
@@ -94,7 +94,6 @@ def evaluate_prompt(
     calibration: tuple[np.ndarray, SoftPromptToken] | None,
     prompt: str,
     corpus: Sequence[CorpusRecord],
-    policy: str = DEFAULT_POLICY,
     summarize_fn: Callable[[TokenSequence, TokenSequence], TokenSequence] | None = None,
     summaries: Sequence[TokenSequence] | None = None,
 ) -> tuple[float, float, float]:
@@ -117,7 +116,7 @@ def evaluate_prompt(
         prompt_seq = tokenize(prompt, lm.vocab)
         notes = [tokenize(r.findings, lm.vocab) for r in corpus]
         if summarize_fn is None:
-            summaries = summarize_many(notes, [prompt_seq], lm, calibration, policy)[0]
+            summaries = summarize_many(notes, [prompt_seq], lm, calibration)[0]
         else:
             summaries = [summarize_fn(t_org, prompt_seq) for t_org in notes]
     totals = [0.0, 0.0, 0.0]
@@ -137,7 +136,6 @@ def evaluate_ensemble(
     corpus: Sequence[CorpusRecord],
     label: str,
     seed: int = 0,
-    policy: str = DEFAULT_POLICY,
 ) -> EvaluationRun:
     """One arm: evaluate_prompt's scores for every prompt of the ensemble.
 
@@ -150,14 +148,12 @@ def evaluate_ensemble(
     require_impressions(corpus)
     prompts = [tokenize(p, lm.vocab) for p in ensemble.prompts]
     notes = [tokenize(r.findings, lm.vocab) for r in corpus]
-    summaries = summarize_many(notes, prompts, lm, calibration, policy)
+    summaries = summarize_many(notes, prompts, lm, calibration)
     scores = tuple(
         evaluate_prompt(lm, calibration, prompt, corpus, summaries=done)
         for prompt, done in zip(ensemble.prompts, summaries)
     )
-    config_digest = hashlib.sha256(
-        f"{label}|{lm.frozen_digest}|{policy}".encode("utf-8")
-    ).hexdigest()
+    config_digest = hashlib.sha256(f"{label}|{lm.frozen_digest}".encode("utf-8")).hexdigest()
     return EvaluationRun(
         label=label,
         per_prompt_scores=scores,
@@ -254,8 +250,7 @@ def run_arms(arms: Sequence[Arm], lm: EncoderDecoderLM, ensemble: PromptEnsemble
         if arm.token is not None and soft is None:
             soft = train_calibrator(inputs, prompt_seqs, arm.token, lm, config)
         calibration = None if arm.token is None else (soft, arm.token)
-        runs[arm] = evaluate_ensemble(lm, calibration, ensemble, eval_corpus, label=arm.label,
-                                      policy=config.separator_policy)
+        runs[arm] = evaluate_ensemble(lm, calibration, ensemble, eval_corpus, label=arm.label)
     return runs
 
 

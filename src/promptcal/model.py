@@ -388,8 +388,8 @@ def params_digest(params: Mapping[str, DiffValue]) -> str:
 # larger groups take fewer steps; but a group's whole key/value cache is live
 # at once, so peak memory grows with the group. This is the one bound on a
 # decode's memory: summarize_many hands every prompted note to one call. A
-# round of both evaluate arms took 0.521 s in 16-row groups, 0.471 s in 32 and
-# 0.446 s in 40, with heap peaks of 2,184, 2,427 and 2,890 KiB
+# round of both evaluate arms took 0.499 s in 16-row groups, 0.501 s in 32 and
+# 0.452 s in 40, with heap peaks of 2,184, 2,424 and 2,890 KiB
 # (tools/ab_evaluate.py --lockstep 16,40, medians of 15 interleaved repeats, 1
 # BLAS thread; BENCH_evaluate.json).
 LOCKSTEP_ROWS = 32

@@ -13,7 +13,6 @@ from promptcal.calibration import (
     DEFAULT_SOFT_PREFIX_LEN,
     DEFAULT_SOFT_TOKEN_TEXT,
     OOD_SOFT_TOKEN_TEXT,
-    SEPARATOR_POLICIES,
     CalibrationConfig,
     CalibrationObjective,
     SoftPromptEncoder,
@@ -98,7 +97,6 @@ class TestSoftPromptToken:
 class TestCalibrationConfig:
     @pytest.mark.parametrize("field, value", [
         ("distance", "bogus"),
-        ("separator_policy", "bogus"),
         ("learning_rate", 0.0),
         ("max_epochs", 0),
         ("convergence_tol", 0.0),
@@ -187,13 +185,18 @@ class TestPromptedEmbedding:
 class TestJoinPrompted:
     def test_prompt_first_with_separator(self, lm):
         t_org, t_llm = notes(lm), prompt(lm)
-        joined = join_prompted(t_llm, t_org, "prompt_first")
+        joined = join_prompted(t_llm, t_org)
         assert joined.ids == t_llm.ids + (SEP_ID,) + t_org.ids
 
-    def test_notes_first(self, lm):
-        t_org, t_llm = notes(lm), prompt(lm)
-        joined = join_prompted(t_llm, t_org, "notes_first")
-        assert joined.ids == t_org.ids + (SEP_ID,) + t_llm.ids
+    def test_prefix_goes_before_the_prompt(self, lm):
+        t_org, t_llm, prefix = notes(lm), prompt(lm), TokenSequence((5, 6))
+        joined = join_prompted(t_llm, t_org, prefix)
+        assert joined.ids == prefix.ids + t_llm.ids + (SEP_ID,) + t_org.ids
+
+    def test_empty_prompt_leaves_prefix_and_notes(self, lm):
+        t_org, prefix = notes(lm), TokenSequence((5, 6))
+        assert join_prompted(TokenSequence(()), t_org).ids == t_org.ids
+        assert join_prompted(TokenSequence(()), t_org, prefix).ids == prefix.ids + t_org.ids
 
 
 class TestAlignmentLoss:
@@ -504,13 +507,12 @@ class TestSummarize:
         expected = lm.decode_greedy(lm.encode(joined).pooled)
         assert out.ids == expected.ids
 
-    @pytest.mark.parametrize("policy", SEPARATOR_POLICIES)
     @pytest.mark.parametrize("calibrated", [False, True], ids=["baseline", "calibrated"])
-    def test_matches_recompute_oracle(self, lm, trained_soft, tok, calibrated, policy):
+    def test_matches_recompute_oracle(self, lm, trained_soft, tok, calibrated):
         t_org, t_llm = notes(lm), prompt(lm)
         calibration = (trained_soft, tok) if calibrated else None
-        out = summarize(t_org, t_llm, lm, calibration, policy=policy)
-        ids = join_prompted(t_llm, t_org, policy).ids
+        out = summarize(t_org, t_llm, lm, calibration)
+        ids = join_prompted(t_llm, t_org).ids
         if calibrated:
             ids = decode_soft_prompt(trained_soft, tok, lm).ids + ids
         pooled = oracle_forward(lm, "enc", ids).mean(axis=0)
@@ -522,10 +524,9 @@ class TestSummarize:
 
     @pytest.mark.parametrize("group_rows", [1, 3, 7, None],
                              ids=["1-row groups", "3-row groups", "7-row groups", "default groups"])
-    @pytest.mark.parametrize("policy", SEPARATOR_POLICIES)
     @pytest.mark.parametrize("calibrated", [False, True], ids=["baseline", "calibrated"])
     def test_summarize_many_equals_summarize_on_every_pair(self, varied_lm, tiny_corpus, ensemble, monkeypatch,
-                                                          calibrated, policy, group_rows):
+                                                          calibrated, group_rows):
         # 3 prompts x 9 notes: 1-row lockstep groups decode each row alone,
         # 3-row groups hold exactly one note's prompted rows, 7-row groups
         # end inside a note's prompted rows, the default group holds all 27
@@ -537,10 +538,10 @@ class TestSummarize:
             calibration = (soft, SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, varied_lm.vocab))
         if group_rows is not None:
             monkeypatch.setattr(model_module, "LOCKSTEP_ROWS", group_rows)
-        got = summarize_many(many_notes, prompts, varied_lm, calibration, policy)
+        got = summarize_many(many_notes, prompts, varied_lm, calibration)
         # the model tells the pairs apart, so a summary handed to the wrong one shows
         assert len(set(got)) == len(prompts) and all(len(set(row)) > 1 for row in got)
-        assert got == tuple(tuple(summarize(t, p, varied_lm, calibration, policy) for t in many_notes)
+        assert got == tuple(tuple(summarize(t, p, varied_lm, calibration) for t in many_notes)
                             for p in prompts)
 
     @pytest.mark.parametrize("many_notes", [[], [TokenSequence(())]], ids=["no notes", "empty note"])

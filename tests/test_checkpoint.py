@@ -12,7 +12,7 @@ import pytest
 from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT, CalibrationConfig, SoftPromptToken
 from promptcal.checkpoint import load_calibrator, load_model, save_calibrator, save_model, write_model_body
 from promptcal.corpus import generate_corpus, save_corpus
-from promptcal.errors import CheckpointError, CheckpointMismatchError
+from promptcal.errors import CheckpointError, CheckpointMismatchError, ContractError
 from tests.test_model import assert_weights_read_only, one_bit_edited
 
 MODEL_SECTIONS = ("version", "vocabulary", "config", "params", "seal")
@@ -27,9 +27,9 @@ def model_layout(lm) -> dict[str, int]:
 
 
 def calibrator_layout(token_text: str, dim: int) -> dict[str, int]:
-    """Byte length of each section of a version-4 calibrator file, in file order."""
+    """Byte length of each section of a version-5 calibrator file, in file order."""
     token = 2 + len(token_text.encode("utf-8"))
-    return dict(zip(CALIBRATOR_SECTIONS, (1, 32, token, 22, 4, 8 * dim, 32)))
+    return dict(zip(CALIBRATOR_SECTIONS, (1, 32, token, 21, 4, 8 * dim, 32)))
 
 
 def model_field_ends(lm) -> list[int]:
@@ -233,7 +233,7 @@ class TestCalibratorCheckpoint:
     def test_round_trip(self, tiny_lm, calibrator, tmp_path):
         soft, tok = calibrator
         config = CalibrationConfig(distance="cross_entropy", learning_rate=3e-3, max_epochs=13,
-                                   convergence_tol=1e-5, separator_policy="notes_first")
+                                   convergence_tol=1e-5)
         path = tmp_path / "calib.bin"
         save_calibrator(soft, tok, config, tiny_lm.weight_digest(), path)
         loaded_soft, loaded_tok, loaded_cfg = load_calibrator(path, tiny_lm)
@@ -274,7 +274,7 @@ class TestCalibratorCheckpoint:
         path = tmp_path / "calib.bin"
         save_calibrator(soft, tok, CalibrationConfig(), tiny_lm.weight_digest(), path)
         set_distance_code(path, tok.text, 9)
-        with pytest.raises(CheckpointError, match="unknown distance or policy code"):
+        with pytest.raises(CheckpointError, match="unknown distance code"):
             load_calibrator(path, tiny_lm)
 
     def test_vector_of_another_width_rejected(self, tiny_lm, calibrator, tmp_path):
@@ -304,15 +304,33 @@ class TestCalibratorCheckpoint:
     @pytest.mark.parametrize("version, reason", [
         (2, "it is bound to the old weights-only model digest; recalibrate it against the model"),
         (3, "it holds the stall window and seed that version 4 dropped; re-run calibrate"),
-    ], ids=["version-2", "version-3"])
+        (4, "it holds the separator policy that version 5 dropped; re-run calibrate"),
+    ], ids=["version-2", "version-3", "version-4"])
     def test_retired_version_refused_with_a_reason(self, tiny_lm, calibrator, tmp_path, version, reason):
         soft, tok = calibrator
         path = tmp_path / "calib.bin"
         save_calibrator(soft, tok, CalibrationConfig(), tiny_lm.weight_digest(), path)
-        assert path.read_bytes()[0] == 4
+        assert path.read_bytes()[0] == 5
         path.write_bytes(bytes([version]) + path.read_bytes()[1:])
         with pytest.raises(CheckpointError, match=f"unsupported calibrator checkpoint version {version}: {reason}"):
             load_calibrator(path, tiny_lm)
+
+    @pytest.mark.parametrize("text", ["a" * 65_535, "\u00e9" * 32_767 + "a"], ids=["ascii", "two-byte"])
+    def test_longest_token_string_round_trips(self, tiny_lm, calibrator, tmp_path, text):
+        soft, _ = calibrator
+        path = tmp_path / "calib.bin"
+        save_calibrator(soft, SoftPromptToken.from_text(text, tiny_lm.vocab), CalibrationConfig(),
+                        tiny_lm.weight_digest(), path)
+        assert load_calibrator(path, tiny_lm)[1].text == text
+
+    @pytest.mark.parametrize("text", ["a" * 65_536, "\u00e9" * 32_768], ids=["ascii", "two-byte"])
+    def test_overlong_token_string_refused_before_writing(self, tiny_lm, calibrator, tmp_path, text):
+        soft, _ = calibrator
+        path = tmp_path / "calib.bin"
+        with pytest.raises(ContractError, match="at most 65535 UTF-8 bytes, got one of 65536"):
+            save_calibrator(soft, SoftPromptToken.from_text(text, tiny_lm.vocab), CalibrationConfig(),
+                            tiny_lm.weight_digest(), path)
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_soft_vector_rejected(self, tiny_lm, calibrator, tmp_path, value):

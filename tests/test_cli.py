@@ -381,33 +381,22 @@ def output_under_a_file(command, output_key, below):
     return build
 
 
-def notes_first_calibrator(build_argv):
-    """The argv build_argv(cfg, calibrator, tmp_path) builds, once calibrator (under tmp_path)
-    holds a calibrator trained with separator_policy=notes_first."""
-    def build(src_tmp, cfg, tmp_path):
-        calibrator = tmp_path / "notes_first.bin"
-        assert main(["calibrate", "--config", str(cfg), "--set", "separator_policy=notes_first",
-                     "--set", f"calibrator_checkpoint={calibrator}"]) == 0
-        return build_argv(cfg, calibrator, tmp_path)
-
-    return build
+# One word longer than a checkpoint string's 65,535 UTF-8 bytes.
+LONG_WORD = "x" * 70_000
+OVERLONG_STRING = "a checkpoint string is at most 65535 UTF-8 bytes, got one of 70000"
 
 
-def evaluate_with(*extra):
-    """evaluate --arm both against the given calibrator, its reports under tmp_path/out."""
-    return lambda cfg, calibrator, tmp_path: [
-        "evaluate", "--config", str(cfg), "--arm", "both", "--set", f"calibrator_checkpoint={calibrator}",
-        "--set", f"report_dir={tmp_path / 'out' / 'reports'}", *extra]
+def pretrain_on_a_long_word(src_tmp, cfg, tmp_path):
+    corpus = tmp_path / "long.jsonl"
+    save_corpus([CorpusRecord("a", "no edema.", "no edema."), CorpusRecord("b", f"{LONG_WORD} seen.", "seen.")],
+                corpus)
+    return ["pretrain", "--config", str(cfg), "--set", f"corpus={corpus}",
+            "--set", f"model_checkpoint={tmp_path / 'out' / 'model.bin'}"]
 
 
-def summarize_with(*extra):
-    """summarize --calibrated against the given calibrator."""
-    return lambda cfg, calibrator, tmp_path: summarize_argv(
-        cfg, "no edema.", "--calibrated", "--set", f"calibrator_checkpoint={calibrator}", *extra)
-
-
-POLICY_MISMATCH = ("calibrator was trained with separator_policy=notes_first, "
-                   "but this run uses separator_policy=prompt_first")
+def calibrate_a_long_token(src_tmp, cfg, tmp_path):
+    return ["calibrate", "--config", str(cfg), "--set", f"soft_token={LONG_WORD}",
+            "--set", f"calibrator_checkpoint={tmp_path / 'out' / 'calibrator.bin'}"]
 
 
 def bad_value(command, output_key, *extra):
@@ -465,6 +454,8 @@ BAD_VALUE_CASES = [
     pytest.param(lambda src_tmp, cfg, tmp_path: summarize_argv(cfg, "no edema.", "--set",
                                                                "distance=bogus"),
                  2, "unknown distance 'bogus'", id="summarize-unknown-distance"),
+    pytest.param(bad_value("calibrate", "calibrator_checkpoint", "--set", "separator_policy=prompt_first"), 2,
+                 "unknown config key 'separator_policy'", id="calibrate-separator-policy-is-unknown"),
 ]
 
 
@@ -508,10 +499,6 @@ BAD_FILE_CASES = [
 
 EXIT_CODE_CASES = [
     pytest.param(long_literal, 0, "", id="summarize-literal-over-255-bytes"),
-    pytest.param(notes_first_calibrator(summarize_with()), 2, POLICY_MISMATCH,
-                 id="summarize-calibrator-separator-policy-mismatch"),
-    pytest.param(notes_first_calibrator(summarize_with("--set", "separator_policy=notes_first")), 0,
-                 "", id="summarize-calibrator-separator-policy-match"),
     pytest.param(overlong_note, 2, "exceeds max_sequence_length",
                  id="summarize-note-over-max-sequence-length"),
     pytest.param(overlong_evaluation_record, 2, "exceeds max_sequence_length",
@@ -528,6 +515,8 @@ EXIT_CODE_CASES = [
                  "model digest; recalibrate it against the model", id="calibrator-version-2"),
     pytest.param(checkpoint_version("calibrator", 3), 4, "version 3: it holds the stall window and seed that "
                  "version 4 dropped; re-run calibrate", id="calibrator-version-3"),
+    pytest.param(checkpoint_version("calibrator", 4), 4, "version 4: it holds the separator policy that "
+                 "version 5 dropped; re-run calibrate", id="calibrator-version-4"),
     pytest.param(checkpoint_version("model", 2), 4, "unsupported model checkpoint version 2: it holds the "
                  "per-parameter records version 3 dropped; re-run pretrain and calibrate", id="model-version-2"),
     pytest.param(checkpoint_version("model", 3), 4, "unsupported model checkpoint version 3: it holds "
@@ -578,6 +567,14 @@ class TestExitCodes:
         assert main(output_under_a_file(command, key, "x.bin")(src_tmp, cfg, tmp_path)) == 2
         assert "epoch=" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("build", [pretrain_on_a_long_word, calibrate_a_long_token],
+                             ids=["pretrain-vocabulary-word-over-65535-bytes", "calibrate-soft-token-over-65535-bytes"])
+    def test_overlong_checkpoint_string_writes_nothing(self, pipeline, tmp_path, capsys, build):
+        src_tmp, cfg = pipeline
+        assert main(build(src_tmp, cfg, tmp_path)) == 2
+        assert OVERLONG_STRING in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []  # the command made the directory before training
+
 
 def count_evaluate_ensemble(monkeypatch) -> list:
     """The runs evaluate_ensemble returns from now on, in call order."""
@@ -599,8 +596,6 @@ CHECKED_BEFORE_DECODING_CASES = [
     pytest.param(bad_value("evaluate", "report_dir", "--arm", "both", "--set",
                            "calibrator_checkpoint=no/such/calibrator.bin"),
                  "calibrator checkpoint not found", id="evaluate-missing-calibrator"),
-    pytest.param(notes_first_calibrator(evaluate_with()), POLICY_MISMATCH,
-                 id="evaluate-calibrator-separator-policy-mismatch"),
     pytest.param(output_under_a_file("evaluate", "report_dir", "reports"), "Not a directory",
                  id="evaluate-report-dir-under-a-file"),
 ]
@@ -615,12 +610,6 @@ class TestEvaluateChecksInputsFirst:
         assert message in capsys.readouterr().err
         assert runs == []
         assert not (tmp_path / "out").exists()  # no report directory, so no report
-
-    def test_matching_separator_policy_runs(self, pipeline, tmp_path):
-        src_tmp, cfg = pipeline
-        argv = notes_first_calibrator(evaluate_with("--set", "separator_policy=notes_first"))
-        assert main(argv(src_tmp, cfg, tmp_path)) == 0
-        assert (tmp_path / "out" / "reports" / "variance_report.csv").exists()
 
     def test_soft_token_flag_is_gone(self, pipeline, capsys):
         _, cfg = pipeline
@@ -674,7 +663,6 @@ NON_DEFAULT_VALUES = {
     "learning_rate": "0.01",
     "max_epochs": "9",
     "convergence_tol": "0.001",
-    "separator_policy": "notes_first",
 }
 
 

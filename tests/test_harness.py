@@ -390,10 +390,9 @@ class TestEvaluateEnsemble:
         assert sorted(fwd.per_prompt_scores) == sorted(rev.per_prompt_scores)
 
 
-def per_prompt_oracle(lm, calibration, ensemble, corpus, policy="prompt_first"):
+def per_prompt_oracle(lm, calibration, ensemble, corpus):
     """The ensemble scored one prompt at a time: evaluate_prompt, which runs summarize_many per prompt."""
-    return tuple(evaluate_prompt(lm, calibration, prompt, corpus, policy=policy)
-                 for prompt in ensemble.prompts)
+    return tuple(evaluate_prompt(lm, calibration, prompt, corpus) for prompt in ensemble.prompts)
 
 
 def soft_calibration(lm):
@@ -410,17 +409,16 @@ class TestEnsembleAgainstPerPromptOracle:
     @pytest.mark.parametrize("calibrated", [False, True], ids=["baseline", "calibrated"])
     # group_rows is LOCKSTEP_ROWS: 7-row groups of 3 prompts end inside a note's prompted rows,
     # 3-row groups of 3 prompts hold exactly one note's prompted rows
-    @pytest.mark.parametrize("n_prompts, n_notes, group_rows, max_len, kwargs", [
-        pytest.param(10, 9, None, None, {}, id="default groups, 9 notes"),
-        pytest.param(3, 7, 7, None, {}, id="7-row groups, 7 notes"),
-        pytest.param(3, 7, 3, None, {}, id="3-row groups, 7 notes"),
-        pytest.param(2, 3, 1, None, {}, id="1-row groups"),
-        pytest.param(1, 5, None, None, {}, id="one prompt"),
-        pytest.param(3, 5, 7, 2, {}, id="max_len 2"),
-        pytest.param(3, 5, 7, None, {"policy": "notes_first"}, id="notes_first"),
+    @pytest.mark.parametrize("n_prompts, n_notes, group_rows, max_len", [
+        pytest.param(10, 9, None, None, id="default groups, 9 notes"),
+        pytest.param(3, 7, 7, None, id="7-row groups, 7 notes"),
+        pytest.param(3, 7, 3, None, id="3-row groups, 7 notes"),
+        pytest.param(2, 3, 1, None, id="1-row groups"),
+        pytest.param(1, 5, None, None, id="one prompt"),
+        pytest.param(3, 5, 7, 2, id="max_len 2"),
     ])
     def test_scores_and_summaries_equal_the_per_prompt_loop(self, request, ensemble, monkeypatch, model, calibrated,
-                                                            n_prompts, n_notes, group_rows, max_len, kwargs):
+                                                            n_prompts, n_notes, group_rows, max_len):
         import promptcal.harness as harness_module
 
         lm = request.getfixturevalue(model)
@@ -429,9 +427,9 @@ class TestEnsembleAgainstPerPromptOracle:
         corpus = generate_corpus(n_notes, seed=46)
         ens = PromptEnsemble(ensemble.prompts[:n_prompts])
         calibration = soft_calibration(lm) if calibrated else None
-        expected = per_prompt_oracle(lm, calibration, ens, corpus, **kwargs)
+        expected = per_prompt_oracle(lm, calibration, ens, corpus)
         notes = [tokenize(r.findings, lm.vocab) for r in corpus]
-        expected_summaries = [tuple(summarize(t, tokenize(p, lm.vocab), lm, calibration, **kwargs)
+        expected_summaries = [tuple(summarize(t, tokenize(p, lm.vocab), lm, calibration)
                                     for t in notes) for p in ens.prompts]
         if group_rows is not None:
             monkeypatch.setattr(model_module, "LOCKSTEP_ROWS", group_rows)
@@ -443,7 +441,7 @@ class TestEnsembleAgainstPerPromptOracle:
             return score(*args, **kw)
 
         monkeypatch.setattr(harness_module, "evaluate_prompt", recorded)
-        run = evaluate_ensemble(lm, calibration, ens, corpus, label="x", **kwargs)
+        run = evaluate_ensemble(lm, calibration, ens, corpus, label="x")
         assert run.per_prompt_scores == expected
         assert handed == expected_summaries
         if max_len is not None:

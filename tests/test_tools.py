@@ -1,10 +1,13 @@
-"""Smoke tests of the A/B tools' shared frame (tools/abkit.py), each tool run as a script.
+"""Smoke tests of the A/B tools' shared frame (tools/abkit.py), each tool run as a script,
+and a check that every function the benchmark's tracer patches still exists.
 
 The tools run in subprocesses: importing the frame pins BLAS threads through
 environment variables and rewrites sys.path, which must not leak into the
 test process.
 """
 
+import importlib
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -15,8 +18,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-pytestmark = pytest.mark.skipif(shutil.which("git") is None or not (ROOT / ".git").exists(),
-                                reason="the tools extract the parent package with git")
+needs_git = pytest.mark.skipif(shutil.which("git") is None or not (ROOT / ".git").exists(),
+                               reason="the tools extract the parent package with git")
 
 
 def run_tool(tmp_path, script, *args) -> dict:
@@ -48,6 +51,7 @@ def assert_compared(rows: dict) -> None:
         assert {"median", "q1", "q3", "speedup", "faster_pct", "resolved"} <= row.keys()
 
 
+@needs_git
 @pytest.mark.parametrize("bench", sorted(ROOT.glob("BENCH_*.json")), ids=lambda path: path.name)
 def test_committed_bench_command_runs_a_tool_with_its_own_flags(bench):
     """A committed BENCH_*.json was made by a script under tools/ that still takes every flag it names."""
@@ -60,6 +64,7 @@ def test_committed_bench_command_runs_a_tool_with_its_own_flags(bench):
     assert flags and all(flag in proc.stdout.split() for flag in flags), (flags, proc.stdout)
 
 
+@needs_git
 def test_ab_checkpoint_against_head(tmp_path):
     # both sides are the working tree, so every identity holds before a change is committed
     report = run_tool(tmp_path, "ab_checkpoint.py", "--parent", working_tree_rev(), "--repeats", "4")
@@ -72,6 +77,7 @@ def test_ab_checkpoint_against_head(tmp_path):
         assert_compared(rows)
 
 
+@needs_git
 def test_ab_checkpoint_stops_at_another_model_format(tmp_path):
     # afe3979 writes model file version 3, whose writer looks up weights this checkout's model lacks
     if subprocess.run(["git", "cat-file", "-e", "afe3979^{commit}"], cwd=ROOT).returncode != 0:
@@ -85,6 +91,7 @@ def test_ab_checkpoint_stops_at_another_model_format(tmp_path):
     assert not out.exists()
 
 
+@needs_git
 def test_ab_optim_few_steps(tmp_path):
     report = run_tool(tmp_path, "ab_optim.py", "--steps", "4", "--chunks", "8192,1048576")
     assert report["sets"].keys() == {"whole_model", "decoder_only"}
@@ -94,6 +101,7 @@ def test_ab_optim_few_steps(tmp_path):
         assert_compared(result["step_us"])
 
 
+@needs_git
 def test_ab_calibrate_few_inputs(tmp_path):
     report = run_tool(tmp_path, "ab_calibrate.py", "--parent", working_tree_rev(), "--repeats", "2",
                       "--inputs", "4")
@@ -107,3 +115,18 @@ def test_ab_calibrate_few_inputs(tmp_path):
     for row in report["op_ms"].values():
         assert row["minor_faults_median"] >= 0
         assert row["heap_peak_kib"].keys() == {"mse", "cross_entropy"}
+
+
+def test_benchmark_tracer_finds_every_target():
+    """perfbench/spans.py patches package functions and methods by name, so a renamed or deleted one
+    fails here, not only in perfbench/selftest.py. Every patch is undone even when install() fails."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module_name in {target[1] for target in spans.FUNCTIONS + spans.METHODS}:
+        importlib.import_module(module_name)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
