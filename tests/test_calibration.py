@@ -193,6 +193,10 @@ class TestJoinPrompted:
         joined = join_prompted(t_llm, t_org, prefix)
         assert joined.ids == prefix.ids + t_llm.ids + (SEP_ID,) + t_org.ids
 
+    def test_no_prefix_is_an_empty_prefix(self, lm):
+        t_org, t_llm = notes(lm), prompt(lm)
+        assert join_prompted(t_llm, t_org).ids == join_prompted(t_llm, t_org, TokenSequence(())).ids
+
     def test_empty_prompt_leaves_prefix_and_notes(self, lm):
         t_org, prefix = notes(lm), TokenSequence((5, 6))
         assert join_prompted(TokenSequence(()), t_org).ids == t_org.ids

@@ -9,10 +9,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT, CalibrationConfig, SoftPromptToken
+from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT, DISTANCES, CalibrationConfig, SoftPromptToken
 from promptcal.checkpoint import load_calibrator, load_model, save_calibrator, save_model, write_model_body
 from promptcal.corpus import generate_corpus, save_corpus
 from promptcal.errors import CheckpointError, CheckpointMismatchError, ContractError
+from promptcal.model import EncoderDecoderLM
+from promptcal.vocab import Vocabulary
 from tests.test_model import assert_weights_read_only, one_bit_edited
 
 MODEL_SECTIONS = ("version", "vocabulary", "config", "params", "seal")
@@ -30,6 +32,13 @@ def calibrator_layout(token_text: str, dim: int) -> dict[str, int]:
     """Byte length of each section of a version-5 calibrator file, in file order."""
     token = 2 + len(token_text.encode("utf-8"))
     return dict(zip(CALIBRATOR_SECTIONS, (1, 32, token, 21, 4, 8 * dim, 32)))
+
+
+def frozen_with_word(lm, word: str) -> EncoderDecoderLM:
+    """A frozen random model over lm's vocabulary and config, with word as its last vocabulary word."""
+    out = EncoderDecoderLM.initialize(Vocabulary((*lm.vocab.words, word)), lm.cfg, seed=0)
+    out.freeze()
+    return out
 
 
 def model_field_ends(lm) -> list[int]:
@@ -214,6 +223,22 @@ class TestModelCheckpoint:
         with pytest.raises(CheckpointError, match="repeats a vocabulary word or holds a special token"):
             load_model(path)
 
+    @pytest.mark.parametrize("word", ["a" * 65_535, "\u00e9" * 32_767 + "a"], ids=["ascii", "two-byte"])
+    def test_longest_vocabulary_word_round_trips(self, tiny_lm, tmp_path, word):
+        lm = frozen_with_word(tiny_lm, word)
+        path = tmp_path / "model.bin"
+        save_model(lm, path)
+        loaded = load_model(path)
+        assert loaded.vocab.words[-1] == word
+        assert loaded.frozen_digest == lm.weight_digest()
+
+    @pytest.mark.parametrize("word", ["a" * 65_536, "\u00e9" * 32_768], ids=["ascii", "two-byte"])
+    def test_overlong_vocabulary_word_refused_before_writing(self, tiny_lm, tmp_path, word):
+        lm = frozen_with_word(tiny_lm, word)
+        with pytest.raises(ContractError, match="at most 65535 UTF-8 bytes, got one of 65536"):
+            save_model(lm, tmp_path / "model.bin")
+        assert os.listdir(tmp_path) == []
+
     def test_resealed_non_utf8_word_rejected(self, tiny_lm, tmp_path):
         path = tmp_path / "model.bin"
         save_model(tiny_lm, path)
@@ -243,6 +268,21 @@ class TestCalibratorCheckpoint:
         assert loaded_soft.tobytes() == soft.tobytes()
         assert loaded_tok.text == tok.text
         assert loaded_cfg == config
+
+    @pytest.mark.parametrize("distance", DISTANCES)
+    def test_each_distance_code_round_trips(self, tiny_lm, calibrator, tmp_path, distance):
+        # the distance byte is the only coded field: each code must read back as its own distance
+        soft, tok = calibrator
+        path = tmp_path / "calib.bin"
+        save_calibrator(soft, tok, CalibrationConfig(distance=distance), tiny_lm.weight_digest(), path)
+        assert load_calibrator(path, tiny_lm)[2] == CalibrationConfig(distance=distance)
+
+    def test_default_token_for_a_64_dim_model_takes_662_bytes(self, tiny_lm, tmp_path):
+        # the size the README gives for the default calibrator file
+        tok = SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, tiny_lm.vocab)
+        path = tmp_path / "calib.bin"
+        save_calibrator(np.zeros(64), tok, CalibrationConfig(), tiny_lm.weight_digest(), path)
+        assert path.stat().st_size == sum(calibrator_layout(DEFAULT_SOFT_TOKEN_TEXT, 64).values()) == 662
 
     def test_file_holds_only_the_vector_and_its_provenance(self, tiny_lm, calibrator, tmp_path):
         soft, tok = calibrator

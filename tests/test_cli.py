@@ -383,7 +383,7 @@ def output_under_a_file(command, output_key, below):
 
 # One word longer than a checkpoint string's 65,535 UTF-8 bytes.
 LONG_WORD = "x" * 70_000
-OVERLONG_STRING = "a checkpoint string is at most 65535 UTF-8 bytes, got one of 70000"
+OVERLONG_STRING = "a checkpoint string is at most 65535 UTF-8 bytes, got one of {}"
 
 
 def pretrain_on_a_long_word(src_tmp, cfg, tmp_path):
@@ -394,8 +394,8 @@ def pretrain_on_a_long_word(src_tmp, cfg, tmp_path):
             "--set", f"model_checkpoint={tmp_path / 'out' / 'model.bin'}"]
 
 
-def calibrate_a_long_token(src_tmp, cfg, tmp_path):
-    return ["calibrate", "--config", str(cfg), "--set", f"soft_token={LONG_WORD}",
+def calibrate_a_long_token(src_tmp, cfg, tmp_path, token=LONG_WORD):
+    return ["calibrate", "--config", str(cfg), "--set", f"soft_token={token}",
             "--set", f"calibrator_checkpoint={tmp_path / 'out' / 'calibrator.bin'}"]
 
 
@@ -567,12 +567,17 @@ class TestExitCodes:
         assert main(output_under_a_file(command, key, "x.bin")(src_tmp, cfg, tmp_path)) == 2
         assert "epoch=" not in capsys.readouterr().out
 
-    @pytest.mark.parametrize("build", [pretrain_on_a_long_word, calibrate_a_long_token],
-                             ids=["pretrain-vocabulary-word-over-65535-bytes", "calibrate-soft-token-over-65535-bytes"])
-    def test_overlong_checkpoint_string_writes_nothing(self, pipeline, tmp_path, capsys, build):
+    @pytest.mark.parametrize("build, utf8_bytes", [
+        pytest.param(pretrain_on_a_long_word, 70_000, id="pretrain-vocabulary-word-over-65535-bytes"),
+        pytest.param(calibrate_a_long_token, 70_000, id="calibrate-soft-token-over-65535-bytes"),
+        # 40,000 characters fit the limit; their 80,000 UTF-8 bytes do not
+        pytest.param(lambda *args: calibrate_a_long_token(*args, token="\u00e9" * 40_000), 80_000,
+                     id="calibrate-soft-token-of-two-byte-characters-over-65535-bytes"),
+    ])
+    def test_overlong_checkpoint_string_writes_nothing(self, pipeline, tmp_path, capsys, build, utf8_bytes):
         src_tmp, cfg = pipeline
         assert main(build(src_tmp, cfg, tmp_path)) == 2
-        assert OVERLONG_STRING in capsys.readouterr().err
+        assert OVERLONG_STRING.format(utf8_bytes) in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []  # the command made the directory before training
 
 

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -117,12 +118,18 @@ def test_ab_calibrate_few_inputs(tmp_path):
         assert row["heap_peak_kib"].keys() == {"mse", "cross_entropy"}
 
 
-def test_benchmark_tracer_finds_every_target():
-    """perfbench/spans.py patches package functions and methods by name, so a renamed or deleted one
-    fails here, not only in perfbench/selftest.py. Every patch is undone even when install() fails."""
+def load_spans():
+    """perfbench/spans.py, the benchmark's tracer, loaded as a module."""
     spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_tracer_finds_every_target():
+    """perfbench/spans.py patches package functions and methods by name, so a renamed or deleted one
+    fails here, not only in perfbench/selftest.py. Every patch is undone even when install() fails."""
+    spans = load_spans()
     for module_name in {target[1] for target in spans.FUNCTIONS + spans.METHODS}:
         importlib.import_module(module_name)
     tracer = spans.Tracer()
@@ -130,3 +137,29 @@ def test_benchmark_tracer_finds_every_target():
         tracer.install()
     finally:
         tracer.uninstall()
+
+
+@pytest.mark.parametrize("calibrated", [False, True], ids=["baseline", "calibrated"])
+def test_benchmark_tracer_sees_summarize_layers_and_changes_no_summary(varied_lm, ensemble, calibrated):
+    """The benchmark's layer times come from the traced bindings: a call path that bypassed them would
+    read as zero time, and a wrapper that changed a result would time different work."""
+    from promptcal.calibration import DEFAULT_SOFT_TOKEN_TEXT, SoftPromptToken, summarize_many
+    from promptcal.vocab import tokenize
+
+    calibration = None
+    if calibrated:
+        soft = np.random.default_rng(0).normal(size=varied_lm.cfg.embed_dim)
+        calibration = soft, SoftPromptToken.from_text(DEFAULT_SOFT_TOKEN_TEXT, varied_lm.vocab)
+    notes = [tokenize(text, varied_lm.vocab) for text in ("no edema.", "small effusion seen.")]
+    prompts = [tokenize(p, varied_lm.vocab) for p in ensemble.prompts[:2]]
+    expected = summarize_many(notes, prompts, varied_lm, calibration)
+    tracer = load_spans().Tracer()
+    try:
+        tracer.install()
+        got = summarize_many(notes, prompts, varied_lm, calibration)
+    finally:
+        tracer.uninstall()
+    assert got == expected
+    totals = tracer.layer_totals()
+    assert totals["model.encoder_forward"]["calls"] > 0 and totals["model.decoder_forward"]["calls"] > 0
+    assert totals.get("calibration.decode_soft_prompt", {"calls": 0})["calls"] == int(calibrated)
